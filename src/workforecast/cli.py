@@ -17,7 +17,6 @@ JSON report embeds the fully resolved run configuration.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 
@@ -26,6 +25,7 @@ import click
 from workforecast import evaluate as evaluate_mod
 from workforecast import features as features_mod
 from workforecast import ingest as ingest_mod
+from workforecast import jsonio
 from workforecast import model as model_mod
 from workforecast import perf as perf_mod
 from workforecast import report as report_mod
@@ -196,23 +196,17 @@ def fit_cmd(features_file, performance_file, normalize, lag, working_age, per_re
         "subcommand": "fit",
         "features": str(features_file),
         "performance": str(performance_file),
-        "feature_config": config.as_dict(),
+        "feature_config": config,
         "per_region": per_region,
         "model": str(model_file),
     }
     if per_region:
-        by_region: dict[str, list] = {}
-        for row, target in dataset:
-            by_region.setdefault(row.region_id, []).append((row, target))
         models = {
-            region: model_mod.model_to_dict(model_mod.fit(pairs, config))
-            for region, pairs in sorted(by_region.items())
+            region: model_mod.fit(pairs, config)
+            for region, pairs in evaluate_mod.group_by_region(dataset).items()
         }
-        payload = {"scope": "per-region", "feature_config": config.as_dict(),
-                   "models": models, "run_config": run_config}
-        with open(model_file, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        payload = {"scope": "per-region", "feature_config": config, "models": models}
+        jsonio.save(model_file, payload, run_config)
         click.echo(f"fitted {len(models)} per-region models on {len(dataset)} rows", err=True)
     else:
         fitted = model_mod.fit(dataset, config)
@@ -253,7 +247,7 @@ def evaluate_cmd(features_file, performance_file, normalize, lag, working_age,
         "subcommand": "evaluate",
         "features": str(features_file),
         "performance": str(performance_file),
-        "feature_config": config.as_dict(),
+        "feature_config": config,
         "benchmark_mode": benchmark_mode,
         "per_region": per_region,
         "out": str(out_file),
@@ -313,7 +307,7 @@ def synth_cmd(out_dir, seed, n_regions, years, intercept, coef_demand, coef_supp
     run_config = {
         "subcommand": "synth",
         "out": str(out_dir),
-        "config": synth_mod.config_to_dict(config),
+        "config": config,
     }
     paths = synth_mod.write_outputs(result, config, out_dir, run_config=run_config)
     click.echo(

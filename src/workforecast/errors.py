@@ -92,3 +92,7 @@ class ZeroBaseline(DataError):
 
 class InvalidConfig(DataError):
     pass
+
+
+class MalformedJson(DataError):
+    """A JSON file that cannot be read back as the pipeline output it should be."""

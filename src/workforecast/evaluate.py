@@ -14,11 +14,11 @@ rounded for display.
 """
 from __future__ import annotations
 
-import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from workforecast import jsonio
 from workforecast.errors import (
     EmptyFolds,
     InvalidConfig,
@@ -39,7 +39,7 @@ STD_DEFINITION = "sample (n-1) standard deviation of the absolute errors"
 class FoldResult:
     """One held-out point: its actual value, both predictions, both errors."""
 
-    region_id: str
+    region_id: str = field(metadata={"json": "region"})
     year: int
     actual: float
     pred_model: float
@@ -48,17 +48,20 @@ class FoldResult:
     abs_err_benchmark: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalReport:
+    """Fields are declared in the order report.json lists them."""
+
+    benchmark_mode: str
+    scope: str = "pooled"
+    feature_config: FeatureConfig
+    std_definition: str = field(default=STD_DEFINITION, init=False)
     folds: tuple[FoldResult, ...]
     mae_model_pct: float
     mae_benchmark_pct: float | None
     std_model_pct: float
     std_benchmark_pct: float | None
     relative_inaccuracy_pct: float | None
-    benchmark_mode: str
-    feature_config: FeatureConfig
-    scope: str = "pooled"
 
 
 def build_dataset(
@@ -74,6 +77,14 @@ def build_dataset(
     ]
     pairs.sort(key=lambda pair: (pair[0].region_id, pair[0].year))
     return pairs
+
+
+def group_by_region(dataset: list[tuple[FeatureRow, float]]) -> dict[str, list[tuple[FeatureRow, float]]]:
+    """Split a dataset into one dataset per region, keyed in sorted region order."""
+    regions: dict[str, list[tuple[FeatureRow, float]]] = {}
+    for row, target in dataset:
+        regions.setdefault(row.region_id, []).append((row, target))
+    return dict(sorted(regions.items()))
 
 
 def relative_inaccuracy(mae_model: float | None, mae_benchmark: float | None) -> float | None:
@@ -120,6 +131,21 @@ def _benchmark_prediction(
     return statistics.fmean(earlier) if earlier else None
 
 
+def _report(folds: list[FoldResult], config: FeatureConfig, benchmark_mode: str, scope: str) -> EvalReport:
+    mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
+    return EvalReport(
+        benchmark_mode=benchmark_mode,
+        scope=scope,
+        feature_config=config,
+        folds=tuple(folds),
+        mae_model_pct=mae_model,
+        mae_benchmark_pct=mae_benchmark,
+        std_model_pct=std_model,
+        std_benchmark_pct=std_benchmark,
+        relative_inaccuracy_pct=relative,
+    )
+
+
 def loocv(
     dataset: list[tuple[FeatureRow, float]],
     config: FeatureConfig,
@@ -159,18 +185,7 @@ def loocv(
                 abs_err_benchmark=abs(pred_benchmark - actual) if pred_benchmark is not None else None,
             )
         )
-    mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
-    return EvalReport(
-        folds=tuple(folds),
-        mae_model_pct=mae_model,
-        mae_benchmark_pct=mae_benchmark,
-        std_model_pct=std_model,
-        std_benchmark_pct=std_benchmark,
-        relative_inaccuracy_pct=relative,
-        benchmark_mode=benchmark_mode,
-        feature_config=config,
-        scope="pooled",
-    )
+    return _report(folds, config, benchmark_mode, "pooled")
 
 
 def loocv_per_region(
@@ -179,13 +194,8 @@ def loocv_per_region(
     benchmark_mode: str = "trainfold-mean",
 ) -> EvalReport:
     """Leave-one-out within each region separately, folds merged for the summary."""
-    regions: dict[str, list[tuple[FeatureRow, float]]] = {}
-    for row, target in dataset:
-        regions.setdefault(row.region_id, []).append((row, target))
-
     folds: list[FoldResult] = []
-    for region in sorted(regions):
-        subset = regions[region]
+    for region, subset in group_by_region(dataset).items():
         if len(subset) < 4:
             raise TooFewObservations(
                 f"region {region!r} has only {len(subset)} data points; "
@@ -193,88 +203,12 @@ def loocv_per_region(
             )
         folds.extend(loocv(subset, config, benchmark_mode).folds)
     folds.sort(key=lambda fold: (fold.region_id, fold.year))
-    mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
-    return EvalReport(
-        folds=tuple(folds),
-        mae_model_pct=mae_model,
-        mae_benchmark_pct=mae_benchmark,
-        std_model_pct=std_model,
-        std_benchmark_pct=std_benchmark,
-        relative_inaccuracy_pct=relative,
-        benchmark_mode=benchmark_mode,
-        feature_config=config,
-        scope="per-region",
-    )
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "benchmark_mode": report.benchmark_mode,
-        "scope": report.scope,
-        "feature_config": report.feature_config.as_dict(),
-        "std_definition": STD_DEFINITION,
-        "folds": [
-            {
-                "region": fold.region_id,
-                "year": fold.year,
-                "actual": fold.actual,
-                "pred_model": fold.pred_model,
-                "pred_benchmark": fold.pred_benchmark,
-                "abs_err_model": fold.abs_err_model,
-                "abs_err_benchmark": fold.abs_err_benchmark,
-            }
-            for fold in report.folds
-        ],
-        "mae_model_pct": report.mae_model_pct,
-        "mae_benchmark_pct": report.mae_benchmark_pct,
-        "std_model_pct": report.std_model_pct,
-        "std_benchmark_pct": report.std_benchmark_pct,
-        "relative_inaccuracy_pct": report.relative_inaccuracy_pct,
-    }
+    return _report(folds, config, benchmark_mode, "per-region")
 
 
 def save_report_json(report: EvalReport, path: str | Path, run_config: dict | None = None) -> None:
-    payload = report_to_dict(report)
-    if run_config is not None:
-        payload["run_config"] = run_config
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    jsonio.save(path, report, run_config)
 
 
 def load_report_json(path: str | Path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    folds = tuple(
-        FoldResult(
-            region_id=entry["region"],
-            year=int(entry["year"]),
-            actual=float(entry["actual"]),
-            pred_model=float(entry["pred_model"]),
-            pred_benchmark=None if entry["pred_benchmark"] is None else float(entry["pred_benchmark"]),
-            abs_err_model=float(entry["abs_err_model"]),
-            abs_err_benchmark=(
-                None if entry["abs_err_benchmark"] is None else float(entry["abs_err_benchmark"])
-            ),
-        )
-        for entry in payload["folds"]
-    )
-    return EvalReport(
-        folds=folds,
-        mae_model_pct=float(payload["mae_model_pct"]),
-        mae_benchmark_pct=(
-            None if payload["mae_benchmark_pct"] is None else float(payload["mae_benchmark_pct"])
-        ),
-        std_model_pct=float(payload["std_model_pct"]),
-        std_benchmark_pct=(
-            None if payload["std_benchmark_pct"] is None else float(payload["std_benchmark_pct"])
-        ),
-        relative_inaccuracy_pct=(
-            None
-            if payload["relative_inaccuracy_pct"] is None
-            else float(payload["relative_inaccuracy_pct"])
-        ),
-        benchmark_mode=payload["benchmark_mode"],
-        feature_config=FeatureConfig.from_dict(payload["feature_config"]),
-        scope=payload.get("scope", "pooled"),
-    )
+    return jsonio.load(path, EvalReport)

@@ -9,6 +9,7 @@ interval contribute pro-rata by the share of their integer ages inside it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,21 +34,6 @@ class FeatureConfig:
     normalize: bool = True
     lag: int = 0
     working_age: tuple[int, int] = DEFAULT_WORKING_AGE
-
-    def as_dict(self) -> dict:
-        return {
-            "normalize": self.normalize,
-            "lag": self.lag,
-            "working_age": list(self.working_age),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FeatureConfig":
-        return cls(
-            normalize=bool(payload["normalize"]),
-            lag=int(payload["lag"]),
-            working_age=(int(payload["working_age"][0]), int(payload["working_age"][1])),
-        )
 
 
 @dataclass(frozen=True)
@@ -201,11 +187,13 @@ def read_features_csv(path: str | Path, config: FeatureConfig) -> list[FeatureRo
             demand = float(demand_s)
             supply = float(supply_s)
         except ValueError:
+            demand = supply = math.nan
+        if not (math.isfinite(demand) and math.isfinite(supply)):
             raise MalformedRow(
-                f"{name}:{lineno}: demand and supply must be numbers",
+                f"{name}:{lineno}: demand and supply must be finite numbers, got {demand_s!r} and {supply_s!r}",
                 file=name,
                 line=lineno,
-            ) from None
+            )
         rows.append(FeatureRow(region_id=region, year=year, demand=demand, supply=supply))
     rows.sort(key=lambda row: (row.region_id, row.year))
     return rows

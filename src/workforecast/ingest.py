@@ -78,8 +78,10 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[int, lis
     """Read a CSV file, check its header, and return (line_number, fields) rows."""
     name = str(path)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=1)]
+        try:
+            rows = list(enumerate(csv.reader(fh), start=1))
+        except UnicodeDecodeError as err:
+            raise MalformedRow(f"{name}: not valid UTF-8 text ({err.reason})", file=name) from None
     if not rows:
         raise MalformedRow(f"{name}:1: missing header row", file=name, line=1)
     first_line, first = rows[0]

@@ -10,12 +10,12 @@ cross-validation results depend on implementation details.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from workforecast import jsonio
 from workforecast.errors import FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
 from workforecast.features import FeatureConfig, FeatureRow
 
@@ -121,37 +121,10 @@ def predict(model: ModelFit, row: FeatureRow, config: FeatureConfig) -> float:
     return model.intercept + model.coef_demand * row.demand + model.coef_supply * row.supply
 
 
-def model_to_dict(model: ModelFit) -> dict:
-    return {
-        "intercept": model.intercept,
-        "coef_demand": model.coef_demand,
-        "coef_supply": model.coef_supply,
-        "n_obs": model.n_obs,
-        "rss": model.rss,
-        "r_squared": model.r_squared,
-        "feature_config": model.feature_config.as_dict(),
-    }
-
-
 def save_model_json(model: ModelFit, path: str | Path, run_config: dict | None = None) -> None:
     """Serialize at full precision (json float repr round-trips exactly)."""
-    payload = model_to_dict(model)
-    if run_config is not None:
-        payload["run_config"] = run_config
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    jsonio.save(path, model, run_config)
 
 
 def load_model_json(path: str | Path) -> ModelFit:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return ModelFit(
-        intercept=float(payload["intercept"]),
-        coef_demand=float(payload["coef_demand"]),
-        coef_supply=float(payload["coef_supply"]),
-        n_obs=int(payload["n_obs"]),
-        rss=float(payload["rss"]),
-        r_squared=float(payload["r_squared"]),
-        feature_config=FeatureConfig.from_dict(payload["feature_config"]),
-    )
+    return jsonio.load(path, ModelFit)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import calendar
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
-from workforecast.errors import MalformedRow
+from workforecast.errors import InvalidConfig, MalformedRow
 from workforecast.ingest import ProgrammeRecord, _parse_count, _parse_year, _read_rows
 
 DEFAULT_MIN_HOURS = 16.0
@@ -76,6 +77,8 @@ def aggregate_performance(
     window_months: int = DEFAULT_WINDOW_MONTHS,
 ) -> list[PerformanceRow]:
     """Aggregate records into one row per (region, entry year) with >= 1 entrant."""
+    if not (math.isfinite(min_hours) and min_hours >= 0.0):
+        raise InvalidConfig(f"min_hours must be a finite non-negative number, got {min_hours}")
     counts: dict[tuple[str, int], list[int]] = {}
     for record in records:
         key = (record.region_id, record.entry_date.year)

@@ -150,7 +150,7 @@ def emit_figure_data(
         totals = {year: float(sum(series.population[year].values())) for year in series.years}
         baselined = baseline(totals, pop_year, population_mode, label=region)
         population_rows.extend([region, year, repr(value)] for year, value in baselined.points)
-    _write_rows(paths["population"], ("region", "year", "ratio"), population_rows)
+    _write_rows(paths["population"], ("region", "year", population_mode), population_rows)
 
     # actual vs model vs benchmark, baselined by each region's first performance
     first_performance: dict[str, float] = {}

@@ -19,13 +19,13 @@ column bit-exactly via n_success / n_entrants.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from workforecast import jsonio
 from workforecast.errors import InvalidConfig
 from workforecast.features import FeatureConfig, build_features
 from workforecast.ingest import RegionalSeries, write_regional_series
@@ -183,27 +183,6 @@ def generate(config: SynthConfig) -> SynthResult:
     return SynthResult(series_by_region=series_by_region, performance=performance, n_clipped=n_clipped)
 
 
-def config_to_dict(config: SynthConfig) -> dict:
-    return {
-        "n_regions": config.n_regions,
-        "years": list(config.years),
-        "seed": config.seed,
-        "true_intercept": config.true_intercept,
-        "true_coef_demand": config.true_coef_demand,
-        "true_coef_supply": config.true_coef_supply,
-        "noise_sd": config.noise_sd,
-        "shock": (
-            None
-            if config.shock is None
-            else {
-                "year": config.shock.year,
-                "demand_shift": config.shock.demand_shift,
-                "supply_shift": config.shock.supply_shift,
-            }
-        ),
-    }
-
-
 def write_outputs(
     result: SynthResult,
     config: SynthConfig,
@@ -225,14 +204,10 @@ def write_outputs(
     )
     write_performance_csv(result.performance, paths["performance"])
     truth = {
-        "config": config_to_dict(config),
-        "feature_config": LAW_FEATURE_CONFIG.as_dict(),
+        "config": config,
+        "feature_config": LAW_FEATURE_CONFIG,
         "regions": sorted(result.series_by_region),
         "n_clipped": result.n_clipped,
     }
-    if run_config is not None:
-        truth["run_config"] = run_config
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+    jsonio.save(paths["truth"], truth, run_config)
     return paths

@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from workforecast.cli import cli
+from workforecast.errors import MalformedJson
+from workforecast.model import load_model_json
 
 ENV = {"WF_NO_COLOR": "1"}
 
@@ -256,3 +259,112 @@ class TestPerformanceCommand:
         payload = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
         assert payload["scope"] == "per-region"
         assert set(payload["models"]) == {"R01", "R02"}
+
+
+def _single_error_line(result, code):
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith(f"ERROR {code}: ")
+    return lines[0]
+
+
+def _figures_args(root: Path, report: Path, *extra):
+    data = root / "data"
+    return [
+        "figures",
+        "--employment", str(data / "employment.csv"),
+        "--unemployment", str(data / "unemployment.csv"),
+        "--population", str(data / "population.csv"),
+        "--features", str(root / "features.csv"),
+        "--performance", str(data / "performance.csv"),
+        "--report", str(report),
+        "--out", str(root / "figs"),
+        *extra,
+    ]
+
+
+class TestMalformedInputs:
+    def test_truncated_report_exits_one(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        report = tmp_path / "report.json"
+        report.write_bytes(report.read_bytes()[:300])
+        result = _invoke(_figures_args(tmp_path, report))
+        assert result.exit_code == 1
+        assert str(report) in _single_error_line(result, "MalformedJson")
+
+    def test_model_json_passed_as_report_exits_one(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        result = _invoke(_figures_args(tmp_path, tmp_path / "model.json"))
+        assert result.exit_code == 1
+        assert "model.json" in _single_error_line(result, "MalformedJson")
+
+    def test_per_region_model_is_not_a_single_model(self, tmp_path):
+        assert _run_pipeline(tmp_path, extra_synth=["--years", "2009:2018"]) == [0, 0, 0, 0, 0]
+        model = tmp_path / "model_per_region.json"
+        assert _invoke([
+            "fit", "--per-region",
+            "--features", str(tmp_path / "features.csv"),
+            "--performance", str(tmp_path / "data" / "performance.csv"),
+            "--model", str(model),
+        ]).exit_code == 0
+        with pytest.raises(MalformedJson, match="intercept"):
+            load_model_json(model)
+
+    def test_non_utf8_csv_exits_one(self, tmp_path):
+        data = tmp_path / "data"
+        assert _invoke(["synth", "--out", str(data), "--seed", "3"]).exit_code == 0
+        (data / "employment.csv").write_bytes(b"region,year,employed\nR01,2011,\xff\n")
+        result = _invoke([
+            "validate",
+            "--employment", str(data / "employment.csv"),
+            "--unemployment", str(data / "unemployment.csv"),
+            "--population", str(data / "population.csv"),
+        ])
+        assert result.exit_code == 1
+        assert "employment.csv" in _single_error_line(result, "MalformedRow")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exits_one_without_a_model(self, tmp_path, value):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        features = tmp_path / "features.csv"
+        lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+        region, year, _, supply, normalized = lines[3].split(",")
+        lines[3] = ",".join([region, year, value, supply, normalized])
+        features.write_text("".join(lines), encoding="utf-8")
+        model = tmp_path / "model_bad.json"
+        result = _invoke([
+            "fit",
+            "--features", str(features),
+            "--performance", str(tmp_path / "data" / "performance.csv"),
+            "--model", str(model),
+        ])
+        assert result.exit_code == 1
+        assert "features.csv:4:" in _single_error_line(result, "MalformedRow")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_invalid_min_hours_exits_one(self, tmp_path, value):
+        (tmp_path / "records.csv").write_text(
+            "person_id,region,entry_date,spell_start,spell_end,hours_per_week\n"
+            "P1,R1,2015-01-01,2015-01-01,2015-08-01,1\n",
+            encoding="utf-8",
+        )
+        result = _invoke([
+            "performance",
+            "--records", str(tmp_path / "records.csv"),
+            f"--min-hours={value}",
+            "--out", str(tmp_path / "performance.csv"),
+        ])
+        assert result.exit_code == 1
+        _single_error_line(result, "InvalidConfig")
+        assert not (tmp_path / "performance.csv").exists()
+
+
+class TestFigureHeaders:
+    @pytest.mark.parametrize("mode", ["ratio", "difference"])
+    def test_population_header_names_its_baseline_mode(self, tmp_path, mode):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        result = _invoke(_figures_args(tmp_path, tmp_path / "report.json", "--population-baseline", mode))
+        assert result.exit_code == 0
+        header = (tmp_path / "figs" / "fig3_population.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == f"region,year,{mode}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from workforecast.errors import (
     FeatureConfigMismatch,
+    MalformedRow,
     MissingYear,
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
@@ -217,3 +218,14 @@ class TestFeaturesCsv:
         write_features_csv(rows, config, path)
         with pytest.raises(FeatureConfigMismatch):
             read_features_csv(path, FeatureConfig(normalize=False))
+
+    @pytest.mark.parametrize("demand, supply", [("nan", "0.05"), ("0.01", "inf"), ("-Infinity", "0.05")])
+    def test_non_finite_values_are_rejected_with_their_line(self, tmp_path, demand, supply):
+        path = tmp_path / "features.csv"
+        path.write_text(
+            f"region,year,demand,supply,normalized\nR1,2012,0.01,0.05,1\nR1,2013,{demand},{supply},1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match="features.csv:3:") as info:
+            read_features_csv(path, FeatureConfig())
+        assert info.value.line == 3

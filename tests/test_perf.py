@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from workforecast.errors import InvalidConfig
 from workforecast.ingest import ProgrammeRecord, Spell
 from workforecast.perf import (
     PerformanceRow,
@@ -128,6 +129,16 @@ class TestAggregatePerformance:
 
     def test_empty_input(self):
         assert aggregate_performance([]) == []
+
+    @pytest.mark.parametrize("min_hours", [float("nan"), float("inf"), -1.0])
+    def test_invalid_min_hours_is_rejected(self, min_hours):
+        one_hour_spell = _record("2015-01-01", [("2015-01-01", "2015-08-01", 1.0)])
+        with pytest.raises(InvalidConfig, match="min_hours"):
+            aggregate_performance([one_hour_spell], min_hours=min_hours)
+
+    def test_zero_min_hours_counts_every_covered_spell(self):
+        one_hour_spell = _record("2015-01-01", [("2015-01-01", "2015-08-01", 1.0)])
+        assert aggregate_performance([one_hour_spell], min_hours=0.0)[0].n_success == 1
 
     def test_performance_is_exactly_the_ratio(self):
         rng = np.random.default_rng(5)
