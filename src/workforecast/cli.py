@@ -9,6 +9,10 @@ One executable, subcommand per pipeline stage, run in sequence by scripts:
     workforecast evaluate --features ... --performance ... --out report.json
     workforecast figures --employment ... --report report.json --out figs/
 
+The feature configuration (--normalize/--no-normalize, --lag, --working-age)
+is chosen once, by `features`, and written into every row of features.csv;
+fit, evaluate and figures read it from there.
+
 Exit codes: 0 success, 1 validation error (bad data), 2 usage error.
 Diagnostics go to stderr with a machine-parsable `ERROR <code>: <message>`
 prefix; data goes to files only. Set WF_NO_COLOR to disable styling. Every
@@ -30,7 +34,7 @@ from workforecast import model as model_mod
 from workforecast import perf as perf_mod
 from workforecast import report as report_mod
 from workforecast import synth as synth_mod
-from workforecast.errors import DataError
+from workforecast.errors import DataError, FeatureConfigMismatch
 from workforecast.features import FeatureConfig
 
 
@@ -75,41 +79,11 @@ def _years_callback(ctx, param, value):
     return _parse_range(value, "--years")
 
 
-def _feature_options(fn):
-    fn = click.option(
-        "--working-age",
-        "working_age",
-        default="16:64",
-        show_default=True,
-        callback=_working_age_callback,
-        help="Working-age interval as LO:HI (inclusive).",
-    )(fn)
-    fn = click.option(
-        "--lag",
-        type=click.IntRange(min=0),
-        default=0,
-        show_default=True,
-        help="Shift the proxies this many whole years behind the entry year.",
-    )(fn)
-    fn = click.option(
-        "--normalize/--no-normalize",
-        "normalize",
-        default=True,
-        show_default=True,
-        help="Divide demand by the working-age population.",
-    )(fn)
-    return fn
-
-
 def _stat_file_options(fn):
     fn = click.option("--population", "population_file", required=True, help="population.csv path.")(fn)
     fn = click.option("--unemployment", "unemployment_file", required=True, help="unemployment.csv path.")(fn)
     fn = click.option("--employment", "employment_file", required=True, help="employment.csv path.")(fn)
     return fn
-
-
-def _feature_config(normalize: bool, lag: int, working_age: tuple[int, int]) -> FeatureConfig:
-    return FeatureConfig(normalize=normalize, lag=lag, working_age=working_age)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -143,12 +117,17 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
 
 @cli.command("features")
 @_stat_file_options
-@_feature_options
+@click.option("--normalize/--no-normalize", "normalize", default=True, show_default=True,
+              help="Divide demand by the working-age population.")
+@click.option("--lag", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Shift the proxies this many whole years behind the entry year.")
+@click.option("--working-age", "working_age", default="16:64", show_default=True,
+              callback=_working_age_callback, help="Working-age interval as LO:HI (inclusive).")
 @click.option("--out", "out_file", required=True, help="Output features.csv path.")
 @_handles_data_errors
 def features_cmd(employment_file, unemployment_file, population_file, normalize, lag, working_age, out_file) -> None:
     """Build demand/supply feature rows from the statistical files."""
-    config = _feature_config(normalize, lag, working_age)
+    config = FeatureConfig(normalize=normalize, lag=lag, working_age=working_age)
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
     rows = features_mod.build_features(series, config)
     features_mod.write_features_csv(rows, config, out_file)
@@ -182,14 +161,12 @@ def performance_cmd(records_file, min_hours, window_months, out_file) -> None:
 @cli.command("fit")
 @click.option("--features", "features_file", required=True, help="features.csv path.")
 @click.option("--performance", "performance_file", required=True, help="performance.csv path.")
-@_feature_options
 @click.option("--per-region", is_flag=True, default=False, help="Fit one model per region.")
 @click.option("--model", "model_file", required=True, help="Output model.json path.")
 @_handles_data_errors
-def fit_cmd(features_file, performance_file, normalize, lag, working_age, per_region, model_file) -> None:
+def fit_cmd(features_file, performance_file, per_region, model_file) -> None:
     """Fit the linear model on the joined feature/performance rows."""
-    config = _feature_config(normalize, lag, working_age)
-    feature_rows = features_mod.read_features_csv(features_file, config)
+    feature_rows, config = features_mod.read_features_csv(features_file)
     performance_rows = perf_mod.read_performance_csv(performance_file)
     dataset = evaluate_mod.build_dataset(feature_rows, performance_rows)
     run_config = {
@@ -226,17 +203,14 @@ def fit_cmd(features_file, performance_file, normalize, lag, working_age, per_re
 @cli.command("evaluate")
 @click.option("--features", "features_file", required=True, help="features.csv path.")
 @click.option("--performance", "performance_file", required=True, help="performance.csv path.")
-@_feature_options
 @click.option("--benchmark", "benchmark_mode", type=click.Choice(evaluate_mod.BENCHMARK_MODES),
               default="trainfold-mean", show_default=True, help="Benchmark prediction mode.")
 @click.option("--per-region", is_flag=True, default=False, help="Cross-validate within each region.")
 @click.option("--out", "out_file", required=True, help="Output report.json path.")
 @_handles_data_errors
-def evaluate_cmd(features_file, performance_file, normalize, lag, working_age,
-                 benchmark_mode, per_region, out_file) -> None:
+def evaluate_cmd(features_file, performance_file, benchmark_mode, per_region, out_file) -> None:
     """Leave-one-out cross-validation of the model against the benchmark."""
-    config = _feature_config(normalize, lag, working_age)
-    feature_rows = features_mod.read_features_csv(features_file, config)
+    feature_rows, config = features_mod.read_features_csv(features_file)
     performance_rows = perf_mod.read_performance_csv(performance_file)
     dataset = evaluate_mod.build_dataset(feature_rows, performance_rows)
     if per_region:
@@ -326,7 +300,6 @@ def synth_cmd(out_dir, seed, n_regions, years, intercept, coef_demand, coef_supp
 @click.option("--features", "features_file", required=True, help="features.csv path.")
 @click.option("--performance", "performance_file", required=True, help="performance.csv path.")
 @click.option("--report", "report_file", required=True, help="report.json path from `evaluate`.")
-@_feature_options
 @click.option("--baseline-year", type=int, default=None,
               help="Population baseline year (default: earliest year shared by all regions).")
 @click.option("--population-baseline", type=click.Choice(report_mod.BASELINE_MODES),
@@ -336,14 +309,18 @@ def synth_cmd(out_dir, seed, n_regions, years, intercept, coef_demand, coef_supp
 @click.option("--out", "out_dir", required=True, help="Output directory for the plot-data CSVs.")
 @_handles_data_errors
 def figures_cmd(employment_file, unemployment_file, population_file, features_file,
-                performance_file, report_file, normalize, lag, working_age,
-                baseline_year, population_baseline, performance_baseline, out_dir) -> None:
+                performance_file, report_file, baseline_year, population_baseline,
+                performance_baseline, out_dir) -> None:
     """Emit the four plot-data CSV files."""
-    config = _feature_config(normalize, lag, working_age)
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
-    feature_rows = features_mod.read_features_csv(features_file, config)
+    feature_rows, config = features_mod.read_features_csv(features_file)
     performance_rows = perf_mod.read_performance_csv(performance_file)
     eval_report = evaluate_mod.load_report_json(report_file)
+    if eval_report.feature_config != config:
+        raise FeatureConfigMismatch(
+            f"report was built under {eval_report.feature_config} but {features_file} under {config}",
+            file=str(report_file),
+        )
     paths = report_mod.emit_figure_data(
         series,
         feature_rows,

@@ -1,7 +1,8 @@
 """Exception hierarchy for data validation and numerical failures.
 
 Row-level errors carry the source file name and the 1-based line number of
-the offending row, both in the message and as attributes on the exception.
+the offending row as attributes; the message is prefixed with them as
+``file:line: `` (or ``file: `` when there is no line).
 """
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ class DataError(Exception):
     """Base class for all pipeline errors; keyword context lands as attributes."""
 
     def __init__(self, message: str, **context: object) -> None:
+        if "file" in context:
+            where = context["file"] if context.get("line") is None else f"{context['file']}:{context['line']}"
+            message = f"{where}: {message}"
         super().__init__(message)
         self.context = dict(context)
         for key, value in context.items():

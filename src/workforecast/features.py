@@ -20,16 +20,16 @@ from workforecast.errors import (
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
-from workforecast.ingest import RegionalSeries, _parse_year, _read_rows
+from workforecast.ingest import RegionalSeries, _parse_age, _parse_year, _read_rows
 
 DEFAULT_WORKING_AGE = (16, 64)
 
-FEATURES_HEADER = ("region", "year", "demand", "supply", "normalized")
+FEATURES_HEADER = ("region", "year", "demand", "supply", "normalized", "lag", "age_lo", "age_hi")
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """How feature rows were built; stamped into every model and report."""
+    """How feature rows were built; stamped into every features.csv row, model and report."""
 
     normalize: bool = True
     lag: int = 0
@@ -156,30 +156,45 @@ def build_features(
 
 
 def write_features_csv(rows: list[FeatureRow], config: FeatureConfig, path: str | Path) -> None:
-    """Write feature rows; floats use repr so a read round-trips bit-exactly."""
+    """Write feature rows, each stamped with `config`; floats use repr so a read round-trips bit-exactly."""
+    stamp = [int(config.normalize), config.lag, *config.working_age]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FEATURES_HEADER)
         for row in sorted(rows, key=lambda r: (r.region_id, r.year)):
-            writer.writerow([row.region_id, row.year, repr(row.demand), repr(row.supply), int(config.normalize)])
+            writer.writerow([row.region_id, row.year, repr(row.demand), repr(row.supply), *stamp])
 
 
-def read_features_csv(path: str | Path, config: FeatureConfig) -> list[FeatureRow]:
-    """Read feature rows, checking the file's normalize flag against `config`."""
+def _parse_config(stamp: list[str], name: str, lineno: int) -> FeatureConfig:
+    normalized_s, lag_s, lo_s, hi_s = stamp
+    if normalized_s not in ("0", "1"):
+        raise MalformedRow(f"column 'normalized' must be 0 or 1, got {normalized_s!r}", file=name, line=lineno)
+    if not lag_s.isdecimal():
+        raise MalformedRow(f"column 'lag' must be a non-negative integer, got {lag_s!r}", file=name, line=lineno)
+    lo = _parse_age(lo_s, "age_lo", name, lineno)
+    hi = _parse_age(hi_s, "age_hi", name, lineno)
+    if lo > hi:
+        raise MalformedRow(f"working age [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
+    return FeatureConfig(normalize=normalized_s == "1", lag=int(lag_s), working_age=(lo, hi))
+
+
+def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig]:
+    """Read feature rows and the configuration they were built under.
+
+    The configuration is parsed from the first data row; every later row must
+    repeat it. A file without data rows carries no configuration and is rejected.
+    """
     name = str(path)
     rows = []
-    for lineno, (region, year_s, demand_s, supply_s, normalized_s) in _read_rows(path, FEATURES_HEADER):
+    config = first_stamp = first_line = None
+    for lineno, (region, year_s, demand_s, supply_s, *stamp) in _read_rows(path, FEATURES_HEADER):
         year = _parse_year(year_s, name, lineno)
-        if normalized_s not in ("0", "1"):
-            raise MalformedRow(
-                f"{name}:{lineno}: column 'normalized' must be 0 or 1, got {normalized_s!r}",
-                file=name,
-                line=lineno,
-            )
-        if bool(int(normalized_s)) != config.normalize:
+        if config is None:
+            config, first_stamp, first_line = _parse_config(stamp, name, lineno), stamp, lineno
+        elif stamp != first_stamp:
             raise FeatureConfigMismatch(
-                f"{name}:{lineno}: file was built with normalize={normalized_s} "
-                f"but the requested configuration has normalize={int(config.normalize)}",
+                f"configuration {','.join(FEATURES_HEADER[4:])} is {','.join(stamp)} here "
+                f"but {','.join(first_stamp)} on line {first_line}",
                 file=name,
                 line=lineno,
             )
@@ -190,10 +205,10 @@ def read_features_csv(path: str | Path, config: FeatureConfig) -> list[FeatureRo
             demand = supply = math.nan
         if not (math.isfinite(demand) and math.isfinite(supply)):
             raise MalformedRow(
-                f"{name}:{lineno}: demand and supply must be finite numbers, got {demand_s!r} and {supply_s!r}",
-                file=name,
-                line=lineno,
+                f"demand and supply must be finite numbers, got {demand_s!r} and {supply_s!r}", file=name, line=lineno
             )
         rows.append(FeatureRow(region_id=region, year=year, demand=demand, supply=supply))
+    if config is None:
+        raise MalformedRow("no data rows, so no feature configuration", file=name)
     rows.sort(key=lambda row: (row.region_id, row.year))
-    return rows
+    return rows, config

@@ -81,65 +81,41 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[int, lis
         try:
             rows = list(enumerate(csv.reader(fh), start=1))
         except UnicodeDecodeError as err:
-            raise MalformedRow(f"{name}: not valid UTF-8 text ({err.reason})", file=name) from None
+            raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
     if not rows:
-        raise MalformedRow(f"{name}:1: missing header row", file=name, line=1)
+        raise MalformedRow("missing header row", file=name, line=1)
     first_line, first = rows[0]
     got = tuple(field.strip() for field in first)
     if got != header:
-        raise MalformedRow(
-            f"{name}:{first_line}: expected header {','.join(header)}, got {','.join(got)}",
-            file=name,
-            line=first_line,
-        )
+        raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)}", file=name, line=first_line)
     data = []
     for lineno, row in rows[1:]:
         if not row or all(not field.strip() for field in row):
             continue  # tolerate trailing blank lines
         if len(row) != len(header):
-            raise MalformedRow(
-                f"{name}:{lineno}: expected {len(header)} columns, got {len(row)}",
-                file=name,
-                line=lineno,
-            )
+            raise MalformedRow(f"expected {len(header)} columns, got {len(row)}", file=name, line=lineno)
         data.append((lineno, [field.strip() for field in row]))
     return data
 
 
 def _parse_count(text: str, column: str, file: str, line: int) -> int:
     if not _INT_RE.match(text):
-        raise MalformedRow(
-            f"{file}:{line}: column {column!r} must be an integer head-count, got {text!r}",
-            file=file,
-            line=line,
-        )
+        raise MalformedRow(f"column {column!r} must be an integer head-count, got {text!r}", file=file, line=line)
     value = int(text)
     if value < 0:
-        raise NegativeCount(
-            f"{file}:{line}: column {column!r} is negative ({value})",
-            file=file,
-            line=line,
-        )
+        raise NegativeCount(f"column {column!r} is negative ({value})", file=file, line=line)
     return value
 
 
 def _parse_year(text: str, file: str, line: int) -> int:
     if not _INT_RE.match(text) or int(text) < 0:
-        raise MalformedRow(
-            f"{file}:{line}: column 'year' must be a calendar year, got {text!r}",
-            file=file,
-            line=line,
-        )
+        raise MalformedRow(f"column 'year' must be a calendar year, got {text!r}", file=file, line=line)
     return int(text)
 
 
 def _parse_age(text: str, column: str, file: str, line: int) -> int:
     if not _INT_RE.match(text) or int(text) < 0:
-        raise MalformedRow(
-            f"{file}:{line}: column {column!r} must be a non-negative integer age, got {text!r}",
-            file=file,
-            line=line,
-        )
+        raise MalformedRow(f"column {column!r} must be a non-negative integer age, got {text!r}", file=file, line=line)
     return int(text)
 
 
@@ -148,9 +124,7 @@ def _parse_date(text: str, column: str, file: str, line: int) -> date:
         return date.fromisoformat(text)
     except ValueError:
         raise MalformedRow(
-            f"{file}:{line}: column {column!r} must be an ISO date (YYYY-MM-DD), got {text!r}",
-            file=file,
-            line=line,
+            f"column {column!r} must be an ISO date (YYYY-MM-DD), got {text!r}", file=file, line=line
         ) from None
 
 
@@ -161,9 +135,7 @@ def _parse_hours(text: str, file: str, line: int) -> float:
         value = math.nan
     if not math.isfinite(value) or value < 0:
         raise MalformedRow(
-            f"{file}:{line}: column 'hours_per_week' must be a non-negative number, got {text!r}",
-            file=file,
-            line=line,
+            f"column 'hours_per_week' must be a non-negative number, got {text!r}", file=file, line=line
         )
     return value
 
@@ -182,11 +154,7 @@ def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str,
         count = _parse_count(count_s, column, name, lineno)
         cells = out.setdefault(region, {})
         if year in cells:
-            raise MalformedRow(
-                f"{name}:{lineno}: duplicate entry for region {region!r}, year {year}",
-                file=name,
-                line=lineno,
-            )
+            raise MalformedRow(f"duplicate entry for region {region!r}, year {year}", file=name, line=lineno)
         cells[year] = count
     return out
 
@@ -200,18 +168,12 @@ def _collect_population(path: str | Path) -> dict[str, dict[int, dict[AgeBand, t
         lo = _parse_age(lo_s, "age_lo", name, lineno)
         hi = _parse_age(hi_s, "age_hi", name, lineno)
         if lo > hi:
-            raise MalformedRow(
-                f"{name}:{lineno}: age band [{lo}, {hi}] has age_lo > age_hi",
-                file=name,
-                line=lineno,
-            )
+            raise MalformedRow(f"age band [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
         persons = _parse_count(persons_s, "persons", name, lineno)
         bands = out.setdefault(region, {}).setdefault(year, {})
         if (lo, hi) in bands:
             raise MalformedRow(
-                f"{name}:{lineno}: duplicate age band [{lo}, {hi}] for region {region!r}, year {year}",
-                file=name,
-                line=lineno,
+                f"duplicate age band [{lo}, {hi}] for region {region!r}, year {year}", file=name, line=lineno
             )
         bands[(lo, hi)] = (persons, lineno)
     return out
@@ -260,8 +222,7 @@ def parse_regional_series(
                 if b[0] <= a[1]:
                     line = bands[b][1]
                     raise OverlappingAgeBands(
-                        f"{pop_name}:{line}: region {region!r} year {year}: "
-                        f"band [{b[0]}, {b[1]}] overlaps band [{a[0]}, {a[1]}]",
+                        f"region {region!r} year {year}: band [{b[0]}, {b[1]}] overlaps band [{a[0]}, {a[1]}]",
                         file=pop_name,
                         line=line,
                         region=region,
@@ -334,20 +295,16 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     for lineno, fields in _read_rows(records_file, RECORDS_HEADER):
         person, region, entry_s, start_s, end_s, hours_s = fields
         if not person:
-            raise MalformedRow(f"{name}:{lineno}: empty person_id", file=name, line=lineno)
+            raise MalformedRow("empty person_id", file=name, line=lineno)
         entry = _parse_date(entry_s, "entry_date", name, lineno)
         info = people.setdefault(person, {"region": region, "entry": entry, "spells": []})
         if info["region"] != region:
             raise MalformedRow(
-                f"{name}:{lineno}: person {person!r} has conflicting regions "
-                f"({info['region']!r} vs {region!r})",
-                file=name,
-                line=lineno,
+                f"person {person!r} has conflicting regions ({info['region']!r} vs {region!r})", file=name, line=lineno
             )
         if info["entry"] != entry:
             raise MalformedRow(
-                f"{name}:{lineno}: person {person!r} has conflicting entry dates "
-                f"({info['entry'].isoformat()} vs {entry.isoformat()})",
+                f"person {person!r} has conflicting entry dates ({info['entry'].isoformat()} vs {entry.isoformat()})",
                 file=name,
                 line=lineno,
             )
@@ -355,19 +312,12 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
         if all(not field for field in spell_fields):
             continue
         if any(not field for field in spell_fields):
-            raise MalformedRow(
-                f"{name}:{lineno}: spell fields must be all present or all empty",
-                file=name,
-                line=lineno,
-            )
+            raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
         start = _parse_date(start_s, "spell_start", name, lineno)
         end = _parse_date(end_s, "spell_end", name, lineno)
         if start > end:
             raise MalformedRow(
-                f"{name}:{lineno}: spell starts after it ends "
-                f"({start.isoformat()} > {end.isoformat()})",
-                file=name,
-                line=lineno,
+                f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
             )
         hours = _parse_hours(hours_s, name, lineno)
         info["spells"].append((start, end, hours, lineno))
@@ -379,7 +329,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
         for a, b in zip(spells, spells[1:]):
             if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
                 raise OverlappingSpells(
-                    f"{name}:{b[3]}: person {person!r} has overlapping spells "
+                    f"person {person!r} has overlapping spells "
                     f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
                     file=name,
                     line=b[3],

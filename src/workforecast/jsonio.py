@@ -41,7 +41,7 @@ def save(path: str | Path, value: Any, run_config: dict | None = None) -> None:
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as err:
-        raise MalformedJson(f"{path}: cannot write a non-finite number as JSON ({err})", file=str(path)) from None
+        raise MalformedJson(f"cannot write a non-finite number as JSON ({err})", file=str(path)) from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -54,7 +54,7 @@ def load(path: str | Path, cls: type[T]) -> T:
         return _decoder(cls)(payload)
     except (ValueError, KeyError, TypeError) as err:
         reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-        raise MalformedJson(f"{path}: not a valid {cls.__name__} file: {reason}", file=str(path)) from None
+        raise MalformedJson(f"not a valid {cls.__name__} file: {reason}", file=str(path)) from None
 
 
 @functools.cache

@@ -82,7 +82,15 @@ def fit(pairs: list[tuple[FeatureRow, float]], config: FeatureConfig) -> ModelFi
     y = np.array([target for _, target in pairs], dtype=float)
 
     augmented = np.hstack([x, y[:, None]])
-    _householder_triangularize(augmented, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _householder_triangularize(augmented, 3)
+    if not np.isfinite(augmented).all():
+        # Values too large to square in floating point: no column is resolvable.
+        raise RankDeficientDesign(
+            "design matrix is rank deficient: its QR factorization overflows (condition estimate inf)",
+            columns=_COLUMNS,
+            condition_estimate=float("inf"),
+        )
     diag = np.abs(np.diag(augmented[:3, :3]))
     tolerance = max(n, 3) * np.finfo(float).eps * float(diag.max())
     collinear = tuple(name for name, d in zip(_COLUMNS, diag) if d <= tolerance)

@@ -123,26 +123,19 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
         entrants = _parse_count(entrants_s, "n_entrants", name, lineno)
         successes = _parse_count(success_s, "n_success", name, lineno)
         if entrants < 1:
-            raise MalformedRow(f"{name}:{lineno}: n_entrants must be positive", file=name, line=lineno)
+            raise MalformedRow("n_entrants must be positive", file=name, line=lineno)
         if successes > entrants:
-            raise MalformedRow(
-                f"{name}:{lineno}: n_success ({successes}) exceeds n_entrants ({entrants})",
-                file=name,
-                line=lineno,
-            )
+            raise MalformedRow(f"n_success ({successes}) exceeds n_entrants ({entrants})", file=name, line=lineno)
         performance = successes / entrants
         try:
             printed = float(printed_s)
         except ValueError:
             raise MalformedRow(
-                f"{name}:{lineno}: column 'performance' must be a number, got {printed_s!r}",
-                file=name,
-                line=lineno,
+                f"column 'performance' must be a number, got {printed_s!r}", file=name, line=lineno
             ) from None
         if abs(printed - performance) > 1e-6:
             raise MalformedRow(
-                f"{name}:{lineno}: performance column ({printed_s}) disagrees with "
-                f"n_success/n_entrants ({performance:.6f})",
+                f"performance column ({printed_s}) disagrees with n_success/n_entrants ({performance:.6f})",
                 file=name,
                 line=lineno,
             )

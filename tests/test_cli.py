@@ -141,7 +141,8 @@ class TestExitCodes:
 
     def test_fit_with_too_few_rows_exits_one(self, tmp_path):
         (tmp_path / "features.csv").write_text(
-            "region,year,demand,supply,normalized\nR1,2012,0.1,0.05,1\nR1,2013,0.2,0.06,1\n",
+            "region,year,demand,supply,normalized,lag,age_lo,age_hi\n"
+            "R1,2012,0.1,0.05,1,0,16,64\nR1,2013,0.2,0.06,1,0,16,64\n",
             encoding="utf-8",
         )
         (tmp_path / "performance.csv").write_text(
@@ -328,8 +329,8 @@ class TestMalformedInputs:
         assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
         features = tmp_path / "features.csv"
         lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
-        region, year, _, supply, normalized = lines[3].split(",")
-        lines[3] = ",".join([region, year, value, supply, normalized])
+        region, year, _, supply, *stamp = lines[3].split(",")
+        lines[3] = ",".join([region, year, value, supply, *stamp])
         features.write_text("".join(lines), encoding="utf-8")
         model = tmp_path / "model_bad.json"
         result = _invoke([
@@ -368,3 +369,112 @@ class TestFigureHeaders:
         assert result.exit_code == 0
         header = (tmp_path / "figs" / "fig3_population.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == f"region,year,{mode}"
+
+
+def _features_args(root: Path, out: Path, *extra):
+    data = root / "data"
+    return [
+        "features",
+        "--employment", str(data / "employment.csv"),
+        "--unemployment", str(data / "unemployment.csv"),
+        "--population", str(data / "population.csv"),
+        "--out", str(out),
+        *extra,
+    ]
+
+
+def _fit_args(root: Path, model: Path, features: Path | None = None):
+    return [
+        "fit",
+        "--features", str(features or root / "features.csv"),
+        "--performance", str(root / "data" / "performance.csv"),
+        "--model", str(model),
+    ]
+
+
+def _evaluate_args(root: Path, report: Path, features: Path | None = None):
+    return [
+        "evaluate",
+        "--features", str(features or root / "features.csv"),
+        "--performance", str(root / "data" / "performance.csv"),
+        "--out", str(report),
+    ]
+
+
+class TestFeatureConfigFromFile:
+    def test_fit_and_evaluate_stamp_the_configuration_of_the_file(self, tmp_path):
+        assert _invoke(["synth", "--out", str(tmp_path / "data"), "--seed", "7"]).exit_code == 0
+        features_args = _features_args(tmp_path, tmp_path / "features.csv", "--lag", "1", "--working-age", "18:66")
+        assert _invoke(features_args).exit_code == 0
+        assert _invoke(_fit_args(tmp_path, tmp_path / "model.json")).exit_code == 0
+        assert _invoke(_evaluate_args(tmp_path, tmp_path / "report.json")).exit_code == 0
+        expected = {"normalize": True, "lag": 1, "working_age": [18, 66]}
+        for name in ("model.json", "report.json"):
+            payload = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            assert payload["feature_config"] == expected
+            assert payload["run_config"]["feature_config"] == expected
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "figures"])
+    @pytest.mark.parametrize("flag", [["--normalize"], ["--no-normalize"], ["--lag", "1"], ["--working-age", "18:66"]],
+                             ids=lambda flag: flag[0])
+    def test_feature_flags_belong_to_features_only(self, tmp_path, command, flag):
+        args = {
+            "fit": _fit_args(tmp_path, tmp_path / "model_flag.json"),
+            "evaluate": _evaluate_args(tmp_path, tmp_path / "report_flag.json"),
+            "figures": _figures_args(tmp_path, tmp_path / "report.json"),
+        }[command]
+        result = CliRunner().invoke(cli, [*args, *flag], env=ENV)
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
+
+    def test_header_only_features_file_exits_one(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        features = tmp_path / "empty_features.csv"
+        features.write_text("region,year,demand,supply,normalized,lag,age_lo,age_hi\n", encoding="utf-8")
+        model = tmp_path / "model_empty.json"
+        result = _invoke(_fit_args(tmp_path, model, features))
+        assert result.exit_code == 1
+        assert "empty_features.csv: no data rows" in _single_error_line(result, "MalformedRow")
+        assert not model.exists()
+
+    def test_figures_rejects_a_report_built_on_other_features(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        lagged = tmp_path / "features_lag1.csv"
+        assert _invoke(_features_args(tmp_path, lagged, "--lag", "1")).exit_code == 0
+        report = tmp_path / "report_lag1.json"
+        assert _invoke(_evaluate_args(tmp_path, report, lagged)).exit_code == 0
+        result = _invoke(_figures_args(tmp_path, report))
+        assert result.exit_code == 1
+        line = _single_error_line(result, "FeatureConfigMismatch")
+        assert str(report) in line and str(tmp_path / "features.csv") in line
+
+
+class TestOverflowingFeatures:
+    """A demand of 1e200 overflows the QR factorization of every fit that includes it."""
+
+    def _overflowing_features(self, root: Path) -> Path:
+        assert _run_pipeline(root) == [0, 0, 0, 0, 0]
+        features = root / "features.csv"
+        lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+        region, year, _, *rest = lines[2].split(",")
+        lines[2] = ",".join([region, year, "1e200", *rest])
+        features.write_text("".join(lines), encoding="utf-8")
+        return features
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_exits_one_without_a_model(self, tmp_path):
+        self._overflowing_features(tmp_path)
+        model = tmp_path / "model_overflow.json"
+        result = _invoke(_fit_args(tmp_path, model))
+        assert result.exit_code == 1
+        _single_error_line(result, "RankDeficientDesign")
+        assert not model.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluate_exits_one_without_a_report(self, tmp_path):
+        self._overflowing_features(tmp_path)
+        report = tmp_path / "report_overflow.json"
+        result = _invoke(_evaluate_args(tmp_path, report))
+        assert result.exit_code == 1
+        _single_error_line(result, "RankDeficientFold")
+        assert not report.exists()

@@ -209,23 +209,73 @@ class TestFeaturesCsv:
         rows = build_features(series, config)
         path = tmp_path / "features.csv"
         write_features_csv(rows, config, path)
-        assert read_features_csv(path, config) == rows
+        assert read_features_csv(path) == (rows, config)
 
     def test_normalize_flag_mismatch(self, tmp_path):
-        config = FeatureConfig(normalize=True)
-        rows = build_features({"R1": _flat_series(range(2010, 2013))}, config)
+        path = tmp_path / "features.csv"
+        path.write_text(
+            "region,year,demand,supply,normalized,lag,age_lo,age_hi\n"
+            "R1,2012,0.01,0.05,1,0,16,64\nR1,2013,0.02,0.05,0,0,16,64\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FeatureConfigMismatch, match="features.csv:3:"):
+            read_features_csv(path)
+
+    @pytest.mark.parametrize("stamp", ["1,1,16,64", "1,0,18,64", "1,0,16,66"])
+    def test_rows_with_another_lag_or_working_age_are_rejected(self, tmp_path, stamp):
+        path = tmp_path / "features.csv"
+        path.write_text(
+            "region,year,demand,supply,normalized,lag,age_lo,age_hi\n"
+            f"R1,2012,0.01,0.05,1,0,16,64\nR1,2013,0.02,0.05,1,0,16,64\nR1,2014,0.03,0.05,{stamp}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FeatureConfigMismatch, match="features.csv:4: .* on line 2") as info:
+            read_features_csv(path)
+        assert info.value.line == 4
+
+    def test_config_is_read_from_the_file(self, tmp_path):
+        config = FeatureConfig(normalize=False, lag=2, working_age=(18, 66))
+        rows = build_features({"R1": _flat_series(range(2010, 2014))}, config)
         path = tmp_path / "features.csv"
         write_features_csv(rows, config, path)
-        with pytest.raises(FeatureConfigMismatch):
-            read_features_csv(path, FeatureConfig(normalize=False))
+        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",0,2,18,66")
+        assert read_features_csv(path) == (rows, config)
+
+    @pytest.mark.parametrize("stamp, column", [
+        ("2,0,16,64", "'normalized'"), ("1,-1,16,64", "'lag'"), ("1,x,16,64", "'lag'"),
+        ("1,0,a,64", "'age_lo'"), ("1,0,16,", "'age_hi'"), ("1,0,65,64", "age_lo > age_hi"),
+    ])
+    def test_malformed_config_is_rejected_with_its_line(self, tmp_path, stamp, column):
+        path = tmp_path / "features.csv"
+        path.write_text(
+            f"region,year,demand,supply,normalized,lag,age_lo,age_hi\nR1,2012,0.01,0.05,{stamp}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match=f"features.csv:2: .*{column}"):
+            read_features_csv(path)
+
+    def test_header_only_file_is_rejected(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("region,year,demand,supply,normalized,lag,age_lo,age_hi\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match="features.csv: no data rows") as info:
+            read_features_csv(path)
+        assert info.value.file == str(path)
+
+    def test_five_column_file_is_rejected_by_its_header(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("region,year,demand,supply,normalized\nR1,2012,0.01,0.05,1\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match="features.csv:1: expected header "
+                                               "region,year,demand,supply,normalized,lag,age_lo,age_hi, got"):
+            read_features_csv(path)
 
     @pytest.mark.parametrize("demand, supply", [("nan", "0.05"), ("0.01", "inf"), ("-Infinity", "0.05")])
     def test_non_finite_values_are_rejected_with_their_line(self, tmp_path, demand, supply):
         path = tmp_path / "features.csv"
         path.write_text(
-            f"region,year,demand,supply,normalized\nR1,2012,0.01,0.05,1\nR1,2013,{demand},{supply},1\n",
+            f"region,year,demand,supply,normalized,lag,age_lo,age_hi\n"
+            f"R1,2012,0.01,0.05,1,0,16,64\nR1,2013,{demand},{supply},1,0,16,64\n",
             encoding="utf-8",
         )
         with pytest.raises(MalformedRow, match="features.csv:3:") as info:
-            read_features_csv(path, FeatureConfig())
+            read_features_csv(path)
         assert info.value.line == 3

@@ -159,6 +159,13 @@ class TestFit:
         with pytest.raises(RankDeficientDesign):
             fit(pairs, CONFIG)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_design_is_rank_deficient_without_warnings(self):
+        pairs = [(row, 0.5) for row in feature_rows([(1e200, 0.05), *BASE_VALUES[1:4]])]
+        with pytest.raises(RankDeficientDesign) as excinfo:
+            fit(pairs, CONFIG)
+        assert excinfo.value.condition_estimate == float("inf")
+
 
 class TestPredict:
     def test_arithmetic(self):
