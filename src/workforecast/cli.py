@@ -34,7 +34,7 @@ from workforecast import model as model_mod
 from workforecast import perf as perf_mod
 from workforecast import report as report_mod
 from workforecast import synth as synth_mod
-from workforecast.errors import DataError, FeatureConfigMismatch
+from workforecast.errors import DataError, FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
 from workforecast.features import FeatureConfig
 
 
@@ -178,15 +178,17 @@ def fit_cmd(features_file, performance_file, per_region, model_file) -> None:
         "model": str(model_file),
     }
     if per_region:
-        models = {
-            region: model_mod.fit(pairs, config)
-            for region, pairs in evaluate_mod.group_by_region(dataset).items()
-        }
+        models = {}
+        for region, pairs in evaluate_mod.group_by_region(dataset).items():
+            try:
+                models[region] = model_mod.fit(*model_mod.design(pairs), config)
+            except (TooFewObservations, RankDeficientDesign) as err:
+                raise type(err)(f"region {region!r}: {err}", **err.context, region=region) from err
         payload = {"scope": "per-region", "feature_config": config, "models": models}
         jsonio.save(model_file, payload, run_config)
         click.echo(f"fitted {len(models)} per-region models on {len(dataset)} rows", err=True)
     else:
-        fitted = model_mod.fit(dataset, config)
+        fitted = model_mod.fit(*model_mod.design(dataset), config)
         model_mod.save_model_json(fitted, model_file, run_config=run_config)
         click.echo(
             f"fitted on {fitted.n_obs} rows: intercept={fitted.intercept:.6g} "

@@ -1,11 +1,16 @@
 """Leave-one-out cross-validation against the historical-mean benchmark.
 
 Each fold refits the model on the other n-1 points and predicts the held-out
-point. The benchmark predicts the held-out point as the arithmetic mean of
-the training fold's performance values ("trainfold-mean", the default) or of
+point. The design arrays are built once per dataset; fold i drops row i from
+them and makes exactly one `fit` call on the rest.
+
+The benchmark predicts the held-out point as the arithmetic mean of the
+training fold's performance values ("trainfold-mean", the default) or of
 performances from strictly earlier years across all regions
 ("prior-years-mean"); folds with no earlier year have no benchmark prediction
-and are excluded from the benchmark metrics.
+and are excluded from the benchmark metrics. Both means are a `math.fsum`
+total divided by the count, the same float `statistics.fmean` returns; the
+prior-years mean is computed once per distinct year.
 
 Errors are summarized as mean absolute error and the sample (n-1) standard
 deviation of the absolute errors, both in percentage points. The relative
@@ -14,9 +19,12 @@ rounded for display.
 """
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from workforecast import jsonio
 from workforecast.errors import (
@@ -27,7 +35,7 @@ from workforecast.errors import (
     TooFewObservations,
 )
 from workforecast.features import FeatureConfig, FeatureRow
-from workforecast.model import fit, predict
+from workforecast.model import design, fit, predict
 from workforecast.perf import PerformanceRow
 
 BENCHMARK_MODES = ("trainfold-mean", "prior-years-mean")
@@ -119,16 +127,13 @@ def metrics(
     return mae_model, mae_benchmark, std_model, std_benchmark, relative_inaccuracy(mae_model, mae_benchmark)
 
 
-def _benchmark_prediction(
-    mode: str,
-    train: list[tuple[FeatureRow, float]],
-    dataset: list[tuple[FeatureRow, float]],
-    test_row: FeatureRow,
-) -> float | None:
-    if mode == "trainfold-mean":
-        return statistics.fmean(target for _, target in train)
-    earlier = [target for row, target in dataset if row.year < test_row.year]
-    return statistics.fmean(earlier) if earlier else None
+def _prior_years_means(data: list[tuple[FeatureRow, float]]) -> dict[int, float | None]:
+    """Mean performance of strictly earlier years, per distinct year; None when there are none."""
+    means: dict[int, float | None] = {}
+    for year in sorted({row.year for row, _ in data}):
+        earlier = [target for row, target in data if row.year < year]
+        means[year] = math.fsum(earlier) / len(earlier) if earlier else None
+    return means
 
 
 def _report(folds: list[FoldResult], config: FeatureConfig, benchmark_mode: str, scope: str) -> EvalReport:
@@ -160,12 +165,14 @@ def loocv(
     if n < 4:
         raise TooFewObservations(f"leave-one-out needs at least 4 data points, got {n}")
     data = sorted(dataset, key=lambda pair: (pair[0].region_id, pair[0].year))
+    x, y = design(data)
+    targets = [target for _, target in data]
+    prior_means = _prior_years_means(data) if benchmark_mode == "prior-years-mean" else {}
 
     folds = []
     for i, (row, actual) in enumerate(data):
-        train = data[:i] + data[i + 1:]
         try:
-            model = fit(train, config)
+            model = fit(np.delete(x, i, 0), np.delete(y, i), config)
         except RankDeficientDesign as err:
             raise RankDeficientFold(
                 f"training fold for ({row.region_id}, {row.year}) is rank deficient: {err}",
@@ -173,7 +180,10 @@ def loocv(
                 year=row.year,
             ) from err
         pred_model = predict(model, row, config)
-        pred_benchmark = _benchmark_prediction(benchmark_mode, train, data, row)
+        if benchmark_mode == "trainfold-mean":
+            pred_benchmark = math.fsum(targets[:i] + targets[i + 1:]) / (n - 1)
+        else:
+            pred_benchmark = prior_means[row.year]
         folds.append(
             FoldResult(
                 region_id=row.region_id,

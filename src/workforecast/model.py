@@ -1,6 +1,9 @@
 """Unregularized two-predictor linear model with a hand-rolled QR solver.
 
-The design matrix is [1, demand, supply]. Coefficients minimize the plain sum
+`design` turns (feature row, target) pairs into the design matrix
+[1, demand, supply] and the target vector once; `fit` works on those arrays,
+so a caller that refits on many subsets (leave-one-out) slices rows out of
+them instead of rebuilding them. Coefficients minimize the plain sum
 of squared residuals; there is no penalty term and predictions are never
 clamped (any clamping is a presentation concern, applied downstream if at
 all). The solve goes through a Householder QR factorization rather than
@@ -58,28 +61,26 @@ def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return beta
 
 
-def design_matrix(rows: list[FeatureRow]) -> np.ndarray:
-    x = np.empty((len(rows), 3))
-    for i, row in enumerate(rows):
-        x[i, 0] = 1.0
-        x[i, 1] = row.demand
-        x[i, 2] = row.supply
-    return x
+def design(pairs: list[tuple[FeatureRow, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Design matrix [1, demand, supply] of shape (n, 3) and target vector of shape (n,)."""
+    x = np.ones((len(pairs), 3))
+    x[:, 1] = [row.demand for row, _ in pairs]
+    x[:, 2] = [row.supply for row, _ in pairs]
+    y = np.array([target for _, target in pairs], dtype=float)
+    return x, y
 
 
-def fit(pairs: list[tuple[FeatureRow, float]], config: FeatureConfig) -> ModelFit:
-    """Least-squares fit of performance on [1, demand, supply].
+def fit(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
+    """Least-squares fit of y on the columns of x, as built by `design`.
 
     Requires at least 3 observations (one per parameter) and a full-rank
     design. Near-collinear columns are reported by name together with a
     condition estimate taken from the QR diagonal. With a constant target,
     r_squared is reported as 1.0 (the intercept explains it perfectly).
     """
-    n = len(pairs)
+    n = x.shape[0]
     if n < 3:
         raise TooFewObservations(f"need at least 3 observations to fit 3 parameters, got {n}")
-    x = design_matrix([row for row, _ in pairs])
-    y = np.array([target for _, target in pairs], dtype=float)
 
     augmented = np.hstack([x, y[:, None]])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,16 +3,23 @@
 The oracles deliberately avoid the code paths they check: the reintegration
 oracle enumerates every calendar day and walks months with its own clamping
 logic, and the least-squares oracle minimizes the quadratic loss by
-coordinate descent instead of any matrix factorization.
+coordinate descent instead of any matrix factorization. The leave-one-out
+oracle is the plain refit loop that `evaluate.loocv` replaced: it rebuilds
+every training fold as a list, sums benchmarks with `statistics.fmean`, and
+scans the whole dataset for earlier years in every fold.
 """
 from __future__ import annotations
 
+import statistics
 from datetime import date, timedelta
 
 import numpy as np
 
-from workforecast.features import FeatureRow
+from workforecast.errors import RankDeficientDesign, RankDeficientFold
+from workforecast.evaluate import EvalReport, FoldResult, metrics
+from workforecast.features import FeatureConfig, FeatureRow
 from workforecast.ingest import ProgrammeRecord, RegionalSeries, Spell
+from workforecast.model import design, fit, predict
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +111,74 @@ def per_age_supply_oracle(series: RegionalSeries, year: int, working_age: tuple[
             if lo <= age <= hi:
                 total += persons / width
     return series.unemployed_6m[year] / total
+
+
+# ---------------------------------------------------------------------------
+# leave-one-out oracle (one list-built refit per fold)
+# ---------------------------------------------------------------------------
+
+def _refit_folds(
+    dataset: list[tuple[FeatureRow, float]], config: FeatureConfig, benchmark_mode: str
+) -> list[FoldResult]:
+    data = sorted(dataset, key=lambda pair: (pair[0].region_id, pair[0].year))
+
+    folds = []
+    for i, (row, actual) in enumerate(data):
+        train = data[:i] + data[i + 1:]
+        try:
+            model = fit(*design(train), config)
+        except RankDeficientDesign as err:
+            raise RankDeficientFold(
+                f"training fold for ({row.region_id}, {row.year}) is rank deficient: {err}",
+                region=row.region_id,
+                year=row.year,
+            ) from err
+        pred_model = predict(model, row, config)
+        if benchmark_mode == "trainfold-mean":
+            pred_benchmark = statistics.fmean(target for _, target in train)
+        else:
+            earlier = [target for other, target in data if other.year < row.year]
+            pred_benchmark = statistics.fmean(earlier) if earlier else None
+        folds.append(
+            FoldResult(
+                region_id=row.region_id,
+                year=row.year,
+                actual=actual,
+                pred_model=pred_model,
+                pred_benchmark=pred_benchmark,
+                abs_err_model=abs(pred_model - actual),
+                abs_err_benchmark=abs(pred_benchmark - actual) if pred_benchmark is not None else None,
+            )
+        )
+    return folds
+
+
+def loocv_refit_oracle(
+    dataset: list[tuple[FeatureRow, float]],
+    config: FeatureConfig,
+    benchmark_mode: str = "trainfold-mean",
+    scope: str = "pooled",
+) -> EvalReport:
+    """The report `loocv` (scope "pooled") or `loocv_per_region` ("per-region") should return."""
+    if scope == "pooled":
+        folds = _refit_folds(dataset, config, benchmark_mode)
+    else:
+        folds = []
+        for region in sorted({row.region_id for row, _ in dataset}):
+            subset = [(row, target) for row, target in dataset if row.region_id == region]
+            folds.extend(_refit_folds(subset, config, benchmark_mode))
+    mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
+    return EvalReport(
+        benchmark_mode=benchmark_mode,
+        scope=scope,
+        feature_config=config,
+        folds=tuple(folds),
+        mae_model_pct=mae_model,
+        mae_benchmark_pct=mae_benchmark,
+        std_model_pct=std_model,
+        std_benchmark_pct=std_benchmark,
+        relative_inaccuracy_pct=relative,
+    )
 
 
 # ---------------------------------------------------------------------------

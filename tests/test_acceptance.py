@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from workforecast.cli import cli
 from workforecast.evaluate import FoldResult, build_dataset, loocv, metrics, relative_inaccuracy
 from workforecast.features import FeatureConfig, FeatureRow, build_features
-from workforecast.model import design_matrix, fit
+from workforecast.model import design, fit
 from workforecast.perf import is_reintegrated
 from workforecast.synth import LAW_FEATURE_CONFIG, Shock, SynthConfig, generate
 
@@ -69,8 +69,8 @@ def test_criterion_2_ols_matches_coordinate_descent_oracle():
             (FeatureRow("R1", 2011 + i, float(demand[i]), float(supply[i])), float(targets[i]))
             for i in range(n)
         ]
-        model = fit(pairs, config)
-        x = design_matrix([row for row, _ in pairs])
+        model = fit(*design(pairs), config)
+        x = design(pairs)[0]
         y = np.array([target for _, target in pairs])
         oracle = coordinate_descent(x, y, tol=1e-12)
         beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
@@ -94,7 +94,7 @@ def test_criterion_3_noiseless_exact_recovery():
         result = generate(config)
         assert result.n_clipped == 0
         dataset = build_dataset(build_features(result.series_by_region, LAW_FEATURE_CONFIG), result.performance)
-        model = fit(dataset, LAW_FEATURE_CONFIG)
+        model = fit(*design(dataset), LAW_FEATURE_CONFIG)
         worst_coefficient = max(
             worst_coefficient,
             abs(model.intercept - config.true_intercept),

@@ -471,6 +471,31 @@ class TestOverflowingFeatures:
         assert not model.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_per_region_fit_names_the_overflowing_region(self, tmp_path):
+        features = self._overflowing_features(tmp_path)
+        region = features.read_text(encoding="utf-8").splitlines()[2].split(",")[0]
+        model = tmp_path / "model_overflow.json"
+        result = _invoke([*_fit_args(tmp_path, model), "--per-region"])
+        assert result.exit_code == 1
+        line = _single_error_line(result, "RankDeficientDesign")
+        assert line.startswith(f"ERROR RankDeficientDesign: region {region!r}: design matrix is rank deficient")
+        assert not model.exists()
+
+    def test_per_region_fit_names_a_region_with_too_few_rows(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        features = tmp_path / "features.csv"
+        lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+        last = lines[-1].split(",")[0]
+        dropped = [line for line in lines if line.startswith(f"{last},")][2:]
+        features.write_text("".join(line for line in lines if line not in dropped), encoding="utf-8")
+        model = tmp_path / "model_small.json"
+        result = _invoke([*_fit_args(tmp_path, model), "--per-region"])
+        assert result.exit_code == 1
+        line = _single_error_line(result, "TooFewObservations")
+        assert line.startswith(f"ERROR TooFewObservations: region {last!r}: need at least 3 observations")
+        assert not model.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_evaluate_exits_one_without_a_report(self, tmp_path):
         self._overflowing_features(tmp_path)
         report = tmp_path / "report_overflow.json"

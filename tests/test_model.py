@@ -5,7 +5,7 @@ from workforecast.errors import FeatureConfigMismatch, RankDeficientDesign, TooF
 from workforecast.features import FeatureConfig, FeatureRow
 from workforecast.model import (
     ModelFit,
-    design_matrix,
+    design,
     fit,
     load_model_json,
     predict,
@@ -43,7 +43,7 @@ BASE_VALUES = [
 class TestFit:
     def test_recovers_exact_linear_data(self):
         pairs = _pairs_from_law(BASE_VALUES, 0.5, 2.0, -3.0)
-        model = fit(pairs, CONFIG)
+        model = fit(*design(pairs), CONFIG)
         assert model.intercept == pytest.approx(0.5, abs=1e-9)
         assert model.coef_demand == pytest.approx(2.0, abs=1e-9)
         assert model.coef_supply == pytest.approx(-3.0, abs=1e-9)
@@ -52,7 +52,7 @@ class TestFit:
 
     def test_constant_target(self):
         pairs = [(row, 0.4) for row in feature_rows(BASE_VALUES)]
-        model = fit(pairs, CONFIG)
+        model = fit(*design(pairs), CONFIG)
         assert model.intercept == pytest.approx(0.4, abs=1e-9)
         assert model.coef_demand == pytest.approx(0.0, abs=1e-9)
         assert model.coef_supply == pytest.approx(0.0, abs=1e-9)
@@ -63,8 +63,8 @@ class TestFit:
         noise = rng.normal(0.0, 0.01, size=10)
         values = [(float(d), float(s)) for d, s in rng.normal(0.0, 0.5, size=(10, 2))]
         pairs = _pairs_from_law(values, 0.3, 1.0, -0.5, noise=noise)
-        model = fit(pairs, CONFIG)
-        x = design_matrix([row for row, _ in pairs])
+        model = fit(*design(pairs), CONFIG)
+        x = design(pairs)[0]
         y = np.array([target for _, target in pairs])
         oracle = coordinate_descent(x, y, tol=1e-12)
         assert abs(model.intercept - oracle[0]) <= 1e-6
@@ -76,8 +76,8 @@ class TestFit:
         for _ in range(30):
             n = int(rng.integers(4, 21))
             pairs = _random_pairs(rng, n)
-            model = fit(pairs, CONFIG)
-            x = design_matrix([row for row, _ in pairs])
+            model = fit(*design(pairs), CONFIG)
+            x = design(pairs)[0]
             y = np.array([target for _, target in pairs])
             oracle = coordinate_descent(x, y)
             beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
@@ -87,8 +87,8 @@ class TestFit:
         rng = np.random.default_rng(8)
         for _ in range(50):
             pairs = _random_pairs(rng, int(rng.integers(4, 30)))
-            model = fit(pairs, CONFIG)
-            x = design_matrix([row for row, _ in pairs])
+            model = fit(*design(pairs), CONFIG)
+            x = design(pairs)[0]
             y = np.array([target for _, target in pairs])
             beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
             residual = y - x @ beta
@@ -100,7 +100,7 @@ class TestFit:
     def test_affine_feature_rescaling_keeps_predictions(self):
         rng = np.random.default_rng(17)
         pairs = _random_pairs(rng, 12)
-        model = fit(pairs, CONFIG)
+        model = fit(*design(pairs), CONFIG)
         transforms = [
             lambda d, s: (2.5 * d - 0.3, s),
             lambda d, s: (d, -0.5 * s + 1.0),
@@ -111,7 +111,7 @@ class TestFit:
             for row, target in pairs:
                 demand, supply = transform(row.demand, row.supply)
                 mapped_pairs.append((FeatureRow(row.region_id, row.year, demand, supply), target))
-            mapped_model = fit(mapped_pairs, CONFIG)
+            mapped_model = fit(*design(mapped_pairs), CONFIG)
             for (row, _), (mapped_row, _) in zip(pairs, mapped_pairs):
                 assert predict(mapped_model, mapped_row, CONFIG) == pytest.approx(
                     predict(model, row, CONFIG), abs=1e-8
@@ -120,7 +120,7 @@ class TestFit:
     def test_prediction_plus_residual_reproduces_target(self):
         rng = np.random.default_rng(29)
         pairs = _random_pairs(rng, 15)
-        model = fit(pairs, CONFIG)
+        model = fit(*design(pairs), CONFIG)
         for row, target in pairs:
             prediction = predict(model, row, CONFIG)
             residual = target - prediction
@@ -129,8 +129,8 @@ class TestFit:
     def test_perturbing_coefficients_does_not_reduce_rss(self):
         rng = np.random.default_rng(31)
         pairs = _random_pairs(rng, 12)
-        model = fit(pairs, CONFIG)
-        x = design_matrix([row for row, _ in pairs])
+        model = fit(*design(pairs), CONFIG)
+        x = design(pairs)[0]
         y = np.array([target for _, target in pairs])
         beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
         for j in range(3):
@@ -143,13 +143,13 @@ class TestFit:
     def test_too_few_observations(self):
         pairs = _pairs_from_law(BASE_VALUES[:2], 0.5, 2.0, -3.0)
         with pytest.raises(TooFewObservations):
-            fit(pairs, CONFIG)
+            fit(*design(pairs), CONFIG)
 
     def test_constant_demand_is_rank_deficient(self):
         values = [(0.5, s) for s in (0.01, 0.05, 0.09, 0.12)]
         pairs = _pairs_from_law(values, 0.5, 2.0, -3.0)
         with pytest.raises(RankDeficientDesign) as excinfo:
-            fit(pairs, CONFIG)
+            fit(*design(pairs), CONFIG)
         assert "demand" in excinfo.value.columns
         assert excinfo.value.condition_estimate > 1e12
 
@@ -157,14 +157,31 @@ class TestFit:
         values = [(v, v) for v in (0.01, 0.05, 0.09, 0.12)]
         pairs = _pairs_from_law(values, 0.5, 2.0, -3.0)
         with pytest.raises(RankDeficientDesign):
-            fit(pairs, CONFIG)
+            fit(*design(pairs), CONFIG)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_design_is_rank_deficient_without_warnings(self):
         pairs = [(row, 0.5) for row in feature_rows([(1e200, 0.05), *BASE_VALUES[1:4]])]
         with pytest.raises(RankDeficientDesign) as excinfo:
-            fit(pairs, CONFIG)
+            fit(*design(pairs), CONFIG)
         assert excinfo.value.condition_estimate == float("inf")
+
+
+class TestDesign:
+    def test_columns_are_intercept_demand_supply(self):
+        pairs = _pairs_from_law(BASE_VALUES[:3], 0.5, 2.0, -3.0)
+        x, y = design(pairs)
+        assert x.tolist() == [[1.0, row.demand, row.supply] for row, _ in pairs]
+        assert y.tolist() == [target for _, target in pairs]
+
+    def test_empty_pairs_give_empty_arrays(self):
+        x, y = design([])
+        assert x.shape == (0, 3)
+        assert y.shape == (0,)
+
+    def test_fit_on_no_rows_is_too_few_observations(self):
+        with pytest.raises(TooFewObservations, match="got 0"):
+            fit(*design([]), CONFIG)
 
 
 class TestPredict:
@@ -179,7 +196,7 @@ class TestPredict:
 
     def test_exact_fit_interpolates_training_rows(self):
         pairs = _pairs_from_law(BASE_VALUES, 0.5, 2.0, -3.0)
-        model = fit(pairs, CONFIG)
+        model = fit(*design(pairs), CONFIG)
         for row, target in pairs:
             assert predict(model, row, CONFIG) == pytest.approx(target, abs=1e-12)
 
@@ -193,7 +210,7 @@ class TestPredict:
 class TestModelJson:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(41)
-        model = fit(_random_pairs(rng, 9), FeatureConfig(normalize=True, lag=2, working_age=(18, 66)))
+        model = fit(*design(_random_pairs(rng, 9)), FeatureConfig(normalize=True, lag=2, working_age=(18, 66)))
         path = tmp_path / "model.json"
         save_model_json(model, path)
         assert load_model_json(path) == model
@@ -202,7 +219,7 @@ class TestModelJson:
         import json
 
         rng = np.random.default_rng(43)
-        model = fit(_random_pairs(rng, 9), CONFIG)
+        model = fit(*design(_random_pairs(rng, 9)), CONFIG)
         path = tmp_path / "model.json"
         save_model_json(model, path, run_config={"subcommand": "fit"})
         payload = json.loads(path.read_text(encoding="utf-8"))

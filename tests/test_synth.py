@@ -6,14 +6,14 @@ from workforecast.errors import InvalidConfig
 from workforecast.evaluate import build_dataset, loocv
 from workforecast.features import build_features
 from workforecast.ingest import parse_regional_series
-from workforecast.model import fit
+from workforecast.model import design, fit
 from workforecast.perf import read_performance_csv
 from workforecast.synth import LAW_FEATURE_CONFIG, Shock, SynthConfig, SynthResult, generate, write_outputs
 
 
 def _recover(result: SynthResult):
     rows = build_features(result.series_by_region, LAW_FEATURE_CONFIG)
-    return fit(build_dataset(rows, result.performance), LAW_FEATURE_CONFIG)
+    return fit(*design(build_dataset(rows, result.performance)), LAW_FEATURE_CONFIG)
 
 
 class TestGenerate:
