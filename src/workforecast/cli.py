@@ -60,7 +60,9 @@ def _handles_data_errors(fn):
     return wrapper
 
 
-def _parse_range(value: str, flag: str) -> tuple[int, int]:
+def _range_callback(ctx, param, value: str) -> tuple[int, int]:
+    """Parse an inclusive LO:HI option value; errors name the option's flag."""
+    flag = param.opts[0]
     try:
         lo_s, hi_s = value.split(":")
         lo, hi = int(lo_s), int(hi_s)
@@ -69,14 +71,6 @@ def _parse_range(value: str, flag: str) -> tuple[int, int]:
     if lo > hi:
         raise click.BadParameter(f"lower bound {lo} exceeds upper bound {hi}", param_hint=flag)
     return lo, hi
-
-
-def _working_age_callback(ctx, param, value):
-    return _parse_range(value, "--working-age")
-
-
-def _years_callback(ctx, param, value):
-    return _parse_range(value, "--years")
 
 
 def _stat_file_options(fn):
@@ -122,7 +116,7 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
 @click.option("--lag", type=click.IntRange(min=0), default=0, show_default=True,
               help="Shift the proxies this many whole years behind the entry year.")
 @click.option("--working-age", "working_age", default="16:64", show_default=True,
-              callback=_working_age_callback, help="Working-age interval as LO:HI (inclusive).")
+              callback=_range_callback, help="Working-age interval as LO:HI (inclusive).")
 @click.option("--out", "out_file", required=True, help="Output features.csv path.")
 @_handles_data_errors
 def features_cmd(employment_file, unemployment_file, population_file, normalize, lag, working_age, out_file) -> None:
@@ -248,7 +242,7 @@ def evaluate_cmd(features_file, performance_file, benchmark_mode, per_region, ou
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Generator seed.")
 @click.option("--regions", "n_regions", type=click.IntRange(min=1), default=2, show_default=True,
               help="Number of regions to generate.")
-@click.option("--years", default="2011:2018", show_default=True, callback=_years_callback,
+@click.option("--years", default="2011:2018", show_default=True, callback=_range_callback,
               help="Inclusive year range as FIRST:LAST.")
 @click.option("--intercept", type=float, default=0.5, show_default=True, help="True intercept.")
 @click.option("--coef-demand", type=float, default=1.5, show_default=True, help="True demand coefficient.")

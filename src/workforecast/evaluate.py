@@ -9,7 +9,9 @@ training fold's performance values ("trainfold-mean", the default) or of
 performances from strictly earlier years across all regions
 ("prior-years-mean"); folds with no earlier year have no benchmark prediction
 and are excluded from the benchmark metrics. Both means are a `math.fsum`
-total divided by the count, the same float `statistics.fmean` returns; the
+total divided by the count, the same float `statistics.fmean` returns. The
+trainfold total is `fsum` of the exact partial sums of all targets, built
+once, plus the negated held-out target, so each fold costs O(1); the
 prior-years mean is computed once per distinct year.
 
 Errors are summarized as mean absolute error and the sample (n-1) standard
@@ -127,6 +129,24 @@ def metrics(
     return mae_model, mae_benchmark, std_model, std_benchmark, relative_inaccuracy(mae_model, mae_benchmark)
 
 
+def _exact_partials(values: list[float]) -> list[float]:
+    """Non-overlapping floats whose exact sum is the exact sum of `values` (Shewchuk's msum)."""
+    partials: list[float] = []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
+
+
 def _prior_years_means(data: list[tuple[FeatureRow, float]]) -> dict[int, float | None]:
     """Mean performance of strictly earlier years, per distinct year; None when there are none."""
     means: dict[int, float | None] = {}
@@ -166,7 +186,7 @@ def loocv(
         raise TooFewObservations(f"leave-one-out needs at least 4 data points, got {n}")
     data = sorted(dataset, key=lambda pair: (pair[0].region_id, pair[0].year))
     x, y = design(data)
-    targets = [target for _, target in data]
+    total = _exact_partials([target for _, target in data])
     prior_means = _prior_years_means(data) if benchmark_mode == "prior-years-mean" else {}
 
     folds = []
@@ -181,7 +201,7 @@ def loocv(
             ) from err
         pred_model = predict(model, row, config)
         if benchmark_mode == "trainfold-mean":
-            pred_benchmark = math.fsum(targets[:i] + targets[i + 1:]) / (n - 1)
+            pred_benchmark = math.fsum(total + [-actual]) / (n - 1)
         else:
             pred_benchmark = prior_means[row.year]
         folds.append(

@@ -8,7 +8,6 @@ interval contribute pro-rata by the share of their integer ages inside it.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from workforecast.errors import (
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
-from workforecast.ingest import RegionalSeries, _parse_age, _parse_year, _read_rows
+from workforecast.ingest import RegionalSeries, _parse_age, _parse_year, _read_rows, _write_rows
 
 DEFAULT_WORKING_AGE = (16, 64)
 
@@ -158,11 +157,10 @@ def build_features(
 def write_features_csv(rows: list[FeatureRow], config: FeatureConfig, path: str | Path) -> None:
     """Write feature rows, each stamped with `config`; floats use repr so a read round-trips bit-exactly."""
     stamp = [int(config.normalize), config.lag, *config.working_age]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FEATURES_HEADER)
-        for row in sorted(rows, key=lambda r: (r.region_id, r.year)):
-            writer.writerow([row.region_id, row.year, repr(row.demand), repr(row.supply), *stamp])
+    _write_rows(path, FEATURES_HEADER, (
+        [row.region_id, row.year, repr(row.demand), repr(row.supply), *stamp]
+        for row in sorted(rows, key=lambda r: (r.region_id, r.year))
+    ))
 
 
 def _parse_config(stamp: list[str], name: str, lineno: int) -> FeatureConfig:

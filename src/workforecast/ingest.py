@@ -13,14 +13,20 @@ are rejected. For each region the three statistical files are restricted to
 the intersection of the years they cover, and that intersection must be
 consecutive: gaps are rejected rather than interpolated, because the demand
 proxy differences adjacent years.
+
+Rows are streamed and checked as they are read, so of several faulty rows the
+first in file order is reported, be it a wrong column count or a bad field.
+Whole-file checks (years, overlapping age bands or spells) come after.
 """
 from __future__ import annotations
 
 import csv
 import math
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 
 from workforecast.errors import (
@@ -53,7 +59,7 @@ class RegionalSeries:
     population: dict[int, dict[AgeBand, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spell:
     """One employment spell; both end dates are inclusive."""
 
@@ -62,7 +68,7 @@ class Spell:
     hours_per_week: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgrammeRecord:
     person_id: str
     region_id: str
@@ -74,28 +80,42 @@ class ProgrammeRecord:
 # low-level row handling
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str | Path, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
-    """Read a CSV file, check its header, and return (line_number, fields) rows."""
+def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Check the header, then yield (line_number, stripped fields) per data row as it is read.
+
+    Blank lines are skipped. A row with the wrong number of columns raises
+    only when reached, after the caller has checked every earlier row.
+    """
     name = str(path)
+    width = len(header)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = enumerate(csv.reader(fh), start=1)
         try:
-            rows = list(enumerate(csv.reader(fh), start=1))
+            first = next(rows, None)
+            if first is None:
+                raise MalformedRow("missing header row", file=name, line=1)
+            got = tuple(field.strip() for field in first[1])
+            if got != header:
+                raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)}", file=name, line=1)
+            for lineno, row in rows:
+                fields = list(map(str.strip, row))
+                if not any(fields):
+                    continue  # tolerate blank lines
+                if len(fields) != width:
+                    raise MalformedRow(f"expected {width} columns, got {len(fields)}", file=name, line=lineno)
+                yield lineno, fields
         except UnicodeDecodeError as err:
             raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
-    if not rows:
-        raise MalformedRow("missing header row", file=name, line=1)
-    first_line, first = rows[0]
-    got = tuple(field.strip() for field in first)
-    if got != header:
-        raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)}", file=name, line=first_line)
-    data = []
-    for lineno, row in rows[1:]:
-        if not row or all(not field.strip() for field in row):
-            continue  # tolerate trailing blank lines
-        if len(row) != len(header):
-            raise MalformedRow(f"expected {len(header)} columns, got {len(row)}", file=name, line=lineno)
-        data.append((lineno, [field.strip() for field in row]))
-    return data
+
+
+def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[list], comment: str | None = None) -> None:
+    """Write a CSV file: an optional `# comment` line, the header, then `rows`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_count(text: str, column: str, file: str, line: int) -> int:
@@ -250,32 +270,17 @@ def write_regional_series(
     Rows are emitted in (region, year, age_lo) order so output is
     deterministic and re-parses to an identical value.
     """
-    regions = sorted(series_by_region)
-
-    with open(employment_file, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EMPLOYMENT_HEADER)
-        for region in regions:
-            series = series_by_region[region]
-            for year in series.years:
-                writer.writerow([region, year, series.employment[year]])
-
-    with open(unemployment_file, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(UNEMPLOYMENT_HEADER)
-        for region in regions:
-            series = series_by_region[region]
-            for year in series.years:
-                writer.writerow([region, year, series.unemployed_6m[year]])
-
-    with open(population_file, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(POPULATION_HEADER)
-        for region in regions:
-            series = series_by_region[region]
-            for year in series.years:
-                for (lo, hi), persons in sorted(series.population[year].items()):
-                    writer.writerow([region, year, lo, hi, persons])
+    items = sorted(series_by_region.items())
+    _write_rows(employment_file, EMPLOYMENT_HEADER,
+                ([region, year, series.employment[year]] for region, series in items for year in series.years))
+    _write_rows(unemployment_file, UNEMPLOYMENT_HEADER,
+                ([region, year, series.unemployed_6m[year]] for region, series in items for year in series.years))
+    _write_rows(population_file, POPULATION_HEADER, (
+        [region, year, lo, hi, persons]
+        for region, series in items
+        for year in series.years
+        for (lo, hi), persons in sorted(series.population[year].items())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -283,49 +288,49 @@ def write_regional_series(
 # ---------------------------------------------------------------------------
 
 def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
-    """Parse records.csv into one record per person.
+    """Parse records.csv into one record per person, in one pass over its rows.
 
     One row per spell; a person with no spells appears once with the three
-    spell fields empty. Spells are sorted by start date and must not overlap.
-    Spells that start before the entry date are allowed (their pre-entry
-    portion is simply ignored downstream).
+    spell fields empty. Rows are checked as they are read, so the first
+    faulty row in file order is the one reported. Spells are then sorted by
+    start date and must not overlap. Spells that start before the entry date
+    are allowed (their pre-entry portion is simply ignored downstream).
     """
     name = str(records_file)
-    people: dict[str, dict] = {}
-    for lineno, fields in _read_rows(records_file, RECORDS_HEADER):
-        person, region, entry_s, start_s, end_s, hours_s = fields
+    people: dict[str, tuple[str, date, list[tuple[date, date, float, int]]]] = {}
+    for lineno, (person, region, entry_s, start_s, end_s, hours_s) in _read_rows(records_file, RECORDS_HEADER):
         if not person:
             raise MalformedRow("empty person_id", file=name, line=lineno)
         entry = _parse_date(entry_s, "entry_date", name, lineno)
-        info = people.setdefault(person, {"region": region, "entry": entry, "spells": []})
-        if info["region"] != region:
+        info = people.get(person)
+        if info is None:
+            info = people[person] = (region, entry, [])
+        elif info[0] != region:
             raise MalformedRow(
-                f"person {person!r} has conflicting regions ({info['region']!r} vs {region!r})", file=name, line=lineno
+                f"person {person!r} has conflicting regions ({info[0]!r} vs {region!r})", file=name, line=lineno
             )
-        if info["entry"] != entry:
+        elif info[1] != entry:
             raise MalformedRow(
-                f"person {person!r} has conflicting entry dates ({info['entry'].isoformat()} vs {entry.isoformat()})",
+                f"person {person!r} has conflicting entry dates ({info[1].isoformat()} vs {entry.isoformat()})",
                 file=name,
                 line=lineno,
             )
-        spell_fields = (start_s, end_s, hours_s)
-        if all(not field for field in spell_fields):
+        if not (start_s and end_s and hours_s):
+            if start_s or end_s or hours_s:
+                raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
             continue
-        if any(not field for field in spell_fields):
-            raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
         start = _parse_date(start_s, "spell_start", name, lineno)
         end = _parse_date(end_s, "spell_end", name, lineno)
         if start > end:
             raise MalformedRow(
                 f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
             )
-        hours = _parse_hours(hours_s, name, lineno)
-        info["spells"].append((start, end, hours, lineno))
+        info[2].append((start, end, _parse_hours(hours_s, name, lineno), lineno))
 
     records = []
     for person in sorted(people):
-        info = people[person]
-        spells = sorted(info["spells"], key=lambda item: (item[0], item[1]))
+        region, entry, spells = people[person]
+        spells.sort(key=itemgetter(0, 1))  # by (start, end); equal spells keep their file order
         for a, b in zip(spells, spells[1:]):
             if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
                 raise OverlappingSpells(
@@ -336,11 +341,6 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
                     person_id=person,
                 )
         records.append(
-            ProgrammeRecord(
-                person_id=person,
-                region_id=info["region"],
-                entry_date=info["entry"],
-                spells=tuple(Spell(start, end, hours) for start, end, hours, _ in spells),
-            )
+            ProgrammeRecord(person, region, entry, tuple(Spell(start, end, hours) for start, end, hours, _ in spells))
         )
     return records

@@ -1,9 +1,10 @@
 """The one JSON codec: model.json, report.json and truth.json all go through here.
 
 `encode` writes a dataclass field by field in declaration order; a field's
-``metadata={"json": key}`` renames its key. Reading back is driven by the
-dataclass's type hints, resolved once per class: ``init=False`` fields are
-never read, and a field with a default may be missing. Outputs never contain
+``metadata={"json": key}`` renames its key. Writing and reading back are both
+driven by the dataclass's type hints, resolved once per class into an
+(encoder, decoder) pair: ``init=False`` fields are written but never read,
+and a field with a default may be missing. Outputs never contain
 NaN or infinity; a file that cannot be read back raises `MalformedJson`.
 """
 from __future__ import annotations
@@ -30,7 +31,7 @@ def encode(value: Any) -> Any:
         return {key: encode(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode(item) for item in value]
-    return {key: encode(getattr(value, name)) for key, name in _keys(type(value))}
+    return _codec(type(value))[0](value)
 
 
 def save(path: str | Path, value: Any, run_config: dict | None = None) -> None:
@@ -51,16 +52,10 @@ def load(path: str | Path, cls: type[T]) -> T:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return _decoder(cls)(payload)
+        return _codec(cls)[1](payload)
     except (ValueError, KeyError, TypeError) as err:
         reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
         raise MalformedJson(f"not a valid {cls.__name__} file: {reason}", file=str(path)) from None
-
-
-@functools.cache
-def _keys(cls: type) -> tuple[tuple[str, str], ...]:
-    """(JSON key, attribute name) of each field of the dataclass `cls`."""
-    return tuple((field.metadata.get("json", field.name), field.name) for field in dataclasses.fields(cls))
 
 
 def _expect(value: Any, *kinds: type) -> Any:
@@ -77,42 +72,50 @@ def _number(value: Any) -> float:
 
 
 @functools.cache
-def _decoder(hint: Any) -> Callable[[Any], Any]:
-    """Build, once per type, the function that turns parsed JSON into that type."""
+def _codec(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[[Any], Any]]:
+    """Build, once per type, its (encoder, decoder) between values and parsed JSON.
+
+    An encoder of None means values of the type are written as they are.
+    """
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        specs = tuple(
-            (field.name, field.metadata.get("json", field.name), _decoder(hints[field.name]),
-             field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING)
-            for field in dataclasses.fields(hint)
-            if field.init
-        )
+        specs = tuple((field, field.metadata.get("json", field.name), *_codec(hints[field.name]))
+                      for field in dataclasses.fields(hint))
+        reads = tuple((field.name, key, decode,
+                       field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING)
+                      for field, key, _, decode in specs if field.init)
+
+        def encode_dataclass(value: Any) -> dict:
+            return {key: getattr(value, field.name) if to_json is None else to_json(getattr(value, field.name))
+                    for field, key, to_json, _ in specs}
 
         def decode_dataclass(value: Any) -> Any:
             _expect(value, dict)
-            return hint(**{name: decode(value[key]) for name, key, decode, required in specs
+            return hint(**{name: decode(value[key]) for name, key, decode, required in reads
                            if required or key in value})
 
-        return decode_dataclass
+        return encode_dataclass, decode_dataclass
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [arg for arg in args if arg is not type(None)]
-        decode_inner = _decoder(inner)
-        return lambda value: None if value is None else decode_inner(value)
+        encode_inner, decode_inner = _codec(inner)
+        return (encode_inner and (lambda value: None if value is None else encode_inner(value)),
+                lambda value: None if value is None else decode_inner(value))
     if origin is tuple and args[-1] is Ellipsis:
-        decode_item = _decoder(args[0])
-        return lambda value: tuple(decode_item(item) for item in _expect(value, list))
+        encode_item, decode_item = _codec(args[0])
+        return (list if encode_item is None else lambda value: [encode_item(item) for item in value],
+                lambda value: tuple(decode_item(item) for item in _expect(value, list)))
     if origin is tuple:
-        decoders = tuple(_decoder(arg) for arg in args)
+        codecs = tuple(_codec(arg) for arg in args)
 
         def decode_fixed(value: Any) -> tuple:
-            if len(_expect(value, list)) != len(decoders):
-                raise ValueError(f"expected {len(decoders)} items, got {value!r:.60}")
-            return tuple(decode(item) for decode, item in zip(decoders, value))
+            if len(_expect(value, list)) != len(codecs):
+                raise ValueError(f"expected {len(codecs)} items, got {value!r:.60}")
+            return tuple(decode(item) for (_, decode), item in zip(codecs, value))
 
-        return decode_fixed
+        return list if all(codec[0] is None for codec in codecs) else encode, decode_fixed
     if hint is float:
-        return _number
+        return None, _number
     if hint in (int, bool, str):
-        return lambda value: _expect(value, hint)
-    raise NotImplementedError(f"no JSON decoder for {hint!r}")
+        return None, lambda value: _expect(value, hint)
+    raise NotImplementedError(f"no JSON codec for {hint!r}")

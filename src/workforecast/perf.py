@@ -9,14 +9,13 @@ changing employer does not break the streak; a single uncovered day does.
 from __future__ import annotations
 
 import calendar
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
 from workforecast.errors import InvalidConfig, MalformedRow
-from workforecast.ingest import ProgrammeRecord, _parse_count, _parse_year, _read_rows
+from workforecast.ingest import ProgrammeRecord, _parse_count, _parse_year, _read_rows, _write_rows
 
 DEFAULT_MIN_HOURS = 16.0
 DEFAULT_WINDOW_MONTHS = 6
@@ -100,13 +99,10 @@ def aggregate_performance(
 
 def write_performance_csv(rows: list[PerformanceRow], path: str | Path) -> None:
     """Write performance rows; the rate column is display-only at 6 decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PERFORMANCE_HEADER)
-        for row in sorted(rows, key=lambda r: (r.region_id, r.entry_year)):
-            writer.writerow(
-                [row.region_id, row.entry_year, row.n_entrants, row.n_success, f"{row.performance:.6f}"]
-            )
+    _write_rows(path, PERFORMANCE_HEADER, (
+        [row.region_id, row.entry_year, row.n_entrants, row.n_success, f"{row.performance:.6f}"]
+        for row in sorted(rows, key=lambda r: (r.region_id, r.entry_year))
+    ))
 
 
 def read_performance_csv(path: str | Path) -> list[PerformanceRow]:

@@ -11,7 +11,6 @@ percentage points) or dividing by it (ratios, natural for growth).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -19,7 +18,7 @@ from typing import Mapping
 from workforecast.errors import InvalidConfig, MissingBaselineYear, ZeroBaseline
 from workforecast.evaluate import EvalReport
 from workforecast.features import FeatureConfig, FeatureRow
-from workforecast.ingest import RegionalSeries
+from workforecast.ingest import RegionalSeries, _write_rows
 from workforecast.perf import PerformanceRow
 
 BASELINE_MODES = ("difference", "ratio")
@@ -80,15 +79,6 @@ def unbaseline(baselined: BaselinedSeries) -> dict[int, float]:
     return {year: value * baselined.baseline_value for year, value in baselined.points}
 
 
-def _write_rows(path: Path, header: tuple[str, ...], rows: list[list], comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _default_population_baseline_year(series_by_region: dict[str, RegionalSeries]) -> int:
     """Earliest year covered by every region."""
     common: set[int] | None = None
@@ -135,12 +125,11 @@ def emit_figure_data(
     )
 
     # long-term unemployed head-counts over the full covered years
-    unemployment_rows = []
-    for region in sorted(series_by_region):
-        series = series_by_region[region]
-        for year in series.years:
-            unemployment_rows.append([region, year, series.unemployed_6m[year]])
-    _write_rows(paths["unemployment"], ("region", "year", "value"), unemployment_rows)
+    _write_rows(paths["unemployment"], ("region", "year", "value"), (
+        [region, year, series.unemployed_6m[year]]
+        for region, series in sorted(series_by_region.items())
+        for year in series.years
+    ))
 
     # total population baselined at a common year
     pop_year = baseline_year if baseline_year is not None else _default_population_baseline_year(series_by_region)

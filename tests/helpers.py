@@ -6,19 +6,23 @@ logic, and the least-squares oracle minimizes the quadratic loss by
 coordinate descent instead of any matrix factorization. The leave-one-out
 oracle is the plain refit loop that `evaluate.loocv` replaced: it rebuilds
 every training fold as a list, sums benchmarks with `statistics.fmean`, and
-scans the whole dataset for earlier years in every fold.
+scans the whole dataset for earlier years in every fold. The records oracle
+is the two-pass parser that `ingest.parse_programme_records` replaced: it
+reads and checks the structure of the whole file before any row check.
 """
 from __future__ import annotations
 
+import csv
 import statistics
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 
-from workforecast.errors import RankDeficientDesign, RankDeficientFold
+from workforecast.errors import MalformedRow, OverlappingSpells, RankDeficientDesign, RankDeficientFold
 from workforecast.evaluate import EvalReport, FoldResult, metrics
 from workforecast.features import FeatureConfig, FeatureRow
-from workforecast.ingest import ProgrammeRecord, RegionalSeries, Spell
+from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, RegionalSeries, Spell, _parse_date, _parse_hours
 from workforecast.model import design, fit, predict
 
 
@@ -179,6 +183,92 @@ def loocv_refit_oracle(
         std_benchmark_pct=std_benchmark,
         relative_inaccuracy_pct=relative,
     )
+
+
+# ---------------------------------------------------------------------------
+# records oracle (whole-file row list, then per-row checks)
+# ---------------------------------------------------------------------------
+
+def _read_rows_oracle(path: str | Path, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
+    """Read a CSV file, check its header, and return (line_number, fields) rows."""
+    name = str(path)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            rows = list(enumerate(csv.reader(fh), start=1))
+        except UnicodeDecodeError as err:
+            raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
+    if not rows:
+        raise MalformedRow("missing header row", file=name, line=1)
+    first_line, first = rows[0]
+    got = tuple(field.strip() for field in first)
+    if got != header:
+        raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)}", file=name, line=first_line)
+    data = []
+    for lineno, row in rows[1:]:
+        if not row or all(not field.strip() for field in row):
+            continue  # tolerate trailing blank lines
+        if len(row) != len(header):
+            raise MalformedRow(f"expected {len(header)} columns, got {len(row)}", file=name, line=lineno)
+        data.append((lineno, [field.strip() for field in row]))
+    return data
+
+
+def parse_records_oracle(records_file: str | Path) -> list[ProgrammeRecord]:
+    """The records `parse_programme_records` should return; with one faulty row, the error it should raise."""
+    name = str(records_file)
+    people: dict[str, dict] = {}
+    for lineno, fields in _read_rows_oracle(records_file, RECORDS_HEADER):
+        person, region, entry_s, start_s, end_s, hours_s = fields
+        if not person:
+            raise MalformedRow("empty person_id", file=name, line=lineno)
+        entry = _parse_date(entry_s, "entry_date", name, lineno)
+        info = people.setdefault(person, {"region": region, "entry": entry, "spells": []})
+        if info["region"] != region:
+            raise MalformedRow(
+                f"person {person!r} has conflicting regions ({info['region']!r} vs {region!r})", file=name, line=lineno
+            )
+        if info["entry"] != entry:
+            raise MalformedRow(
+                f"person {person!r} has conflicting entry dates ({info['entry'].isoformat()} vs {entry.isoformat()})",
+                file=name,
+                line=lineno,
+            )
+        spell_fields = (start_s, end_s, hours_s)
+        if all(not field for field in spell_fields):
+            continue
+        if any(not field for field in spell_fields):
+            raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
+        start = _parse_date(start_s, "spell_start", name, lineno)
+        end = _parse_date(end_s, "spell_end", name, lineno)
+        if start > end:
+            raise MalformedRow(
+                f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
+            )
+        hours = _parse_hours(hours_s, name, lineno)
+        info["spells"].append((start, end, hours, lineno))
+
+    records = []
+    for person in sorted(people):
+        info = people[person]
+        spells = sorted(info["spells"], key=lambda item: (item[0], item[1]))
+        for a, b in zip(spells, spells[1:]):
+            if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
+                raise OverlappingSpells(
+                    f"person {person!r} has overlapping spells "
+                    f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
+                    file=name,
+                    line=b[3],
+                    person_id=person,
+                )
+        records.append(
+            ProgrammeRecord(
+                person_id=person,
+                region_id=info["region"],
+                entry_date=info["entry"],
+                spells=tuple(Spell(start, end, hours) for start, end, hours, _ in spells),
+            )
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import pytest
@@ -60,6 +61,15 @@ class TestLoocv:
             held_out = targets[(fold.region_id, fold.year)]
             closed_form = (n * mean - held_out) / (n - 1)
             assert abs(fold.pred_benchmark - closed_form) <= 1e-12
+
+    def test_trainfold_mean_is_the_exact_sum_of_the_other_targets(self):
+        """Targets spanning 30 orders of magnitude, where a running total loses the small ones."""
+        values = [(0.3 + 0.1 * i, 0.2 - 0.07 * i + 0.01 * i * i) for i in range(12)]
+        targets = [1e15, 0.1, -1e15, 1e-15, 0.3, 7.0, 1e-9, 2.5, 0.7, 1e15, 1e-3, 3.3]
+        dataset = list(zip(feature_rows(values), targets))
+        report = loocv(dataset, FeatureConfig())
+        for i, fold in enumerate(report.folds):
+            assert fold.pred_benchmark == math.fsum(targets[:i] + targets[i + 1:]) / 11
 
     def test_constant_target_gives_zero_errors(self):
         values = [

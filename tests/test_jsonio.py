@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 import re
 from pathlib import Path
 
@@ -47,6 +49,43 @@ class TestEncode:
     def test_std_definition_cannot_be_set(self):
         with pytest.raises(TypeError):
             _report(std_definition="population standard deviation")
+
+
+def _encode_per_value(value):
+    """Reference encoder: one recursive call per value, field keys looked up on every dataclass."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, dict):
+        return {key: _encode_per_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_per_value(item) for item in value]
+    return {
+        field.metadata.get("json", field.name): _encode_per_value(getattr(value, field.name))
+        for field in dataclasses.fields(value)
+    }
+
+
+class TestCompiledEncoder:
+    def test_large_report_matches_the_per_value_encoder(self):
+        rng = random.Random(7)
+        folds = tuple(
+            FoldResult(f"R{i % 80:02d}", 2001 + i // 80, rng.random(), rng.random(),
+                       None if i % 9 == 0 else rng.random(), rng.random(), None if i % 9 == 0 else rng.random())
+            for i in range(1520)
+        )
+        report = _report(folds=folds, std_benchmark_pct=3.5)
+        run_config = {"subcommand": "evaluate", "feature_config": report.feature_config, "per_region": False}
+        for value in (report, run_config):
+            assert json.dumps(jsonio.encode(value), indent=2) == json.dumps(_encode_per_value(value), indent=2)
+
+    @pytest.mark.parametrize("shock", [None, Shock(year=2015, demand_shift=-0.05)])
+    def test_nested_and_optional_dataclasses_match(self, shock):
+        value = {"config": SynthConfig(n_regions=3, shock=shock), "regions": ["R1", "R2"], "n_clipped": 0}
+        assert json.dumps(jsonio.encode(value)) == json.dumps(_encode_per_value(value))
+
+    def test_non_dataclass_object_is_refused(self):
+        with pytest.raises(NotImplementedError, match="no JSON codec for <class .set.>"):
+            jsonio.encode({"regions": {"R1"}})
 
 
 class TestRoundTrip:

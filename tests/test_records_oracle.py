@@ -1,0 +1,96 @@
+"""The one-pass `parse_programme_records` against the two-pass parser it replaced.
+
+Valid files must give equal records. A file with one faulty byte must give
+the same records or the same error type and message. The one declared
+difference: the oracle checks every row's column count before any row's
+fields, while the one-pass parser reports the first faulty row in file order.
+"""
+import csv
+import io
+from datetime import date
+
+import numpy as np
+import pytest
+
+from workforecast.errors import MalformedRow
+from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, Spell, parse_programme_records
+
+from helpers import parse_records_oracle, random_programme_record
+
+# Every byte but the three that can change the row structure of the file.
+NOT_STRUCTURAL = bytes(b for b in range(256) if b not in b'\n\r"')
+LIKELY = b"0123456789-,. Px"
+
+
+def _records_csv(rng: np.random.Generator) -> bytes:
+    """A valid records.csv of 1-8 people, rows shuffled, blank lines trailing."""
+    rows = []
+    for k in range(int(rng.integers(1, 9))):
+        record = random_programme_record(rng, person_id=f"P{k}", region_id=f"R{int(rng.integers(1, 4))}")
+        entry = record.entry_date.isoformat()
+        if not record.spells:
+            rows.append([record.person_id, record.region_id, entry, "", "", ""])
+        for spell in record.spells:
+            rows.append([record.person_id, record.region_id, entry, spell.start_date.isoformat(),
+                         spell.end_date.isoformat(), spell.hours_per_week])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(RECORDS_HEADER)
+    writer.writerows(rows[i] for i in rng.permutation(len(rows)))
+    out.write("\n" * int(rng.integers(0, 3)))
+    return out.getvalue().encode()
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except Exception as err:  # noqa: BLE001 - the error itself is the result under test
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_valid_files_give_the_oracle_records(tmp_path, seed):
+    path = tmp_path / "records.csv"
+    path.write_bytes(_records_csv(np.random.default_rng(seed)))
+    assert parse_programme_records(path) == parse_records_oracle(path)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_substituted_byte_gives_the_oracle_outcome(tmp_path, seed):
+    """15 mutations per seed, 300 in all, each a single non-structural byte, one in ten in the header."""
+    rng = np.random.default_rng([seed, 0xB17E])
+    text = _records_csv(rng)
+    path = tmp_path / "records.csv"
+    for _ in range(15):
+        mutated = bytearray(text)
+        first = 0 if rng.random() < 0.1 else text.index(b"\n") + 1
+        at = int(rng.integers(first, len(mutated)))
+        while mutated[at] in b"\n\r":
+            at = int(rng.integers(first, len(mutated)))
+        pool = LIKELY if rng.random() < 0.7 else NOT_STRUCTURAL
+        mutated[at] = pool[int(rng.integers(0, len(pool)))]
+        path.write_bytes(bytes(mutated))
+        assert _outcome(parse_programme_records, path) == _outcome(parse_records_oracle, path), bytes(mutated)
+
+
+def test_first_faulty_row_in_file_order_is_reported(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(
+        "person_id,region,entry_date,spell_start,spell_end,hours_per_week\n"
+        "P1,R1,2015-01-01,2015-01-01,2015-12-31,20\n"
+        "P2,R1,2015-13-01,,,\n"
+        "P3,R1,2015-01-01,,,\n"
+        "P4,R1,2015-01-01,,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedRow, match=r"records\.csv:3: column 'entry_date'") as excinfo:
+        parse_programme_records(path)
+    assert excinfo.value.line == 3
+    with pytest.raises(MalformedRow, match=r"records\.csv:5: expected 6 columns, got 5"):
+        parse_records_oracle(path)
+
+
+def test_records_and_spells_have_no_instance_dict():
+    spell = Spell(date(2015, 1, 1), date(2015, 6, 30), 20.0)
+    record = ProgrammeRecord("P1", "R1", date(2015, 1, 1), (spell,))
+    assert not hasattr(spell, "__dict__") and not hasattr(record, "__dict__")
