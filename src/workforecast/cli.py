@@ -29,7 +29,7 @@ import click
 from workforecast import evaluate as evaluate_mod
 from workforecast import features as features_mod
 from workforecast import ingest as ingest_mod
-from workforecast import jsonio
+from workforecast import __version__, jsonio
 from workforecast import model as model_mod
 from workforecast import perf as perf_mod
 from workforecast import report as report_mod
@@ -81,7 +81,7 @@ def _stat_file_options(fn):
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(package_name="workforecast")
+@click.version_option(__version__)
 def cli() -> None:
     """Forecast workforce-reintegration programme success rates."""
 

@@ -17,7 +17,8 @@ prior-years mean is computed once per distinct year.
 Errors are summarized as mean absolute error and the sample (n-1) standard
 deviation of the absolute errors, both in percentage points. The relative
 inaccuracy of the benchmark is computed from the unrounded MAEs and only
-rounded for display.
+rounded for display. numpy is imported inside `loocv`, its one user here, so
+that commands which only read reports (`figures`) do not load it.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from workforecast import jsonio
 from workforecast.errors import (
@@ -177,6 +176,7 @@ def loocv(
     benchmark_mode: str = "trainfold-mean",
 ) -> EvalReport:
     """Run one fold per data point; fold i trains on the other n-1 points."""
+    import numpy as np
     if benchmark_mode not in BENCHMARK_MODES:
         raise InvalidConfig(
             f"unknown benchmark mode {benchmark_mode!r}; expected one of {', '.join(BENCHMARK_MODES)}"

@@ -191,8 +191,8 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
             config, first_stamp, first_line = _parse_config(stamp, name, lineno), stamp, lineno
         elif stamp != first_stamp:
             raise FeatureConfigMismatch(
-                f"configuration {','.join(FEATURES_HEADER[4:])} is {','.join(stamp)} here "
-                f"but {','.join(first_stamp)} on line {first_line}",
+                f"configuration {','.join(FEATURES_HEADER[4:])} is {','.join(stamp)!r} here "
+                f"but {','.join(first_stamp)!r} on line {first_line}",
                 file=name,
                 line=lineno,
             )

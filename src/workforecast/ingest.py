@@ -96,7 +96,7 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
                 raise MalformedRow("missing header row", file=name, line=1)
             got = tuple(field.strip() for field in first[1])
             if got != header:
-                raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)}", file=name, line=1)
+                raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=1)
             for lineno, row in rows:
                 fields = list(map(str.strip, row))
                 if not any(fields):

@@ -9,14 +9,13 @@ clamped (any clamping is a presentation concern, applied downstream if at
 all). The solve goes through a Householder QR factorization rather than
 explicit normal equations for numerical stability, and rank deficiency is a
 hard error: with folds this small, a silent minimum-norm fallback would make
-cross-validation results depend on implementation details.
+cross-validation results depend on implementation details. numpy is imported
+inside the functions that use it, so that commands which never fit do not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from workforecast import jsonio
 from workforecast.errors import FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
@@ -38,6 +37,7 @@ class ModelFit:
 
 def _householder_triangularize(a: np.ndarray, n_cols: int) -> None:
     """Reduce the leading n_cols columns of `a` to upper-triangular form in place."""
+    import numpy as np
     m = a.shape[0]
     for j in range(min(n_cols, m)):
         col = a[j:, j]
@@ -54,6 +54,7 @@ def _householder_triangularize(a: np.ndarray, n_cols: int) -> None:
 
 
 def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    import numpy as np
     n = z.shape[0]
     beta = np.zeros(n)
     for i in range(n - 1, -1, -1):
@@ -63,6 +64,7 @@ def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def design(pairs: list[tuple[FeatureRow, float]]) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix [1, demand, supply] of shape (n, 3) and target vector of shape (n,)."""
+    import numpy as np
     x = np.ones((len(pairs), 3))
     x[:, 1] = [row.demand for row, _ in pairs]
     x[:, 2] = [row.supply for row, _ in pairs]
@@ -78,6 +80,7 @@ def fit(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
     condition estimate taken from the QR diagonal. With a constant target,
     r_squared is reported as 1.0 (the intercept explains it perfectly).
     """
+    import numpy as np
     n = x.shape[0]
     if n < 3:
         raise TooFewObservations(f"need at least 3 observations to fit 3 parameters, got {n}")

@@ -15,15 +15,14 @@ unemployment series from the shock year onward.
 
 Entrant counts are the exact integer ratio of each performance value
 (float.as_integer_ratio), so the rate survives the 6-decimal CSV display
-column bit-exactly via n_success / n_entrants.
+column bit-exactly via n_success / n_entrants. numpy is imported inside `_rng`,
+the one place that needs it, so that importing the package does not load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from workforecast import jsonio
 from workforecast.errors import InvalidConfig
@@ -87,6 +86,7 @@ def _validate(config: SynthConfig) -> None:
 
 
 def _rng(seed: int, region_index: int, stream: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(region_index, stream)))
     )

@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and random input generators.
+"""Shared test utilities: independent oracles, random input generators and quick-start inputs.
 
 The oracles deliberately avoid the code paths they check: the reintegration
 oracle enumerates every calendar day and walks months with its own clamping
@@ -18,7 +18,9 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
+from workforecast.cli import cli
 from workforecast.errors import MalformedRow, OverlappingSpells, RankDeficientDesign, RankDeficientFold
 from workforecast.evaluate import EvalReport, FoldResult, metrics
 from workforecast.features import FeatureConfig, FeatureRow
@@ -202,7 +204,7 @@ def _read_rows_oracle(path: str | Path, header: tuple[str, ...]) -> list[tuple[i
     first_line, first = rows[0]
     got = tuple(field.strip() for field in first)
     if got != header:
-        raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)}", file=name, line=first_line)
+        raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=first_line)
     data = []
     for lineno, row in rows[1:]:
         if not row or all(not field.strip() for field in row):
@@ -321,3 +323,55 @@ def feature_rows(values: list[tuple[float, float]], region_id: str = "R1", start
         FeatureRow(region_id=region_id, year=start_year + i, demand=demand, supply=supply)
         for i, (demand, supply) in enumerate(values)
     ]
+
+
+# ---------------------------------------------------------------------------
+# README quick-start inputs, one flat directory
+# ---------------------------------------------------------------------------
+
+QUICKSTART_RECORDS = (
+    "person_id,region,entry_date,spell_start,spell_end,hours_per_week\n"
+    "P1,R01,2012-03-01,2012-04-01,2012-12-31,20\n"
+    "P2,R01,2012-05-01,,,\n"
+    "P3,R02,2013-01-15,2013-02-01,2013-05-01,30\n"
+    "P3,R02,2013-01-15,2013-05-02,2013-09-01,30\n"
+    "P4,R02,2014-06-01,2014-06-01,2015-01-01,10\n"
+)
+
+_STATS = (("--employment", "employment.csv"), ("--unemployment", "unemployment.csv"),
+          ("--population", "population.csv"))
+
+# Every option of these commands names a file; outputs are the names that start with "out_".
+QUICKSTART_OPTIONS = {
+    "validate": (*_STATS, ("--records", "records.csv")),
+    "features": (*_STATS, ("--out", "out_features.csv")),
+    "performance": (("--records", "records.csv"), ("--out", "out_performance.csv")),
+    "fit": (("--features", "features.csv"), ("--performance", "performance.csv"), ("--model", "out_model.json")),
+    "evaluate": (("--features", "features.csv"), ("--performance", "performance.csv"), ("--out", "out_report.json")),
+    "figures": (*_STATS, ("--features", "features.csv"), ("--performance", "performance.csv"),
+                ("--report", "report.json"), ("--out", "out_figs")),
+}
+
+
+def quickstart_args(command: str, root: Path) -> list[str]:
+    """`command` and its options, with every file in `root`."""
+    return [command, *(arg for option, name in QUICKSTART_OPTIONS[command] for arg in (option, str(root / name)))]
+
+
+def quickstart_inputs(command: str) -> list[str]:
+    return [name for _, name in QUICKSTART_OPTIONS[command] if not name.startswith("out_")]
+
+
+def write_quickstart(root: Path) -> None:
+    """The inputs of every command in QUICKSTART_OPTIONS: `synth --seed 7`, its features and report, records.csv."""
+
+    def run(args: list[str]) -> None:
+        result = CliRunner().invoke(cli, args, env={"WF_NO_COLOR": "1"}, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+
+    run(["synth", "--out", str(root), "--seed", "7"])
+    run(quickstart_args("features", root))
+    (root / "out_features.csv").rename(root / "features.csv")
+    run(quickstart_args("evaluate", root))
+    (root / "out_report.json").rename(root / "report.json")
+    (root / "records.csv").write_text(QUICKSTART_RECORDS, encoding="utf-8")

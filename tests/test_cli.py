@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from workforecast import __version__
 from workforecast.cli import cli
 from workforecast.errors import MalformedJson
 from workforecast.model import load_model_json
@@ -324,6 +326,26 @@ class TestMalformedInputs:
         assert result.exit_code == 1
         assert "employment.csv" in _single_error_line(result, "MalformedRow")
 
+    @pytest.mark.parametrize("header", [b'region,year,"employed', b"region,year,emp\x0bloyed"])
+    def test_a_header_with_a_line_break_is_quoted_on_one_line(self, tmp_path, header):
+        """An open quote makes the header field run over the next rows; \\x0b breaks lines too."""
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        employment = tmp_path / "data" / "employment.csv"
+        employment.write_bytes(employment.read_bytes().replace(b"region,year,employed", header, 1))
+        result = _invoke(_features_args(tmp_path, tmp_path / "features_bad.csv"))
+        assert result.exit_code == 1
+        assert "expected header region,year,employed, got 'region,year," in _single_error_line(result, "MalformedRow")
+
+    def test_a_stamp_with_a_line_break_is_quoted_on_one_line(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        features = tmp_path / "features.csv"
+        *head, last = features.read_bytes().splitlines(keepends=True)
+        features.write_bytes(b"".join(head) + last.replace(b",16,64", b",1\x0b6,64"))
+        result = _invoke(_fit_args(tmp_path, tmp_path / "model_bad.json"))
+        assert result.exit_code == 1
+        line = _single_error_line(result, "FeatureConfigMismatch")
+        assert line.endswith("is '1,0,1\\x0b6,64' here but '1,0,16,64' on line 2")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_exits_one_without_a_model(self, tmp_path, value):
         assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
@@ -503,3 +525,15 @@ class TestOverflowingFeatures:
         assert result.exit_code == 1
         _single_error_line(result, "RankDeficientFold")
         assert not report.exists()
+
+
+class TestVersion:
+    def test_version_option_prints_the_package_version(self):
+        result = _invoke(["--version"])
+        assert result.exit_code == 0
+        assert result.output.endswith(", version 0.1.0\n")
+
+    def test_package_version_is_the_pyproject_version(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == __version__
