@@ -2,7 +2,7 @@
 
 Row-level errors carry the source file name and the 1-based line number of
 the offending row as attributes; the message is prefixed with them as
-``file:line: `` (or ``file: `` when there is no line).
+``file:line: `` (``file: `` without a line; an unprintable name as its repr).
 """
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ class DataError(Exception):
 
     def __init__(self, message: str, **context: object) -> None:
         if "file" in context:
-            where = context["file"] if context.get("line") is None else f"{context['file']}:{context['line']}"
+            file = context["file"] if str(context["file"]).isprintable() else repr(context["file"])
+            where = file if context.get("line") is None else f"{file}:{context['line']}"
             message = f"{where}: {message}"
         super().__init__(message)
         self.context = dict(context)

@@ -1,7 +1,7 @@
 """Parse and validate the statistical CSV inputs and programme records.
 
 All four inputs are UTF-8 CSV with a mandatory header row, comma separator,
-`.` decimal point and ISO-8601 dates:
+`.` decimal point and ISO-8601 dates written YYYY-MM-DD:
 
     employment.csv    region,year,employed
     unemployment.csv  region,year,unemployed_6m
@@ -16,11 +16,13 @@ proxy differences adjacent years.
 
 Rows are streamed and checked as they are read, so of several faulty rows the
 first in file order is reported, be it a wrong column count or a bad field.
-Whole-file checks (years, overlapping age bands or spells) come after.
+Whole-file checks (years, overlapping age bands or spells) come after. Records
+parsing caches each distinct date or hours string per call and pauses the GC.
 """
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import re
 from collections.abc import Iterable, Iterator
@@ -46,6 +48,7 @@ RECORDS_HEADER = ("person_id", "region", "entry_date", "spell_start", "spell_end
 AgeBand = tuple[int, int]
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass
@@ -140,12 +143,12 @@ def _parse_age(text: str, column: str, file: str, line: int) -> int:
 
 
 def _parse_date(text: str, column: str, file: str, line: int) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise MalformedRow(
-            f"column {column!r} must be an ISO date (YYYY-MM-DD), got {text!r}", file=file, line=line
-        ) from None
+    if _DATE_RE.fullmatch(text):  # fromisoformat alone also takes 20150518 and 2015-W21-1 on 3.11+
+        try:
+            return date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise MalformedRow(f"column {column!r} must be an ISO date (YYYY-MM-DD), got {text!r}", file=file, line=line)
 
 
 def _parse_hours(text: str, file: str, line: int) -> float:
@@ -154,9 +157,7 @@ def _parse_hours(text: str, file: str, line: int) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value) or value < 0:
-        raise MalformedRow(
-            f"column 'hours_per_week' must be a non-negative number, got {text!r}", file=file, line=line
-        )
+        raise MalformedRow(f"column 'hours_per_week' must be a non-negative number, got {text!r}", file=file, line=line)
     return value
 
 
@@ -294,53 +295,70 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     spell fields empty. Rows are checked as they are read, so the first
     faulty row in file order is the one reported. Spells are then sorted by
     start date and must not overlap. Spells that start before the entry date
-    are allowed (their pre-entry portion is simply ignored downstream).
+    are allowed (their pre-entry portion is simply ignored downstream). Each
+    distinct date or hours string is parsed once per call, with cyclic GC paused.
     """
-    name = str(records_file)
-    people: dict[str, tuple[str, date, list[tuple[date, date, float, int]]]] = {}
-    for lineno, (person, region, entry_s, start_s, end_s, hours_s) in _read_rows(records_file, RECORDS_HEADER):
-        if not person:
-            raise MalformedRow("empty person_id", file=name, line=lineno)
-        entry = _parse_date(entry_s, "entry_date", name, lineno)
-        info = people.get(person)
-        if info is None:
-            info = people[person] = (region, entry, [])
-        elif info[0] != region:
-            raise MalformedRow(
-                f"person {person!r} has conflicting regions ({info[0]!r} vs {region!r})", file=name, line=lineno
-            )
-        elif info[1] != entry:
-            raise MalformedRow(
-                f"person {person!r} has conflicting entry dates ({info[1].isoformat()} vs {entry.isoformat()})",
-                file=name,
-                line=lineno,
-            )
-        if not (start_s and end_s and hours_s):
-            if start_s or end_s or hours_s:
-                raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
-            continue
-        start = _parse_date(start_s, "spell_start", name, lineno)
-        end = _parse_date(end_s, "spell_end", name, lineno)
-        if start > end:
-            raise MalformedRow(
-                f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
-            )
-        info[2].append((start, end, _parse_hours(hours_s, name, lineno), lineno))
-
-    records = []
-    for person in sorted(people):
-        region, entry, spells = people[person]
-        spells.sort(key=itemgetter(0, 1))  # by (start, end); equal spells keep their file order
-        for a, b in zip(spells, spells[1:]):
-            if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
-                raise OverlappingSpells(
-                    f"person {person!r} has overlapping spells "
-                    f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
-                    file=name,
-                    line=b[3],
-                    person_id=person,
+    # The parse builds a large heap with no reference cycles; on 3.11 the cyclic
+    # collector would rescan it again and again as it grows, and free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        name = str(records_file)
+        people: dict[str, tuple[str, date, list[tuple[date, date, float, int]]]] = {}
+        dates: dict[str, date] = {}
+        hours: dict[str, float] = {}
+        for lineno, (person, region, entry_s, start_s, end_s, hours_s) in _read_rows(records_file, RECORDS_HEADER):
+            if not person:
+                raise MalformedRow("empty person_id", file=name, line=lineno)
+            entry = dates.get(entry_s)
+            if entry is None:
+                entry = dates[entry_s] = _parse_date(entry_s, "entry_date", name, lineno)
+            info = people.get(person)
+            if info is None:
+                info = people[person] = (region, entry, [])
+            elif info[0] != region:
+                raise MalformedRow(
+                    f"person {person!r} has conflicting regions ({info[0]!r} vs {region!r})", file=name, line=lineno
                 )
-        records.append(
-            ProgrammeRecord(person, region, entry, tuple(Spell(start, end, hours) for start, end, hours, _ in spells))
-        )
-    return records
+            elif info[1] != entry:
+                raise MalformedRow(
+                    f"person {person!r} has conflicting entry dates ({info[1].isoformat()} vs {entry.isoformat()})",
+                    file=name,
+                    line=lineno,
+                )
+            if not (start_s and end_s and hours_s):
+                if start_s or end_s or hours_s:
+                    raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
+                continue
+            start = dates.get(start_s)
+            if start is None:
+                start = dates[start_s] = _parse_date(start_s, "spell_start", name, lineno)
+            end = dates.get(end_s)
+            if end is None:
+                end = dates[end_s] = _parse_date(end_s, "spell_end", name, lineno)
+            if start > end:
+                raise MalformedRow(
+                    f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
+                )
+            per_week = hours.get(hours_s)
+            if per_week is None:
+                per_week = hours[hours_s] = _parse_hours(hours_s, name, lineno)
+            info[2].append((start, end, per_week, lineno))
+        records = []
+        for person in sorted(people):
+            region, entry, spells = people[person]
+            spells.sort(key=itemgetter(0, 1))  # by (start, end); equal spells keep their file order
+            for a, b in zip(spells, spells[1:]):
+                if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
+                    raise OverlappingSpells(
+                        f"person {person!r} has overlapping spells "
+                        f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
+                        file=name,
+                        line=b[3],
+                        person_id=person,
+                    )
+            records.append(ProgrammeRecord(person, region, entry, tuple(Spell(s, e, h) for s, e, h, _ in spells)))
+        return records
+    finally:
+        if enabled:
+            gc.enable()

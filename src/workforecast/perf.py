@@ -129,7 +129,7 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
             raise MalformedRow(
                 f"column 'performance' must be a number, got {printed_s!r}", file=name, line=lineno
             ) from None
-        if abs(printed - performance) > 1e-6:
+        if not abs(printed - performance) <= 1e-6:  # also rejects nan
             raise MalformedRow(
                 f"performance column ({printed_s}) disagrees with n_success/n_entrants ({performance:.6f})",
                 file=name,

@@ -326,6 +326,21 @@ class TestMalformedInputs:
         assert result.exit_code == 1
         assert "employment.csv" in _single_error_line(result, "MalformedRow")
 
+    def test_a_path_with_a_line_break_is_quoted_on_one_line(self, tmp_path):
+        data = tmp_path / "a\nb"
+        assert _invoke(["synth", "--out", str(data), "--seed", "3"]).exit_code == 0
+        employment = data / "employment.csv"
+        employment.write_bytes(employment.read_bytes().replace(b"region,year,employed", b"region,year,emp", 1))
+        result = _invoke([
+            "validate",
+            "--employment", str(employment),
+            "--unemployment", str(data / "unemployment.csv"),
+            "--population", str(data / "population.csv"),
+        ])
+        assert result.exit_code == 1
+        line = _single_error_line(result, "MalformedRow")
+        assert line.startswith(f"ERROR MalformedRow: {str(employment)!r}:1: expected header")
+
     @pytest.mark.parametrize("header", [b'region,year,"employed', b"region,year,emp\x0bloyed"])
     def test_a_header_with_a_line_break_is_quoted_on_one_line(self, tmp_path, header):
         """An open quote makes the header field run over the next rows; \\x0b breaks lines too."""

@@ -250,6 +250,22 @@ class TestParseProgrammeRecords:
         assert excinfo.value.file.endswith("records.csv")
         assert excinfo.value.line == 2
 
+    @pytest.mark.parametrize("text", ["20150518", "2015-W21-1", "2015W211"])
+    @pytest.mark.parametrize("column", ["entry_date", "spell_start", "spell_end"])
+    def test_only_yyyy_mm_dd_dates_are_accepted(self, tmp_path, column, text):
+        """Python 3.11's date.fromisoformat also reads basic and week dates; the format is YYYY-MM-DD alone."""
+        fields = {"entry_date": "2015-03-01", "spell_start": "2015-03-01", "spell_end": "2015-05-31"}
+        fields[column] = text
+        path = _write(tmp_path / "records.csv", f"""
+        person_id,region,entry_date,spell_start,spell_end,hours_per_week
+        P0,R1,2014-01-01,,,
+        P1,R1,{fields["entry_date"]},{fields["spell_start"]},{fields["spell_end"]},20
+        """)
+        with pytest.raises(MalformedRow) as excinfo:
+            parse_programme_records(path)
+        assert excinfo.value.line == 3
+        assert str(excinfo.value).endswith(f"column {column!r} must be an ISO date (YYYY-MM-DD), got {text!r}")
+
     def test_negative_hours_rejected(self, tmp_path):
         path = _write(tmp_path / "records.csv", """
         person_id,region,entry_date,spell_start,spell_end,hours_per_week

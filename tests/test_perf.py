@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workforecast.errors import InvalidConfig
+from workforecast.errors import InvalidConfig, MalformedRow
 from workforecast.ingest import ProgrammeRecord, Spell
 from workforecast.perf import (
     PerformanceRow,
@@ -213,4 +213,15 @@ class TestPerformanceCsv:
             encoding="utf-8",
         )
         with pytest.raises(Exception, match="disagrees"):
+            read_performance_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "NaN"])
+    def test_nan_rate_column_rejected(self, tmp_path, value):
+        """nan compares false with everything, so `abs(nan - rate) > tol` alone would let it through."""
+        path = tmp_path / "performance.csv"
+        path.write_text(
+            f"region,entry_year,n_entrants,n_success,performance\nR1,2014,4,1,0.25\nR1,2015,4,1,{value}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match=f"performance.csv:3: performance column \\({value}\\) disagrees"):
             read_performance_csv(path)

@@ -1,0 +1,139 @@
+"""Deterministic guards for the speed of `parse_programme_records`.
+
+The parse keeps two caches local to the call, so each distinct date or hours
+string is converted once, and it pauses the cyclic garbage collector, whose
+collections would rescan the large, acyclic heap it builds. Both are checked
+here by what they do, not by timing, on a seeded file of a few thousand rows.
+"""
+import csv
+import gc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from workforecast import ingest
+from workforecast.errors import MalformedRow, OverlappingSpells
+from workforecast.ingest import RECORDS_HEADER, parse_programme_records
+
+from helpers import random_programme_record
+
+PEOPLE = 2_000
+
+
+@pytest.fixture(scope="module")
+def records_csv(tmp_path_factory):
+    rng = np.random.default_rng(8)
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RECORDS_HEADER)
+        for k in range(PEOPLE):
+            record = random_programme_record(rng, person_id=f"P{k:05d}", region_id=f"R{k % 7}")
+            entry = record.entry_date.isoformat()
+            if not record.spells:
+                writer.writerow([record.person_id, record.region_id, entry, "", "", ""])
+            for spell in record.spells:
+                writer.writerow([record.person_id, record.region_id, entry, spell.start_date.isoformat(),
+                                 spell.end_date.isoformat(), spell.hours_per_week])
+    return path
+
+
+@pytest.fixture
+def gc_state():
+    """Put the collector back as the test found it, whatever the test set."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _bad_file(tmp_path, error):
+    rows = {
+        "ok": ["P1,R1,2015-03-01,2015-03-01,2015-05-31,20"],
+        MalformedRow: ["P1,R1,2015-03-01,2015-03-01,2015-05-31,20", "P2,R1,2015-13-01,,,"],
+        OverlappingSpells: ["P1,R1,2015-03-01,2015-03-01,2015-05-31,20", "P1,R1,2015-03-01,2015-05-31,2015-06-30,20"],
+    }[error]
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([",".join(RECORDS_HEADER), *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_no_collection_runs_during_the_parse(records_csv, gc_state):
+    phases = []
+
+    def record_phase(phase, info):
+        phases.append(phase)
+
+    gc.enable()
+    gc.collect()  # start from empty generation counts, so no collection is due at the call
+    gc.callbacks.append(record_phase)
+    try:
+        records = parse_programme_records(records_csv)
+        during = len(phases)  # allocates nothing the collector tracks, so it cannot set off a collection
+        gc.collect()  # positive control: the callback does see a collection
+    finally:
+        gc.callbacks.remove(record_phase)
+    assert len(records) == PEOPLE
+    assert "start" not in phases[:during]
+    assert "start" in phases[during:]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("error", ["ok", MalformedRow, OverlappingSpells], ids=["ok", "malformed", "overlap"])
+def test_the_callers_gc_state_is_restored(tmp_path, gc_state, enabled, error):
+    path = _bad_file(tmp_path, error)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if error == "ok":
+        assert len(parse_programme_records(path)) == 1
+    else:
+        with pytest.raises(error):
+            parse_programme_records(path)
+    assert gc.isenabled() is enabled
+
+
+def test_each_distinct_string_is_parsed_once(records_csv, monkeypatch):
+    expected = parse_programme_records(records_csv)
+    date_calls, hours_calls = Counter(), Counter()
+    parse_date, parse_hours = ingest._parse_date, ingest._parse_hours
+
+    def counting_date(text, column, file, line):
+        date_calls[text] += 1
+        return parse_date(text, column, file, line)
+
+    def counting_hours(text, file, line):
+        hours_calls[text] += 1
+        return parse_hours(text, file, line)
+
+    monkeypatch.setattr(ingest, "_parse_date", counting_date)
+    monkeypatch.setattr(ingest, "_parse_hours", counting_hours)
+    assert parse_programme_records(records_csv) == expected
+
+    with open(records_csv, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    date_fields = [field for row in rows for field in row[2:5] if field]
+    assert len(rows) > 4_000 and len(set(date_fields)) < len(date_fields) / 2
+    assert set(date_calls) == set(date_fields)
+    assert set(hours_calls) == {row[5] for row in rows if row[5]}
+    assert set(date_calls.values()) == {1}
+    assert set(hours_calls.values()) == {1}
+
+
+def test_a_second_call_parses_again(records_csv, monkeypatch):
+    """The caches live for one call; nothing is kept between calls."""
+    calls = Counter()
+    parse_hours = ingest._parse_hours
+
+    def counting_hours(text, file, line):
+        calls[text] += 1
+        return parse_hours(text, file, line)
+
+    monkeypatch.setattr(ingest, "_parse_hours", counting_hours)
+    parse_programme_records(records_csv)
+    parse_programme_records(records_csv)
+    assert set(calls.values()) == {2}
