@@ -1,71 +1,3 @@
 """Forecast workforce-reintegration programme success rates from labour-market fundamentals."""
 
-from workforecast.errors import DataError
-from workforecast.evaluate import (
-    EvalReport,
-    FoldResult,
-    build_dataset,
-    loocv,
-    loocv_per_region,
-    metrics,
-    relative_inaccuracy,
-)
-from workforecast.features import (
-    FeatureConfig,
-    FeatureRow,
-    build_features,
-    demand_proxy,
-    supply_proxy,
-    working_age_population,
-)
-from workforecast.ingest import (
-    ProgrammeRecord,
-    RegionalSeries,
-    Spell,
-    parse_programme_records,
-    parse_regional_series,
-    write_regional_series,
-)
-from workforecast.model import ModelFit, fit, predict
-from workforecast.perf import PerformanceRow, aggregate_performance, is_reintegrated
-from workforecast.report import BaselinedSeries, baseline, emit_figure_data, unbaseline
-from workforecast.synth import Shock, SynthConfig, SynthResult, generate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BaselinedSeries",
-    "DataError",
-    "EvalReport",
-    "FeatureConfig",
-    "FeatureRow",
-    "FoldResult",
-    "ModelFit",
-    "PerformanceRow",
-    "ProgrammeRecord",
-    "RegionalSeries",
-    "Shock",
-    "Spell",
-    "SynthConfig",
-    "SynthResult",
-    "aggregate_performance",
-    "baseline",
-    "build_dataset",
-    "build_features",
-    "demand_proxy",
-    "emit_figure_data",
-    "fit",
-    "generate",
-    "is_reintegrated",
-    "loocv",
-    "loocv_per_region",
-    "metrics",
-    "parse_programme_records",
-    "parse_regional_series",
-    "predict",
-    "relative_inaccuracy",
-    "supply_proxy",
-    "unbaseline",
-    "working_age_population",
-    "write_regional_series",
-]

@@ -61,13 +61,15 @@ def _handles_data_errors(fn):
 
 
 def _range_callback(ctx, param, value: str) -> tuple[int, int]:
-    """Parse an inclusive LO:HI option value; errors name the option's flag."""
+    """Parse an inclusive, non-negative LO:HI option value; errors name the option's flag."""
     flag = param.opts[0]
     try:
         lo_s, hi_s = value.split(":")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise click.BadParameter(f"expected LO:HI, got {value!r}", param_hint=flag) from None
+    if lo < 0:
+        raise click.BadParameter(f"lower bound {lo} is negative", param_hint=flag)
     if lo > hi:
         raise click.BadParameter(f"lower bound {lo} exceeds upper bound {hi}", param_hint=flag)
     return lo, hi
@@ -179,17 +181,16 @@ def fit_cmd(features_file, performance_file, per_region, model_file) -> None:
             except (TooFewObservations, RankDeficientDesign) as err:
                 raise type(err)(f"region {region!r}: {err}", **err.context, region=region) from err
         payload = {"scope": "per-region", "feature_config": config, "models": models}
-        jsonio.save(model_file, payload, run_config)
-        click.echo(f"fitted {len(models)} per-region models on {len(dataset)} rows", err=True)
+        summary = f"fitted {len(models)} per-region models on {len(dataset)} rows"
     else:
-        fitted = model_mod.fit(*model_mod.design(dataset), config)
-        model_mod.save_model_json(fitted, model_file, run_config=run_config)
-        click.echo(
-            f"fitted on {fitted.n_obs} rows: intercept={fitted.intercept:.6g} "
-            f"demand={fitted.coef_demand:.6g} supply={fitted.coef_supply:.6g} "
-            f"r_squared={fitted.r_squared:.4f}",
-            err=True,
+        payload = model_mod.fit(*model_mod.design(dataset), config)
+        summary = (
+            f"fitted on {payload.n_obs} rows: intercept={payload.intercept:.6g} "
+            f"demand={payload.coef_demand:.6g} supply={payload.coef_supply:.6g} "
+            f"r_squared={payload.r_squared:.4f}"
         )
+    jsonio.save(model_file, payload, run_config)
+    click.echo(summary, err=True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +332,5 @@ def figures_cmd(employment_file, unemployment_file, population_file, features_fi
     click.echo(f"wrote {len(paths)} figure files to {out_dir}", err=True)
 
 
-def main() -> None:
-    cli()
-
-
 if __name__ == "__main__":
-    main()
+    cli()

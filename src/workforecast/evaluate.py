@@ -236,6 +236,7 @@ def loocv_per_region(
     return _report(folds, config, benchmark_mode, "per-region")
 
 
+# Kept as named functions: perfbench/replay.py traces them, and takes `evaluate.folds` from this save.
 def save_report_json(report: EvalReport, path: str | Path, run_config: dict | None = None) -> None:
     jsonio.save(path, report, run_config)
 

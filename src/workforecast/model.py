@@ -15,9 +15,7 @@ inside the functions that use it, so that commands which never fit do not load i
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from workforecast import jsonio
 from workforecast.errors import FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
 from workforecast.features import FeatureConfig, FeatureRow
 
@@ -132,11 +130,3 @@ def predict(model: ModelFit, row: FeatureRow, config: FeatureConfig) -> float:
         )
     return model.intercept + model.coef_demand * row.demand + model.coef_supply * row.supply
 
-
-def save_model_json(model: ModelFit, path: str | Path, run_config: dict | None = None) -> None:
-    """Serialize at full precision (json float repr round-trips exactly)."""
-    jsonio.save(path, model, run_config)
-
-
-def load_model_json(path: str | Path) -> ModelFit:
-    return jsonio.load(path, ModelFit)

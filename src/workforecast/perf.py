@@ -55,7 +55,13 @@ def is_reintegrated(
     ``window_months`` calendar months after entry. Pre-entry spell days count
     only from the entry date onwards.
     """
-    window_end = add_months(record.entry_date, window_months)
+    try:
+        window_end = add_months(record.entry_date, window_months)
+    except (ValueError, OverflowError):  # the window ends after date.max
+        raise InvalidConfig(
+            f"person {record.person_id!r}: a {window_months}-month window from entry date "
+            f"{record.entry_date} ends after {date.max}"
+        ) from None
     day = record.entry_date
     for spell in record.spells:  # sorted, non-overlapping by construction
         if spell.hours_per_week < min_hours:
@@ -64,10 +70,10 @@ def is_reintegrated(
             continue
         if spell.start_date > day:
             return False
-        day = spell.end_date + timedelta(days=1)
-        if day > window_end:
+        if spell.end_date >= window_end:  # tested before the day after end_date, which may not exist
             return True
-    return day > window_end
+        day = spell.end_date + timedelta(days=1)
+    return False
 
 
 def aggregate_performance(

@@ -76,8 +76,10 @@ def _validate(config: SynthConfig) -> None:
         raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     if config.noise_sd < 0:
         raise InvalidConfig(f"noise_sd must be non-negative, got {config.noise_sd}")
-    for name in ("true_intercept", "true_coef_demand", "true_coef_supply", "noise_sd"):
-        if not math.isfinite(getattr(config, name)):
+    floats = [(config, name) for name in ("true_intercept", "true_coef_demand", "true_coef_supply", "noise_sd")]
+    floats += [(config.shock, name) for name in ("demand_shift", "supply_shift") if config.shock is not None]
+    for owner, name in floats:
+        if not math.isfinite(getattr(owner, name)):
             raise InvalidConfig(f"{name} must be finite")
     if config.shock is not None and not first <= config.shock.year <= last:
         raise InvalidConfig(

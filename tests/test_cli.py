@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from workforecast import __version__
+from workforecast import __version__, jsonio
 from workforecast.cli import cli
 from workforecast.errors import MalformedJson
-from workforecast.model import load_model_json
+from workforecast.model import ModelFit
 
 ENV = {"WF_NO_COLOR": "1"}
 
@@ -186,6 +186,18 @@ class TestExitCodes:
         ], env=ENV)
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, flag", [
+        (["synth", "--years", "-3:5"], "--years"),
+        (["features", "--employment", "e.csv", "--unemployment", "u.csv", "--population", "p.csv",
+          "--working-age", "-5:64"], "--working-age"),
+    ])
+    def test_negative_range_is_a_usage_error(self, tmp_path, args, flag):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli, [*args, "--out", str(out)], env=ENV)
+        assert result.exit_code == 2
+        assert f"Invalid value for {flag}: lower bound" in result.stderr
+        assert not out.exists()
+
     def test_shift_without_shock_year_is_a_usage_error(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli, [
@@ -241,6 +253,24 @@ class TestPerformanceCommand:
             "region,entry_year,n_entrants,n_success,performance",
             "R1,2015,3,1,0.333333",
         ]
+
+    @pytest.mark.parametrize("entry, window", [("9999-10-01", "6"), ("2015-01-01", "100000"),
+                                               ("2015-01-01", str(10**30))])
+    def test_window_ending_after_the_last_date_exits_one(self, tmp_path, entry, window):
+        (tmp_path / "records.csv").write_text(
+            "person_id,region,entry_date,spell_start,spell_end,hours_per_week\n"
+            f"P1,R1,{entry},{entry},9999-12-31,20\n",
+            encoding="utf-8",
+        )
+        result = _invoke([
+            "performance",
+            "--records", str(tmp_path / "records.csv"),
+            "--window-months", window,
+            "--out", str(tmp_path / "performance.csv"),
+        ])
+        assert result.exit_code == 1
+        assert f"{window}-month window from entry date {entry}" in _single_error_line(result, "InvalidConfig")
+        assert not (tmp_path / "performance.csv").exists()
 
     def test_per_region_fit_writes_model_map(self, tmp_path):
         data = tmp_path / "data"
@@ -311,7 +341,7 @@ class TestMalformedInputs:
             "--model", str(model),
         ]).exit_code == 0
         with pytest.raises(MalformedJson, match="intercept"):
-            load_model_json(model)
+            jsonio.load(model, ModelFit)
 
     def test_non_utf8_csv_exits_one(self, tmp_path):
         data = tmp_path / "data"

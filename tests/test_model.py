@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
+from workforecast import jsonio
 from workforecast.errors import FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
 from workforecast.features import FeatureConfig, FeatureRow
-from workforecast.model import (
-    ModelFit,
-    design,
-    fit,
-    load_model_json,
-    predict,
-    save_model_json,
-)
+from workforecast.model import ModelFit, design, fit, predict
 
 from helpers import coordinate_descent, feature_rows
 
@@ -212,8 +206,8 @@ class TestModelJson:
         rng = np.random.default_rng(41)
         model = fit(*design(_random_pairs(rng, 9)), FeatureConfig(normalize=True, lag=2, working_age=(18, 66)))
         path = tmp_path / "model.json"
-        save_model_json(model, path)
-        assert load_model_json(path) == model
+        jsonio.save(path, model)
+        assert jsonio.load(path, ModelFit) == model
 
     def test_run_config_is_embedded(self, tmp_path):
         import json
@@ -221,7 +215,7 @@ class TestModelJson:
         rng = np.random.default_rng(43)
         model = fit(*design(_random_pairs(rng, 9)), CONFIG)
         path = tmp_path / "model.json"
-        save_model_json(model, path, run_config={"subcommand": "fit"})
+        jsonio.save(path, model, {"subcommand": "fit"})
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["run_config"] == {"subcommand": "fit"}
-        assert load_model_json(path) == model
+        assert jsonio.load(path, ModelFit) == model

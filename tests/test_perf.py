@@ -77,6 +77,15 @@ class TestIsReintegrated:
         record = _record("2015-01-01", [("2015-01-01", "2015-06-30", 20.0)])
         assert is_reintegrated(record) is False
 
+    def test_spell_ending_on_the_last_date_covers_the_window(self):
+        # the day after 9999-12-31 does not exist
+        assert is_reintegrated(_record("2015-01-01", [("2014-01-01", "9999-12-31", 20.0)])) is True
+        assert is_reintegrated(_record("9999-06-01", [("9999-06-01", "9999-12-31", 20.0)])) is True
+
+    def test_window_ending_after_the_last_date_is_rejected(self):
+        with pytest.raises(InvalidConfig, match="6-month window from entry date 9999-07-01"):
+            is_reintegrated(_record("9999-07-01", [("9999-07-01", "9999-12-31", 20.0)]))
+
     def test_no_spells(self):
         record = _record("2015-01-01", [])
         assert is_reintegrated(record) is False

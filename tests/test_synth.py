@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -96,6 +97,11 @@ class TestGenerate:
             generate(SynthConfig(shock=Shock(year=2025, demand_shift=-0.1)))
         with pytest.raises(InvalidConfig):
             generate(SynthConfig(seed=-1))
+        for shift in (math.nan, math.inf):
+            with pytest.raises(InvalidConfig, match="demand_shift must be finite"):
+                generate(SynthConfig(shock=Shock(year=2012, demand_shift=shift)))
+            with pytest.raises(InvalidConfig, match="supply_shift must be finite"):
+                generate(SynthConfig(shock=Shock(year=2012, supply_shift=shift)))
 
 
 class TestWriteOutputs:
