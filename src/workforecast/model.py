@@ -7,7 +7,9 @@ them instead of rebuilding them. Coefficients minimize the plain sum
 of squared residuals; there is no penalty term and predictions are never
 clamped (any clamping is a presentation concern, applied downstream if at
 all). The solve goes through a Householder QR factorization rather than
-explicit normal equations for numerical stability, and rank deficiency is a
+explicit normal equations for numerical stability. It works on one
+column-major copy of [x | y], so each reflection reads contiguous rows, and
+sets each diagonal entry of R from its column's norm. Rank deficiency is a
 hard error: with folds this small, a silent minimum-norm fallback would make
 cross-validation results depend on implementation details. numpy is imported
 inside the functions that use it, so that commands which never fit do not load it.
@@ -34,11 +36,16 @@ class ModelFit:
 
 
 def _householder_triangularize(a: np.ndarray, n_cols: int) -> None:
-    """Reduce the leading n_cols columns of `a` to upper-triangular form in place."""
+    """Reduce the leading n_cols columns of a matrix to upper-triangular form in place.
+
+    `a` holds the matrix column-major (row k of `a` is column k), so every
+    reflection reads and updates contiguous rows. Column j's diagonal entry is
+    set from the column's norm, as LAPACK's dlarfg does; the entries below it
+    keep their old values and are not part of the result.
+    """
     import numpy as np
-    m = a.shape[0]
-    for j in range(min(n_cols, m)):
-        col = a[j:, j]
+    for j in range(min(n_cols, a.shape[1])):
+        col = a[j, j:]
         norm = float(np.sqrt(np.dot(col, col)))
         if norm == 0.0:
             continue
@@ -48,16 +55,9 @@ def _householder_triangularize(a: np.ndarray, n_cols: int) -> None:
         vtv = float(np.dot(v, v))
         if vtv == 0.0:
             continue
-        a[j:, j:] -= np.outer(v, (2.0 / vtv) * (v @ a[j:, j:]))
-
-
-def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    import numpy as np
-    n = z.shape[0]
-    beta = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        beta[i] = (z[i] - float(np.dot(r[i, i + 1:], beta[i + 1:]))) / r[i, i]
-    return beta
+        rest = a[j + 1:, j:]
+        rest -= np.multiply.outer((2.0 / vtv) * (rest @ v), v)
+        a[j, j] = -norm if col[0] >= 0.0 else norm
 
 
 def design(pairs: list[tuple[FeatureRow, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -83,17 +83,18 @@ def fit(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
     if n < 3:
         raise TooFewObservations(f"need at least 3 observations to fit 3 parameters, got {n}")
 
-    augmented = np.hstack([x, y[:, None]])
+    work = np.empty((4, n))  # [x | y] column-major: row k is column k
+    work[:3], work[3] = x.T, y
     with np.errstate(over="ignore", invalid="ignore"):
-        _householder_triangularize(augmented, 3)
-    if not np.isfinite(augmented).all():
+        _householder_triangularize(work, 3)
+    if not np.isfinite(work).all():
         # Values too large to square in floating point: no column is resolvable.
         raise RankDeficientDesign(
             "design matrix is rank deficient: its QR factorization overflows (condition estimate inf)",
             columns=_COLUMNS,
             condition_estimate=float("inf"),
         )
-    diag = np.abs(np.diag(augmented[:3, :3]))
+    diag = np.abs(np.diag(work[:3, :3]))
     tolerance = max(n, 3) * np.finfo(float).eps * float(diag.max())
     collinear = tuple(name for name, d in zip(_COLUMNS, diag) if d <= tolerance)
     condition = float("inf") if float(diag.min()) == 0.0 else float(diag.max() / diag.min())
@@ -104,22 +105,17 @@ def fit(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
             columns=collinear,
             condition_estimate=condition,
         )
-    beta = _back_substitute(augmented[:3, :3], augmented[:3, 3])
+    beta = np.zeros(3)  # back substitution: R is work[:3, :3].T and Q^T y is work[3, :3]
+    for i in (2, 1, 0):
+        beta[i] = (work[3, i] - float(np.dot(work[i + 1:3, i], beta[i + 1:]))) / work[i, i]
 
     residuals = y - x @ beta
     rss = float(residuals @ residuals)
     centered = y - y.mean()
     tss = float(centered @ centered)
     r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
-    return ModelFit(
-        intercept=float(beta[0]),
-        coef_demand=float(beta[1]),
-        coef_supply=float(beta[2]),
-        n_obs=n,
-        rss=rss,
-        r_squared=r_squared,
-        feature_config=config,
-    )
+    intercept, coef_demand, coef_supply = beta.tolist()
+    return ModelFit(intercept, coef_demand, coef_supply, n, rss, r_squared, config)
 
 
 def predict(model: ModelFit, row: FeatureRow, config: FeatureConfig) -> float:

@@ -81,6 +81,8 @@ def _validate(config: SynthConfig) -> None:
     for owner, name in floats:
         if not math.isfinite(getattr(owner, name)):
             raise InvalidConfig(f"{name} must be finite")
+        if owner is config.shock and not -1.0 <= getattr(owner, name) <= 1.0:
+            raise InvalidConfig(f"{name} must be within [-1, 1], a fraction of the working-age population")
     if config.shock is not None and not first <= config.shock.year <= last:
         raise InvalidConfig(
             f"shock year {config.shock.year} is outside the year range {first}..{last}"

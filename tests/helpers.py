@@ -6,9 +6,12 @@ logic, and the least-squares oracle minimizes the quadratic loss by
 coordinate descent instead of any matrix factorization. The leave-one-out
 oracle is the plain refit loop that `evaluate.loocv` replaced: it rebuilds
 every training fold as a list, sums benchmarks with `statistics.fmean`, and
-scans the whole dataset for earlier years in every fold. The records oracle
-is the two-pass parser that `ingest.parse_programme_records` replaced: it
-reads and checks the structure of the whole file before any row check.
+scans the whole dataset for earlier years in every fold. The Householder
+oracle is the solver `model.fit` replaced, copied verbatim under new names:
+it triangularizes a row-major [x | y] with one `np.outer` update per
+reflection. The records oracle is the two-pass parser that
+`ingest.parse_programme_records` replaced: it reads and checks the structure
+of the whole file before any row check.
 """
 from __future__ import annotations
 
@@ -21,11 +24,13 @@ import numpy as np
 from click.testing import CliRunner
 
 from workforecast.cli import cli
-from workforecast.errors import MalformedRow, OverlappingSpells, RankDeficientDesign, RankDeficientFold
+from workforecast.errors import (
+    MalformedRow, OverlappingSpells, RankDeficientDesign, RankDeficientFold, TooFewObservations,
+)
 from workforecast.evaluate import EvalReport, FoldResult, metrics
 from workforecast.features import FeatureConfig, FeatureRow
 from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, RegionalSeries, Spell, _parse_date, _parse_hours
-from workforecast.model import design, fit, predict
+from workforecast.model import ModelFit, design, fit, predict
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +125,97 @@ def per_age_supply_oracle(series: RegionalSeries, year: int, working_age: tuple[
 
 
 # ---------------------------------------------------------------------------
+# Householder oracle (the row-major solver `model.fit` replaced)
+# ---------------------------------------------------------------------------
+
+_FIT_COLUMNS = ("intercept", "demand", "supply")
+
+
+def _householder_triangularize_oracle(a: np.ndarray, n_cols: int) -> None:
+    """Reduce the leading n_cols columns of `a` to upper-triangular form in place."""
+    import numpy as np
+    m = a.shape[0]
+    for j in range(min(n_cols, m)):
+        col = a[j:, j]
+        norm = float(np.sqrt(np.dot(col, col)))
+        if norm == 0.0:
+            continue
+        v = col.copy()
+        # sign keeps v away from cancellation
+        v[0] += norm if v[0] >= 0.0 else -norm
+        vtv = float(np.dot(v, v))
+        if vtv == 0.0:
+            continue
+        a[j:, j:] -= np.outer(v, (2.0 / vtv) * (v @ a[j:, j:]))
+
+
+def _back_substitute_oracle(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    import numpy as np
+    n = z.shape[0]
+    beta = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        beta[i] = (z[i] - float(np.dot(r[i, i + 1:], beta[i + 1:]))) / r[i, i]
+    return beta
+
+
+def householder_fit_oracle(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
+    """Least-squares fit of y on the columns of x, as built by `design`.
+
+    Requires at least 3 observations (one per parameter) and a full-rank
+    design. Near-collinear columns are reported by name together with a
+    condition estimate taken from the QR diagonal. With a constant target,
+    r_squared is reported as 1.0 (the intercept explains it perfectly).
+    """
+    import numpy as np
+    n = x.shape[0]
+    if n < 3:
+        raise TooFewObservations(f"need at least 3 observations to fit 3 parameters, got {n}")
+
+    augmented = np.hstack([x, y[:, None]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _householder_triangularize_oracle(augmented, 3)
+    if not np.isfinite(augmented).all():
+        # Values too large to square in floating point: no column is resolvable.
+        raise RankDeficientDesign(
+            "design matrix is rank deficient: its QR factorization overflows (condition estimate inf)",
+            columns=_FIT_COLUMNS,
+            condition_estimate=float("inf"),
+        )
+    diag = np.abs(np.diag(augmented[:3, :3]))
+    tolerance = max(n, 3) * np.finfo(float).eps * float(diag.max())
+    collinear = tuple(name for name, d in zip(_FIT_COLUMNS, diag) if d <= tolerance)
+    condition = float("inf") if float(diag.min()) == 0.0 else float(diag.max() / diag.min())
+    if collinear:
+        raise RankDeficientDesign(
+            f"design matrix is rank deficient: column(s) {', '.join(collinear)} are "
+            f"collinear with the rest (condition estimate {condition:.3g})",
+            columns=collinear,
+            condition_estimate=condition,
+        )
+    beta = _back_substitute_oracle(augmented[:3, :3], augmented[:3, 3])
+
+    residuals = y - x @ beta
+    rss = float(residuals @ residuals)
+    centered = y - y.mean()
+    tss = float(centered @ centered)
+    r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
+    return ModelFit(
+        intercept=float(beta[0]),
+        coef_demand=float(beta[1]),
+        coef_supply=float(beta[2]),
+        n_obs=n,
+        rss=rss,
+        r_squared=r_squared,
+        feature_config=config,
+    )
+
+
+# ---------------------------------------------------------------------------
 # leave-one-out oracle (one list-built refit per fold)
 # ---------------------------------------------------------------------------
 
 def _refit_folds(
-    dataset: list[tuple[FeatureRow, float]], config: FeatureConfig, benchmark_mode: str
+    dataset: list[tuple[FeatureRow, float]], config: FeatureConfig, benchmark_mode: str, solver
 ) -> list[FoldResult]:
     data = sorted(dataset, key=lambda pair: (pair[0].region_id, pair[0].year))
 
@@ -132,7 +223,7 @@ def _refit_folds(
     for i, (row, actual) in enumerate(data):
         train = data[:i] + data[i + 1:]
         try:
-            model = fit(*design(train), config)
+            model = solver(*design(train), config)
         except RankDeficientDesign as err:
             raise RankDeficientFold(
                 f"training fold for ({row.region_id}, {row.year}) is rank deficient: {err}",
@@ -164,15 +255,19 @@ def loocv_refit_oracle(
     config: FeatureConfig,
     benchmark_mode: str = "trainfold-mean",
     scope: str = "pooled",
+    solver=fit,
 ) -> EvalReport:
-    """The report `loocv` (scope "pooled") or `loocv_per_region` ("per-region") should return."""
+    """The report `loocv` (scope "pooled") or `loocv_per_region` ("per-region") should return.
+
+    `solver` fits each training fold; it defaults to `model.fit`.
+    """
     if scope == "pooled":
-        folds = _refit_folds(dataset, config, benchmark_mode)
+        folds = _refit_folds(dataset, config, benchmark_mode, solver)
     else:
         folds = []
         for region in sorted({row.region_id for row, _ in dataset}):
             subset = [(row, target) for row, target in dataset if row.region_id == region]
-            folds.extend(_refit_folds(subset, config, benchmark_mode))
+            folds.extend(_refit_folds(subset, config, benchmark_mode, solver))
     mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
     return EvalReport(
         benchmark_mode=benchmark_mode,

@@ -198,6 +198,16 @@ class TestExitCodes:
         assert f"Invalid value for {flag}: lower bound" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--demand-shift", "--supply-shift"])
+    @pytest.mark.parametrize("shift", ["1e308", "-1e308"])
+    def test_huge_shift_exits_one_naming_the_field(self, tmp_path, option, shift):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli, ["synth", "--out", str(out), "--shock-year", "2012", option, shift], env=ENV)
+        assert result.exit_code == 1
+        field = option[2:].replace("-", "_")
+        assert _single_error_line(result, "InvalidConfig").startswith(f"ERROR InvalidConfig: {field} must be within")
+        assert not out.exists()
+
     def test_shift_without_shock_year_is_a_usage_error(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli, [

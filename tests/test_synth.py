@@ -9,7 +9,9 @@ from workforecast.features import build_features
 from workforecast.ingest import parse_regional_series
 from workforecast.model import design, fit
 from workforecast.perf import read_performance_csv
-from workforecast.synth import LAW_FEATURE_CONFIG, Shock, SynthConfig, SynthResult, generate, write_outputs
+from workforecast.synth import (
+    LAW_FEATURE_CONFIG, Shock, SynthConfig, SynthResult, _validate, generate, write_outputs,
+)
 
 
 def _recover(result: SynthResult):
@@ -102,6 +104,17 @@ class TestGenerate:
                 generate(SynthConfig(shock=Shock(year=2012, demand_shift=shift)))
             with pytest.raises(InvalidConfig, match="supply_shift must be finite"):
                 generate(SynthConfig(shock=Shock(year=2012, supply_shift=shift)))
+
+    @pytest.mark.parametrize("field", ["demand_shift", "supply_shift"])
+    @pytest.mark.parametrize("shift", [1e308, -1e308, 1.5, -1.5, 1.0000000000000002])
+    def test_shift_outside_the_unit_interval_is_invalid(self, field, shift):
+        with pytest.raises(InvalidConfig, match=rf"^{field} must be within \[-1, 1\]"):
+            generate(SynthConfig(shock=Shock(year=2012, **{field: shift})))
+
+    @pytest.mark.parametrize("field", ["demand_shift", "supply_shift"])
+    @pytest.mark.parametrize("shift", [1.0, -1.0])
+    def test_shift_of_the_whole_working_age_population_is_valid(self, field, shift):
+        _validate(SynthConfig(shock=Shock(year=2012, **{field: shift})))
 
 
 class TestWriteOutputs:
