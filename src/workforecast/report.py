@@ -63,20 +63,14 @@ def baseline(
             + (f" in series {label!r}" if label else ""),
             year=baseline_year,
         )
-    if mode == "difference":
-        points = tuple((year, float(series[year]) - base) for year in sorted(series))
-    else:
-        points = tuple((year, float(series[year]) / base) for year in sorted(series))
+    points = tuple((year, _rebase(float(series[year]), base, mode)) for year in sorted(series))
     return BaselinedSeries(
         label=label, baseline_year=baseline_year, baseline_value=base, mode=mode, points=points
     )
 
 
-def unbaseline(baselined: BaselinedSeries) -> dict[int, float]:
-    """Invert `baseline` using the stored baseline value."""
-    if baselined.mode == "difference":
-        return {year: value + baselined.baseline_value for year, value in baselined.points}
-    return {year: value * baselined.baseline_value for year, value in baselined.points}
+def _rebase(value: float, base: float, mode: str) -> float:
+    return value - base if mode == "difference" else value / base
 
 
 def _default_population_baseline_year(series_by_region: dict[str, RegionalSeries]) -> int:
@@ -158,15 +152,10 @@ def emit_figure_data(
                 f"region {fold.region_id!r}: first performance is zero, cannot baseline by ratio",
                 region=fold.region_id,
             )
-
-        def rebase(value: float | None) -> str:
-            if value is None:
-                return ""
-            return repr(value - base) if performance_mode == "difference" else repr(value / base)
-
-        eval_rows.append(
-            [fold.region_id, fold.year, rebase(fold.actual), rebase(fold.pred_model), rebase(fold.pred_benchmark)]
-        )
+        eval_rows.append([fold.region_id, fold.year, *(
+            "" if value is None else repr(_rebase(value, base, performance_mode))
+            for value in (fold.actual, fold.pred_model, fold.pred_benchmark)
+        )])
     _write_rows(
         paths["eval"],
         ("region", "year", "actual_baselined", "model_baselined", "benchmark_baselined"),

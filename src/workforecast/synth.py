@@ -133,7 +133,8 @@ def _region_series(
         for i, year in enumerate(years):
             if year >= shock.year:
                 employment[i] = max(0, employment[i] + int(round(shock.demand_shift * working_age[i])))
-                unemployed[i] = max(0, unemployed[i] + int(round(shock.supply_shift * working_age[i])))
+                shifted = unemployed[i] + int(round(shock.supply_shift * working_age[i]))
+                unemployed[i] = min(working_age[i], max(0, shifted))
 
     return RegionalSeries(
         region_id=region_id,

@@ -11,7 +11,8 @@ oracle is the solver `model.fit` replaced, copied verbatim under new names:
 it triangularizes a row-major [x | y] with one `np.outer` update per
 reflection. The records oracle is the two-pass parser that
 `ingest.parse_programme_records` replaced: it reads and checks the structure
-of the whole file before any row check.
+of the whole file before any row check. `unbaseline` is the inverse of
+`report.baseline`, computed from the stored baseline value.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from workforecast.evaluate import EvalReport, FoldResult, metrics
 from workforecast.features import FeatureConfig, FeatureRow
 from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, RegionalSeries, Spell, _parse_date, _parse_hours
 from workforecast.model import ModelFit, design, fit, predict
+from workforecast.report import BaselinedSeries
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +124,13 @@ def per_age_supply_oracle(series: RegionalSeries, year: int, working_age: tuple[
             if lo <= age <= hi:
                 total += persons / width
     return series.unemployed_6m[year] / total
+
+
+def unbaseline(baselined: BaselinedSeries) -> dict[int, float]:
+    """Invert `report.baseline` using the stored baseline value."""
+    if baselined.mode == "difference":
+        return {year: value + baselined.baseline_value for year, value in baselined.points}
+    return {year: value * baselined.baseline_value for year, value in baselined.points}
 
 
 # ---------------------------------------------------------------------------

@@ -208,12 +208,35 @@ class TestExitCodes:
         assert _single_error_line(result, "InvalidConfig").startswith(f"ERROR InvalidConfig: {field} must be within")
         assert not out.exists()
 
+    def test_supply_shift_of_the_whole_working_age_population_generates_a_panel(self, tmp_path):
+        data = tmp_path / "data"
+        result = _invoke(["synth", "--out", str(data), "--seed", "3", "--shock-year", "2012", "--supply-shift", "1"])
+        assert result.exit_code == 0
+        assert _invoke(_features_args(tmp_path, tmp_path / "features.csv")).exit_code == 0
+
     def test_shift_without_shock_year_is_a_usage_error(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli, [
             "synth", "--out", str(tmp_path), "--demand-shift", "-0.05",
         ], env=ENV)
         assert result.exit_code == 2
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize("command", sorted(cli.commands))
+    def test_every_command_maps_an_unusable_path_to_one_error_line(self, tmp_path, command):
+        """Every required option names a file, and no path under a regular file can be read or written."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        args = [command]
+        for param in cli.commands[command].params:
+            if param.required:
+                args += [param.opts[0], str(blocker / param.name)]
+        result = CliRunner().invoke(cli, args, env=ENV)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert re.fullmatch(r"ERROR [A-Za-z]+: [^\n]*\n", result.stderr), result.stderr
+        assert "Traceback" not in result.output
 
 
 class TestValidate:
@@ -592,3 +615,56 @@ class TestVersion:
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
         project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
         assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == __version__
+
+
+def _stamp_cases(quickstart: Path, out: Path) -> dict:
+    """Per command: non-default options in declaration order, the file holding the stamp, the expected stamp."""
+    features, performance = str(quickstart / "features.csv"), str(quickstart / "performance.csv")
+    feature_config = {"normalize": True, "lag": 0, "working_age": [16, 64]}
+    synth = (("--out", str(out)), ("--seed", "5"), ("--regions", "3"), ("--years", "2010:2016"),
+             ("--intercept", "0.4"), ("--coef-demand", "1.25"), ("--coef-supply", "-1.5"), ("--noise-sd", "0.01"),
+             ("--shock-year", "2013"), ("--demand-shift", "0.02"), ("--supply-shift", "-0.01"))
+    return {
+        "fit": (
+            (("--features", features), ("--performance", performance), ("--per-region",), ("--model", str(out))),
+            out,
+            {"subcommand": "fit", "features": features, "performance": performance, "per_region": True,
+             "model": str(out), "feature_config": feature_config},
+        ),
+        "evaluate": (
+            (("--features", features), ("--performance", performance), ("--benchmark", "prior-years-mean"),
+             ("--per-region",), ("--out", str(out))),
+            out,
+            {"subcommand": "evaluate", "features": features, "performance": performance,
+             "benchmark_mode": "prior-years-mean", "per_region": True, "out": str(out),
+             "feature_config": feature_config},
+        ),
+        "synth": (
+            synth,
+            out / "truth.json",
+            {"subcommand": "synth", "out": str(out), "seed": 5, "n_regions": 3, "years": [2010, 2016],
+             "true_intercept": 0.4, "true_coef_demand": 1.25, "true_coef_supply": -1.5, "noise_sd": 0.01,
+             "shock_year": 2013, "demand_shift": 0.02, "supply_shift": -0.01},
+        ),
+    }
+
+
+class TestRunConfig:
+    """The stamp is the parsed command line: `subcommand`, each option in declaration order, then `feature_config`."""
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "synth"])
+    def test_stamp_is_the_parsed_configuration(self, quickstart, tmp_path, command):
+        options, stamped, expected = _stamp_cases(quickstart, tmp_path / "out")[command]
+        assert _invoke([command, *(arg for option in options for arg in option)]).exit_code == 0
+        stamp = json.loads(stamped.read_text(encoding="utf-8"))["run_config"]
+        assert list(stamp.items()) == list(expected.items())
+        declared = [param.name for param in cli.commands[command].params]
+        assert list(stamp)[:len(declared) + 1] == ["subcommand", *declared]
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "synth"])
+    def test_option_order_does_not_change_the_output(self, quickstart, tmp_path, command):
+        options, stamped, _ = _stamp_cases(quickstart, tmp_path / "out")[command]
+        assert _invoke([command, *(arg for option in options for arg in option)]).exit_code == 0
+        forward = stamped.read_bytes()
+        assert _invoke([command, *(arg for option in reversed(options) for arg in option)]).exit_code == 0
+        assert stamped.read_bytes() == forward

@@ -1,10 +1,11 @@
 import pytest
 
+from helpers import unbaseline
 from workforecast.errors import InvalidConfig, MissingBaselineYear, ZeroBaseline
 from workforecast.evaluate import build_dataset, loocv
 from workforecast.features import build_features
 from workforecast.ingest import RegionalSeries
-from workforecast.report import FIGURE_FILENAMES, baseline, emit_figure_data, unbaseline
+from workforecast.report import FIGURE_FILENAMES, baseline, emit_figure_data
 from workforecast.synth import LAW_FEATURE_CONFIG, SynthConfig, generate
 
 

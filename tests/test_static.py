@@ -1,4 +1,5 @@
-"""Static check: every global name a function reads is bound at module level or is a builtin.
+"""Static checks: every global name a function reads is bound at module level or is a builtin,
+and the source tree does not grow.
 
 numpy is imported inside the functions that use it, so a missing local import
 would only fail, as a NameError, on the path that runs it. This check finds
@@ -11,6 +12,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
+
+# The line count of src/workforecast/*.py is a tracked number: a change that
+# deletes code lowers this ceiling to the count it lands at.
+SRC_LINE_CEILING = 2011
 
 
 def _function_tables(table):
@@ -41,3 +46,8 @@ def test_a_missing_local_import_is_found(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("def f(x):\n    return np.sqrt(x)\n\n\ndef g(x):\n    import numpy as np\n    return np.sqrt(x)\n")
     assert _unbound_globals(module) == ["f:1: np"]
+
+
+def test_src_line_count_does_not_grow():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINE_CEILING

@@ -116,6 +116,17 @@ class TestGenerate:
     def test_shift_of_the_whole_working_age_population_is_valid(self, field, shift):
         _validate(SynthConfig(shock=Shock(year=2012, **{field: shift})))
 
+    @pytest.mark.parametrize("seed", [0, 3, 5, 9])
+    def test_supply_shift_of_one_makes_the_whole_working_age_population_unemployed(self, seed):
+        result = generate(SynthConfig(seed=seed, shock=Shock(year=2013, supply_shift=1.0)))
+        for series in result.series_by_region.values():
+            for year in series.years:
+                working_age = series.population[year][(16, 64)]
+                assert (series.unemployed_6m[year] == working_age) == (year >= 2013)
+        rows = build_features(result.series_by_region, LAW_FEATURE_CONFIG)
+        assert {row.supply for row in rows if row.year >= 2013} == {1.0}
+        assert all(row.supply < 1.0 for row in rows if row.year < 2013)
+
 
 class TestWriteOutputs:
     def test_generated_files_reingest_to_the_same_panel(self, tmp_path):
