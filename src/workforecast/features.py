@@ -19,7 +19,7 @@ from workforecast.errors import (
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
-from workforecast.ingest import RegionalSeries, _parse_age, _parse_year, _read_rows, _write_rows
+from workforecast.ingest import RegionalSeries, _parse_natural, _read_rows, _write_rows
 
 DEFAULT_WORKING_AGE = (16, 64)
 
@@ -48,7 +48,7 @@ def working_age_population(
     year: int,
     working_age: tuple[int, int] = DEFAULT_WORKING_AGE,
 ) -> float:
-    """Population inside the working-age interval, pro-rating partial bands."""
+    """Population inside the working-age interval, pro-rating partial bands; it must be positive."""
     bands = series.population.get(year)
     if bands is None:
         raise MissingYear(
@@ -64,6 +64,12 @@ def working_age_population(
             continue
         width = band_hi - band_lo + 1
         total += persons * (overlap / width)
+    if total <= 0.0:
+        raise ZeroWorkingAgePopulation(
+            f"region {series.region_id!r} year {year}: working-age population is zero",
+            region=series.region_id,
+            year=year,
+        )
     return total
 
 
@@ -85,14 +91,7 @@ def demand_proxy(
     change = float(series.employment[year] - series.employment[year - 1])
     if not normalize:
         return change
-    denominator = working_age_population(series, year, working_age)
-    if denominator <= 0.0:
-        raise ZeroWorkingAgePopulation(
-            f"region {series.region_id!r} year {year}: working-age population is zero",
-            region=series.region_id,
-            year=year,
-        )
-    return change / denominator
+    return change / working_age_population(series, year, working_age)
 
 
 def supply_proxy(
@@ -108,12 +107,6 @@ def supply_proxy(
             year=year,
         )
     denominator = working_age_population(series, year, working_age)
-    if denominator <= 0.0:
-        raise ZeroWorkingAgePopulation(
-            f"region {series.region_id!r} year {year}: working-age population is zero",
-            region=series.region_id,
-            year=year,
-        )
     ratio = series.unemployed_6m[year] / denominator
     if ratio > 1.0:
         raise SupplyExceedsOne(
@@ -133,12 +126,15 @@ def build_features(
     """Build feature rows for every (region, year) where both proxies exist.
 
     The first covered year of each region has no predecessor, so it yields no
-    row. A row is labelled with the programme-entry year it predicts: with a
-    lag of L, the row for entry year t carries the proxies of year t - L.
+    row, but a nonzero unemployed count there must still fit its working-age
+    population. A row is labelled with the programme-entry year it predicts:
+    with a lag of L, the row for entry year t carries the proxies of year t - L.
     """
     rows = []
     for region in sorted(series_by_region):
         series = series_by_region[region]
+        if series.unemployed_6m[series.years[0]]:
+            supply_proxy(series, series.years[0], working_age=config.working_age)
         for base_year in series.years[1:]:
             rows.append(
                 FeatureRow(
@@ -169,8 +165,8 @@ def _parse_config(stamp: list[str], name: str, lineno: int) -> FeatureConfig:
         raise MalformedRow(f"column 'normalized' must be 0 or 1, got {normalized_s!r}", file=name, line=lineno)
     if not lag_s.isdecimal():
         raise MalformedRow(f"column 'lag' must be a non-negative integer, got {lag_s!r}", file=name, line=lineno)
-    lo = _parse_age(lo_s, "age_lo", name, lineno)
-    hi = _parse_age(hi_s, "age_hi", name, lineno)
+    lo = _parse_natural(lo_s, "age_lo", name, lineno)
+    hi = _parse_natural(hi_s, "age_hi", name, lineno)
     if lo > hi:
         raise MalformedRow(f"working age [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
     return FeatureConfig(normalize=normalized_s == "1", lag=int(lag_s), working_age=(lo, hi))
@@ -186,7 +182,7 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
     rows = []
     config = first_stamp = first_line = None
     for lineno, (region, year_s, demand_s, supply_s, *stamp) in _read_rows(path, FEATURES_HEADER):
-        year = _parse_year(year_s, name, lineno)
+        year = _parse_natural(year_s, "year", name, lineno)
         if config is None:
             config, first_stamp, first_line = _parse_config(stamp, name, lineno), stamp, lineno
         elif stamp != first_stamp:

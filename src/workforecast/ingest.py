@@ -17,7 +17,8 @@ proxy differences adjacent years.
 Rows are streamed and checked as they are read, so of several faulty rows the
 first in file order is reported, be it a wrong column count or a bad field.
 Whole-file checks (years, overlapping age bands or spells) come after. Records
-parsing caches each distinct date or hours string per call and pauses the GC.
+parsing keeps each distinct date, hours or region string once per call, pauses
+the GC, and hands each person's spells over to their record as it is built.
 """
 from __future__ import annotations
 
@@ -130,15 +131,11 @@ def _parse_count(text: str, column: str, file: str, line: int) -> int:
     return value
 
 
-def _parse_year(text: str, file: str, line: int) -> int:
+def _parse_natural(text: str, column: str, file: str, line: int) -> int:
+    """A non-negative integer: the year column, or an age in any other column."""
     if not _INT_RE.match(text) or int(text) < 0:
-        raise MalformedRow(f"column 'year' must be a calendar year, got {text!r}", file=file, line=line)
-    return int(text)
-
-
-def _parse_age(text: str, column: str, file: str, line: int) -> int:
-    if not _INT_RE.match(text) or int(text) < 0:
-        raise MalformedRow(f"column {column!r} must be a non-negative integer age, got {text!r}", file=file, line=line)
+        kind = "a calendar year" if column == "year" else "a non-negative integer age"
+        raise MalformedRow(f"column {column!r} must be {kind}, got {text!r}", file=file, line=line)
     return int(text)
 
 
@@ -171,7 +168,7 @@ def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str,
     column = header[2]
     out: dict[str, dict[int, int]] = {}
     for lineno, (region, year_s, count_s) in _read_rows(path, header):
-        year = _parse_year(year_s, name, lineno)
+        year = _parse_natural(year_s, "year", name, lineno)
         count = _parse_count(count_s, column, name, lineno)
         cells = out.setdefault(region, {})
         if year in cells:
@@ -185,9 +182,9 @@ def _collect_population(path: str | Path) -> dict[str, dict[int, dict[AgeBand, t
     name = str(path)
     out: dict[str, dict[int, dict[AgeBand, tuple[int, int]]]] = {}
     for lineno, (region, year_s, lo_s, hi_s, persons_s) in _read_rows(path, POPULATION_HEADER):
-        year = _parse_year(year_s, name, lineno)
-        lo = _parse_age(lo_s, "age_lo", name, lineno)
-        hi = _parse_age(hi_s, "age_hi", name, lineno)
+        year = _parse_natural(year_s, "year", name, lineno)
+        lo = _parse_natural(lo_s, "age_lo", name, lineno)
+        hi = _parse_natural(hi_s, "age_hi", name, lineno)
         if lo > hi:
             raise MalformedRow(f"age band [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
         persons = _parse_count(persons_s, "persons", name, lineno)
@@ -296,7 +293,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     faulty row in file order is the one reported. Spells are then sorted by
     start date and must not overlap. Spells that start before the entry date
     are allowed (their pre-entry portion is simply ignored downstream). Each
-    distinct date or hours string is parsed once per call, with cyclic GC paused.
+    distinct date, hours or region string is kept once per call, GC paused.
     """
     # The parse builds a large heap with no reference cycles; on 3.11 the cyclic
     # collector would rescan it again and again as it grows, and free nothing.
@@ -307,6 +304,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
         people: dict[str, tuple[str, date, list[tuple[date, date, float, int]]]] = {}
         dates: dict[str, date] = {}
         hours: dict[str, float] = {}
+        regions: dict[str, str] = {}
         for lineno, (person, region, entry_s, start_s, end_s, hours_s) in _read_rows(records_file, RECORDS_HEADER):
             if not person:
                 raise MalformedRow("empty person_id", file=name, line=lineno)
@@ -315,7 +313,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
                 entry = dates[entry_s] = _parse_date(entry_s, "entry_date", name, lineno)
             info = people.get(person)
             if info is None:
-                info = people[person] = (region, entry, [])
+                info = people[person] = (regions.setdefault(region, region), entry, [])
             elif info[0] != region:
                 raise MalformedRow(
                     f"person {person!r} has conflicting regions ({info[0]!r} vs {region!r})", file=name, line=lineno
@@ -346,7 +344,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
             info[2].append((start, end, per_week, lineno))
         records = []
         for person in sorted(people):
-            region, entry, spells = people[person]
+            region, entry, spells = people.pop(person)  # frees this person's tuples once the record exists
             spells.sort(key=itemgetter(0, 1))  # by (start, end); equal spells keep their file order
             for a, b in zip(spells, spells[1:]):
                 if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap

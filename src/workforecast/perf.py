@@ -8,14 +8,14 @@ changing employer does not break the streak; a single uncovered day does.
 """
 from __future__ import annotations
 
-import calendar
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import lru_cache
 from pathlib import Path
 
 from workforecast.errors import InvalidConfig, MalformedRow
-from workforecast.ingest import ProgrammeRecord, _parse_count, _parse_year, _read_rows, _write_rows
+from workforecast.ingest import ProgrammeRecord, _parse_count, _parse_natural, _read_rows, _write_rows
 
 DEFAULT_MIN_HOURS = 16.0
 DEFAULT_WINDOW_MONTHS = 6
@@ -34,8 +34,10 @@ class PerformanceRow:
     performance: float
 
 
+@lru_cache(maxsize=1 << 14)  # records share a few thousand entry dates; a raise is never cached
 def add_months(day: date, months: int) -> date:
-    """Shift a date by whole calendar months, clamping to the target month's last day."""
+    """Shift a date by whole calendar months, clamping to the target month's last day; cached."""
+    import calendar  # on first use, so the CLI start-up loads neither calendar nor locale
     month_index = day.month - 1 + months
     year = day.year + month_index // 12
     month = month_index % 12 + 1
@@ -121,7 +123,7 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
     name = str(path)
     rows = []
     for lineno, (region, year_s, entrants_s, success_s, printed_s) in _read_rows(path, PERFORMANCE_HEADER):
-        year = _parse_year(year_s, name, lineno)
+        year = _parse_natural(year_s, "year", name, lineno)
         entrants = _parse_count(entrants_s, "n_entrants", name, lineno)
         successes = _parse_count(success_s, "n_success", name, lineno)
         if entrants < 1:

@@ -214,6 +214,21 @@ class TestExitCodes:
         assert result.exit_code == 0
         assert _invoke(_features_args(tmp_path, tmp_path / "features.csv")).exit_code == 0
 
+    def test_unemployed_above_working_age_in_the_first_year_exits_one(self, tmp_path):
+        """The first covered year yields no feature row, but its counts are still checked."""
+        assert _invoke(["synth", "--out", str(tmp_path / "data"), "--seed", "3"]).exit_code == 0
+        unemployment = tmp_path / "data" / "unemployment.csv"
+        lines = unemployment.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1].startswith("R01,2011,")
+        lines[1] = "R01,2011,5000000\n"  # every band of every synth region is smaller
+        unemployment.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "features.csv"
+        result = _invoke(_features_args(tmp_path, out))
+        assert result.exit_code == 1
+        line = _single_error_line(result, "SupplyExceedsOne")
+        assert line.startswith("ERROR SupplyExceedsOne: region 'R01' year 2011: unemployed count (5000000) exceeds")
+        assert not out.exists()
+
     def test_shift_without_shock_year_is_a_usage_error(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli, [

@@ -194,6 +194,19 @@ class TestBuildFeatures:
             expected = series.employment[series.years[-1]] - series.employment[series.years[0]]
             assert total == float(expected)
 
+    def test_the_first_year_yields_no_row_but_its_supply_is_checked(self):
+        series = _flat_series(range(2010, 2013))
+        series.unemployed_6m[2010] = 100_001
+        with pytest.raises(SupplyExceedsOne) as excinfo:
+            build_features({"R1": series}, FeatureConfig(normalize=False))
+        assert excinfo.value.year == 2010
+
+    def test_a_first_year_without_unemployed_needs_no_working_age_population(self):
+        series = _flat_series(range(2010, 2013))
+        series.unemployed_6m[2010] = 0
+        series.population[2010] = {(65, 90): 20_000}
+        assert [row.year for row in build_features({"R1": series}, FeatureConfig())] == [2011, 2012]
+
     def test_input_map_order_does_not_matter(self):
         a = _flat_series(range(2010, 2015), region="A")
         b = _flat_series(range(2010, 2015), region="B")

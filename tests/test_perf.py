@@ -1,3 +1,5 @@
+import calendar
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 
@@ -86,6 +88,18 @@ class TestIsReintegrated:
         with pytest.raises(InvalidConfig, match="6-month window from entry date 9999-07-01"):
             is_reintegrated(_record("9999-07-01", [("9999-07-01", "9999-12-31", 20.0)]))
 
+    def test_the_first_person_past_the_last_date_is_named_whatever_is_cached(self):
+        ok = _record("2015-01-01", [("2015-01-01", "2015-08-01", 20.0)], person="A")
+        first = _record("9999-07-01", [("9999-07-01", "9999-12-31", 20.0)], person="B")
+        second = _record("9999-08-01", [("9999-08-01", "9999-12-31", 20.0)], person="C")
+        for earlier in ([], [ok], [second], [first]):  # warms the cache with nothing, a good date, then bad ones
+            try:
+                aggregate_performance(earlier)
+            except InvalidConfig:
+                pass
+            with pytest.raises(InvalidConfig, match="^person 'B': a 6-month window from entry date 9999-07-01"):
+                aggregate_performance([ok, first, second])
+
     def test_no_spells(self):
         record = _record("2015-01-01", [])
         assert is_reintegrated(record) is False
@@ -138,6 +152,31 @@ class TestAggregatePerformance:
 
     def test_empty_input(self):
         assert aggregate_performance([]) == []
+
+    def test_each_distinct_entry_date_computes_its_window_end_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        records = [random_programme_record(rng, person_id=f"P{i}", region_id=f"R{i % 3}") for i in range(3_000)]
+        entry_dates = {record.entry_date for record in records}
+        calls = Counter()
+        monthrange = calendar.monthrange
+
+        def counting(year, month):
+            calls[year, month] += 1
+            return monthrange(year, month)
+
+        monkeypatch.setattr(calendar, "monthrange", counting)
+        add_months.cache_clear()
+        aggregate_performance(records)
+        assert sum(calls.values()) == len(entry_dates) < len(records)
+
+    def test_the_window_length_is_part_of_the_cached_key(self):
+        rng = np.random.default_rng(11)
+        records = [random_programme_record(rng, person_id=f"P{i}") for i in range(300)]
+        add_months.cache_clear()
+        for months in (6, 3, 6):
+            expected = sum(reintegration_oracle(record, window_months=months) for record in records)
+            rows = aggregate_performance(records, window_months=months)
+            assert sum(row.n_success for row in rows) == expected
 
     @pytest.mark.parametrize("min_hours", [float("nan"), float("inf"), -1.0])
     def test_invalid_min_hours_is_rejected(self, min_hours):

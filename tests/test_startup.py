@@ -30,14 +30,15 @@ def _python(*argv: str) -> str:
 
 
 def test_importing_the_package_and_the_cli_loads_no_numpy():
+    """Nor calendar (and with it locale): only the window rule needs it, on first use."""
     out = _python(
         "-c",
         "import sys, workforecast.jsonio\n"
         "stage_loaded = 'workforecast.evaluate' in sys.modules\n"
         "import workforecast.cli\n"
-        "print('numpy' in sys.modules, stage_loaded)\n",
+        "print('numpy' in sys.modules, stage_loaded, 'calendar' in sys.modules)\n",
     )
-    assert out == "False False"
+    assert out == "False False False"
 
 
 def test_the_cli_module_runs_as_a_script():

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
 
 # The line count of src/workforecast/*.py is a tracked number: a change that
 # deletes code lowers this ceiling to the count it lands at.
-SRC_LINE_CEILING = 2011
+SRC_LINE_CEILING = 2007
 
 
 def _function_tables(table):
