@@ -132,9 +132,9 @@ def _parse_count(text: str, column: str, file: str, line: int) -> int:
 
 
 def _parse_natural(text: str, column: str, file: str, line: int) -> int:
-    """A non-negative integer: the year column, or an age in any other column."""
+    """A non-negative integer: a year in a column ending in 'year', or an age in any other column."""
     if not _INT_RE.match(text) or int(text) < 0:
-        kind = "a calendar year" if column == "year" else "a non-negative integer age"
+        kind = "a calendar year" if column.endswith("year") else "a non-negative integer age"
         raise MalformedRow(f"column {column!r} must be {kind}, got {text!r}", file=file, line=line)
     return int(text)
 

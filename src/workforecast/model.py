@@ -39,9 +39,11 @@ def _householder_triangularize(a: np.ndarray, n_cols: int) -> None:
     """Reduce the leading n_cols columns of a matrix to upper-triangular form in place.
 
     `a` holds the matrix column-major (row k of `a` is column k), so every
-    reflection reads and updates contiguous rows. Column j's diagonal entry is
-    set from the column's norm, as LAPACK's dlarfg does; the entries below it
-    keep their old values and are not part of the result.
+    reflection reads and updates contiguous rows. As LAPACK's dlarfg does,
+    each reflector is scaled to v[0] = 1, so every |v[k]| <= 1 and v.v lies in
+    [1, n] whatever the column's scale, and column j's diagonal entry is set
+    from the column's norm; the entries below it keep their old values and are
+    not part of the result.
     """
     import numpy as np
     for j in range(min(n_cols, a.shape[1])):
@@ -49,14 +51,11 @@ def _householder_triangularize(a: np.ndarray, n_cols: int) -> None:
         norm = float(np.sqrt(np.dot(col, col)))
         if norm == 0.0:
             continue
-        v = col.copy()
-        # sign keeps v away from cancellation
-        v[0] += norm if v[0] >= 0.0 else -norm
-        vtv = float(np.dot(v, v))
-        if vtv == 0.0:
-            continue
+        # sign keeps the pivot col[0] ± norm away from cancellation
+        v = col / (col[0] + (norm if col[0] >= 0.0 else -norm))
+        v[0] = 1.0
         rest = a[j + 1:, j:]
-        rest -= np.multiply.outer((2.0 / vtv) * (rest @ v), v)
+        rest -= np.multiply.outer((2.0 / np.dot(v, v)) * (rest @ v), v)
         a[j, j] = -norm if col[0] >= 0.0 else norm
 
 

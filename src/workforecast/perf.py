@@ -123,7 +123,7 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
     name = str(path)
     rows = []
     for lineno, (region, year_s, entrants_s, success_s, printed_s) in _read_rows(path, PERFORMANCE_HEADER):
-        year = _parse_natural(year_s, "year", name, lineno)
+        year = _parse_natural(year_s, "entry_year", name, lineno)
         entrants = _parse_count(entrants_s, "n_entrants", name, lineno)
         successes = _parse_count(success_s, "n_success", name, lineno)
         if entrants < 1:

@@ -8,19 +8,22 @@ proxies actually derived from the emitted series, the feature pipeline is
 exercised end to end and a fit on the generated data recovers the true
 coefficients exactly when noise is zero.
 
-Randomness comes from PCG64 streams keyed on (seed, region index), so output
-is reproducible bit-for-bit and independent of generation order. An optional
-shock applies persistent level shifts to the underlying employment and
-unemployment series from the shock year onward.
+Randomness comes from standard-library `random.Random` streams, one per
+(seed, region index, stream): the series and the noise each have their own.
+Each is seeded with the string "seed:region:stream", which `random` hashes with
+SHA-512, so output is reproducible bit-for-bit, does not depend on
+PYTHONHASHSEED, and a region's draws do not depend on generation order or on
+how many regions there are. An optional shock applies persistent level shifts
+to the underlying employment and unemployment series from the shock year onward.
 
 Entrant counts are the exact integer ratio of each performance value
 (float.as_integer_ratio), so the rate survives the 6-decimal CSV display
-column bit-exactly via n_success / n_entrants. numpy is imported inside `_rng`,
-the one place that needs it, so that importing the package does not load it.
+column bit-exactly via n_success / n_entrants.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,51 +92,39 @@ def _validate(config: SynthConfig) -> None:
         )
 
 
-def _rng(seed: int, region_index: int, stream: int) -> np.random.Generator:
-    import numpy as np
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(region_index, stream)))
-    )
+def _rng(seed: int, region_index: int, stream: int) -> random.Random:
+    return random.Random(f"{seed}:{region_index}:{stream}")
 
 
 def _region_series(
     region_id: str,
     years: list[int],
-    rng: np.random.Generator,
+    rng: random.Random,
     shock: Shock | None,
 ) -> RegionalSeries:
     n = len(years)
-    working_age0 = int(rng.integers(600_000, 1_400_000))
-    young0 = int(round(working_age0 * float(rng.uniform(0.15, 0.25))))
-    old0 = int(round(working_age0 * float(rng.uniform(0.18, 0.28))))
-    band_growth = rng.uniform(-0.003, 0.006, size=(n - 1, 3))
-    employment_rate0 = float(rng.uniform(0.55, 0.70))
-    employment_steps = rng.uniform(-0.02, 0.025, size=n - 1)
-    unemployed_rate0 = float(rng.uniform(0.03, 0.08))
-    unemployed_steps = rng.uniform(-0.008, 0.008, size=n - 1)
-
-    young = [young0]
+    working_age0 = rng.randrange(600_000, 1_400_000)
+    young = [round(working_age0 * rng.uniform(0.15, 0.25))]
     working_age = [working_age0]
-    old = [old0]
-    for i in range(n - 1):
-        young.append(max(1, young[-1] + int(round(young[-1] * float(band_growth[i, 0])))))
-        working_age.append(max(1, working_age[-1] + int(round(working_age[-1] * float(band_growth[i, 1])))))
-        old.append(max(1, old[-1] + int(round(old[-1] * float(band_growth[i, 2])))))
+    old = [round(working_age0 * rng.uniform(0.18, 0.28))]
+    for _ in range(n - 1):
+        for band in (young, working_age, old):
+            band.append(max(1, band[-1] + round(band[-1] * rng.uniform(-0.003, 0.006))))
 
-    employment = [int(round(employment_rate0 * working_age[0]))]
-    for i in range(n - 1):
-        employment.append(max(0, employment[-1] + int(round(float(employment_steps[i]) * working_age[i + 1]))))
+    employment = [round(rng.uniform(0.55, 0.70) * working_age[0])]
+    for i in range(1, n):
+        employment.append(max(0, employment[-1] + round(rng.uniform(-0.02, 0.025) * working_age[i])))
 
-    unemployed_rate = [unemployed_rate0]
-    for i in range(n - 1):
-        unemployed_rate.append(min(0.12, max(0.01, unemployed_rate[-1] + float(unemployed_steps[i]))))
-    unemployed = [int(round(unemployed_rate[i] * working_age[i])) for i in range(n)]
+    unemployed_rate = [rng.uniform(0.03, 0.08)]
+    for _ in range(n - 1):
+        unemployed_rate.append(min(0.12, max(0.01, unemployed_rate[-1] + rng.uniform(-0.008, 0.008))))
+    unemployed = [round(unemployed_rate[i] * working_age[i]) for i in range(n)]
 
     if shock is not None:
         for i, year in enumerate(years):
             if year >= shock.year:
-                employment[i] = max(0, employment[i] + int(round(shock.demand_shift * working_age[i])))
-                shifted = unemployed[i] + int(round(shock.supply_shift * working_age[i]))
+                employment[i] = max(0, employment[i] + round(shock.demand_shift * working_age[i]))
+                shifted = unemployed[i] + round(shock.supply_shift * working_age[i])
                 unemployed[i] = min(working_age[i], max(0, shifted))
 
     return RegionalSeries(
@@ -170,7 +161,7 @@ def generate(config: SynthConfig) -> SynthResult:
                 + config.true_coef_supply * row.supply
             )
             if config.noise_sd > 0:
-                raw += float(noise_rng.normal(0.0, config.noise_sd))
+                raw += noise_rng.gauss(0.0, config.noise_sd)
             value = min(1.0, max(0.0, raw))
             if value != raw:
                 n_clipped += 1

@@ -447,6 +447,7 @@ _STATS = (("--employment", "employment.csv"), ("--unemployment", "unemployment.c
 
 # Every option of these commands names a file; outputs are the names that start with "out_".
 QUICKSTART_OPTIONS = {
+    "synth": (("--out", "out_synth"),),
     "validate": (*_STATS, ("--records", "records.csv")),
     "features": (*_STATS, ("--out", "out_features.csv")),
     "performance": (("--records", "records.csv"), ("--out", "out_performance.csv")),

@@ -161,6 +161,42 @@ class TestFit:
         assert excinfo.value.condition_estimate == float("inf")
 
 
+def _outcome(x, y):
+    try:
+        model = fit(x, y, CONFIG)
+    except RankDeficientDesign as error:
+        return error.columns, error.condition_estimate
+    return model.intercept, model.coef_demand, model.coef_supply
+
+
+class TestScaleInvariance:
+    """Scaling x and y by a power of two is exact, so it must not change what `fit` reports.
+
+    A column norm in [6.7e153, 1.3e154] is finite, but the squared norm of an
+    unscaled Householder vector overflows there, which used to skip that
+    reflection silently.
+    """
+
+    SCALE = 2.0**-200
+
+    def test_column_norm_near_the_overflow_edge(self):
+        demand = [5e153, -5e153, 5e153, -5e153, 1.0, 2.0]
+        x = np.column_stack([np.ones(6), demand, [0.3, 0.1, 0.4, 0.1, 0.5, 0.9]])
+        y = np.array([0.1, 0.25, 0.3, 0.45, 0.5, 0.6])
+        assert _outcome(x, y) == _outcome(x * self.SCALE, y * self.SCALE)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        demand = rng.normal(size=n)
+        if seed % 2:  # a demand column whose norm lies just below the square root of the largest float
+            demand *= 2.0 ** rng.uniform(505.0, 511.9) / np.linalg.norm(demand)
+        x = np.column_stack([np.ones(n), demand, rng.normal(size=n)])
+        y = rng.normal(size=n)
+        assert _outcome(x, y) == _outcome(x * self.SCALE, y * self.SCALE)
+
+
 class TestDesign:
     def test_columns_are_intercept_demand_supply(self):
         pairs = _pairs_from_law(BASE_VALUES[:3], 0.5, 2.0, -3.0)

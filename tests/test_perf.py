@@ -263,6 +263,13 @@ class TestPerformanceCsv:
         with pytest.raises(Exception, match="disagrees"):
             read_performance_csv(path)
 
+    def test_bad_entry_year_names_its_column(self, tmp_path):
+        path = tmp_path / "performance.csv"
+        path.write_text("region,entry_year,n_entrants,n_success,performance\nR1,x,1,1,1.000000\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as info:
+            read_performance_csv(path)
+        assert str(info.value) == f"{path}:2: column 'entry_year' must be a calendar year, got 'x'"
+
     @pytest.mark.parametrize("value", ["nan", "NaN"])
     def test_nan_rate_column_rejected(self, tmp_path, value):
         """nan compares false with everything, so `abs(nan - rate) > tol` alone would let it through."""

@@ -1,5 +1,5 @@
-"""Start-up: importing one module loads no other stage, and commands that do
-no arithmetic run without loading numpy.
+"""Start-up: importing one module loads no other stage, and every command but
+`fit` and `evaluate`, the two that run least squares, runs without loading numpy.
 
 The test process has numpy loaded already, so every check runs in a fresh
 interpreter with PYTHONPATH pointing at the source tree.
@@ -46,8 +46,9 @@ def test_the_cli_module_runs_as_a_script():
     assert _python("-m", "workforecast.cli", "--version").endswith(", version 0.1.0")
 
 
-@pytest.mark.parametrize("command", ["validate", "features", "performance", "figures"])
+@pytest.mark.parametrize("command", ["synth", "validate", "features", "performance", "figures"])
 def test_commands_without_arithmetic_never_load_numpy(quickstart, command):
+    """Without least-squares arithmetic, that is: `synth` draws from the standard library's `random`."""
     assert _python("-c", RUN_COMMAND, *quickstart_args(command, quickstart)) == "False"
 
 

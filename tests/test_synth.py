@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,31 @@ class TestWriteOutputs:
         paths_b = write_outputs(generate(config), config, tmp_path / "b")
         for key in paths_a:
             assert paths_a[key].read_bytes() == paths_b[key].read_bytes()
+
+
+class TestGeneratorStreams:
+    """Each region draws from streams keyed on (seed, region index, stream) alone."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_first_regions_do_not_depend_on_the_region_count(self, seed):
+        shock = Shock(year=2015, demand_shift=-0.05)
+        small = generate(SynthConfig(n_regions=3, seed=seed, noise_sd=0.02, shock=shock))
+        large = generate(SynthConfig(n_regions=7, seed=seed, noise_sd=0.02, shock=shock))
+        assert small.series_by_region == {k: large.series_by_region[k] for k in small.series_by_region}
+        assert small.performance == [row for row in large.performance if row.region_id in small.series_by_region]
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        args = ["synth", "--out", "out", "--seed", "11", "--regions", "3", "--noise-sd", "0.02"]
+        outputs = []
+        for hash_seed in ("1", "2", "random"):
+            cwd = tmp_path / hash_seed
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed, "WF_NO_COLOR": "1"}
+            subprocess.run([sys.executable, "-m", "workforecast.cli", *args], cwd=cwd, env=env, check=True, timeout=120)
+            outputs.append({path.name: path.read_bytes() for path in sorted((cwd / "out").iterdir())})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestLoocvOnSynthData:
