@@ -19,7 +19,7 @@ from workforecast.errors import (
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
-from workforecast.ingest import RegionalSeries, _parse_natural, _read_rows, _write_rows
+from workforecast.ingest import RegionalSeries, _claim_entry, _parse_natural, _read_rows, _write_rows
 
 DEFAULT_WORKING_AGE = (16, 64)
 
@@ -163,7 +163,7 @@ def _parse_config(stamp: list[str], name: str, lineno: int) -> FeatureConfig:
     normalized_s, lag_s, lo_s, hi_s = stamp
     if normalized_s not in ("0", "1"):
         raise MalformedRow(f"column 'normalized' must be 0 or 1, got {normalized_s!r}", file=name, line=lineno)
-    if not lag_s.isdecimal():
+    if not (lag_s.isascii() and lag_s.isdecimal()):
         raise MalformedRow(f"column 'lag' must be a non-negative integer, got {lag_s!r}", file=name, line=lineno)
     lo = _parse_natural(lo_s, "age_lo", name, lineno)
     hi = _parse_natural(hi_s, "age_hi", name, lineno)
@@ -180,6 +180,7 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
     """
     name = str(path)
     rows = []
+    seen: set[tuple[str, int]] = set()
     config = first_stamp = first_line = None
     for lineno, (region, year_s, demand_s, supply_s, *stamp) in _read_rows(path, FEATURES_HEADER):
         year = _parse_natural(year_s, "year", name, lineno)
@@ -201,6 +202,7 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
             raise MalformedRow(
                 f"demand and supply must be finite numbers, got {demand_s!r} and {supply_s!r}", file=name, line=lineno
             )
+        _claim_entry(seen, region, year, name, lineno)
         rows.append(FeatureRow(region_id=region, year=year, demand=demand, supply=supply))
     if config is None:
         raise MalformedRow("no data rows, so no feature configuration", file=name)

@@ -48,7 +48,7 @@ RECORDS_HEADER = ("person_id", "region", "entry_date", "spell_start", "spell_end
 
 AgeBand = tuple[int, int]
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -162,18 +162,24 @@ def _parse_hours(text: str, file: str, line: int) -> float:
 # statistical files
 # ---------------------------------------------------------------------------
 
+def _claim_entry(seen: set[tuple[str, int]], region: str, year: int, file: str, line: int) -> None:
+    """Add (region, year) to `seen`; a second row for the same pair is a `MalformedRow`."""
+    if (region, year) in seen:
+        raise MalformedRow(f"duplicate entry for region {region!r}, year {year}", file=file, line=line)
+    seen.add((region, year))
+
+
 def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str, dict[int, int]]:
     """Collect region -> year -> count for employment.csv / unemployment.csv."""
     name = str(path)
     column = header[2]
     out: dict[str, dict[int, int]] = {}
+    seen: set[tuple[str, int]] = set()
     for lineno, (region, year_s, count_s) in _read_rows(path, header):
         year = _parse_natural(year_s, "year", name, lineno)
         count = _parse_count(count_s, column, name, lineno)
-        cells = out.setdefault(region, {})
-        if year in cells:
-            raise MalformedRow(f"duplicate entry for region {region!r}, year {year}", file=name, line=lineno)
-        cells[year] = count
+        _claim_entry(seen, region, year, name, lineno)
+        out.setdefault(region, {})[year] = count
     return out
 
 

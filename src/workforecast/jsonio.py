@@ -1,11 +1,13 @@
 """The one JSON codec: model.json, report.json and truth.json all go through here.
 
-`encode` writes a dataclass field by field in declaration order; a field's
-``metadata={"json": key}`` renames its key. Writing and reading back are both
-driven by the dataclass's type hints, resolved once per class into an
-(encoder, decoder) pair: ``init=False`` fields are written but never read,
-and a field with a default may be missing. Outputs never contain
-NaN or infinity; a file that cannot be read back raises `MalformedJson`.
+Encoding is `json.dumps`'s own: dicts, lists, tuples (as lists), strings,
+numbers and None are written by json's recursion, and its `default` hook
+turns a dataclass into a dict of its fields in declaration order; a field's
+``metadata={"json": key}`` renames its key. Reading back is driven by the
+dataclass's type hints, compiled once per type into a decoder: ``init=False``
+fields are written but never read, and a field with a default may be
+missing. Outputs never contain NaN or infinity; a file that cannot be read
+back raises `MalformedJson`.
 """
 from __future__ import annotations
 
@@ -23,24 +25,13 @@ from workforecast.errors import MalformedJson
 T = TypeVar("T")
 
 
-def encode(value: Any) -> Any:
-    """Dataclasses to dicts, tuples to lists, recursively; other values unchanged."""
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, dict):
-        return {key: encode(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode(item) for item in value]
-    return _codec(type(value))[0](value)
-
-
 def save(path: str | Path, value: Any, run_config: dict | None = None) -> None:
     """Write `value` plus an optional `run_config` stamp; nothing is written on NaN or inf."""
-    payload = encode(value)
+    payload = value
     if run_config is not None:
-        payload["run_config"] = encode(run_config)
+        payload = {**(value if isinstance(value, dict) else _fields(value)), "run_config": run_config}
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
+        text = json.dumps(payload, indent=2, allow_nan=False, default=_fields)
     except ValueError as err:
         raise MalformedJson(f"cannot write a non-finite number as JSON ({err})", file=str(path)) from None
     with open(path, "w", encoding="utf-8") as fh:
@@ -52,10 +43,17 @@ def load(path: str | Path, cls: type[T]) -> T:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return _codec(cls)[1](payload)
+        return _codec(cls)(payload)
     except (ValueError, KeyError, TypeError) as err:
         reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
         raise MalformedJson(f"not a valid {cls.__name__} file: {reason}", file=str(path)) from None
+
+
+def _fields(value: Any) -> dict:
+    """A dataclass instance as a dict of its fields; json.dumps calls this for any value it cannot write."""
+    if not dataclasses.is_dataclass(type(value)):
+        raise NotImplementedError(f"no JSON codec for {type(value)!r}")
+    return {field.metadata.get("json", field.name): getattr(value, field.name) for field in dataclasses.fields(value)}
 
 
 def _expect(value: Any, *kinds: type) -> Any:
@@ -72,50 +70,39 @@ def _number(value: Any) -> float:
 
 
 @functools.cache
-def _codec(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[[Any], Any]]:
-    """Build, once per type, its (encoder, decoder) between values and parsed JSON.
-
-    An encoder of None means values of the type are written as they are.
-    """
+def _codec(hint: Any) -> Callable[[Any], Any]:
+    """Build, once per type, the decoder from parsed JSON to a value of that type."""
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        specs = tuple((field, field.metadata.get("json", field.name), *_codec(hints[field.name]))
-                      for field in dataclasses.fields(hint))
-        reads = tuple((field.name, key, decode,
+        reads = tuple((field.name, field.metadata.get("json", field.name), _codec(hints[field.name]),
                        field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING)
-                      for field, key, _, decode in specs if field.init)
-
-        def encode_dataclass(value: Any) -> dict:
-            return {key: getattr(value, field.name) if to_json is None else to_json(getattr(value, field.name))
-                    for field, key, to_json, _ in specs}
+                      for field in dataclasses.fields(hint) if field.init)
 
         def decode_dataclass(value: Any) -> Any:
             _expect(value, dict)
             return hint(**{name: decode(value[key]) for name, key, decode, required in reads
                            if required or key in value})
 
-        return encode_dataclass, decode_dataclass
+        return decode_dataclass
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [arg for arg in args if arg is not type(None)]
-        encode_inner, decode_inner = _codec(inner)
-        return (encode_inner and (lambda value: None if value is None else encode_inner(value)),
-                lambda value: None if value is None else decode_inner(value))
+        decode_inner = _codec(inner)
+        return lambda value: None if value is None else decode_inner(value)
     if origin is tuple and args[-1] is Ellipsis:
-        encode_item, decode_item = _codec(args[0])
-        return (list if encode_item is None else lambda value: [encode_item(item) for item in value],
-                lambda value: tuple(decode_item(item) for item in _expect(value, list)))
+        decode_item = _codec(args[0])
+        return lambda value: tuple(decode_item(item) for item in _expect(value, list))
     if origin is tuple:
-        codecs = tuple(_codec(arg) for arg in args)
+        decoders = tuple(_codec(arg) for arg in args)
 
         def decode_fixed(value: Any) -> tuple:
-            if len(_expect(value, list)) != len(codecs):
-                raise ValueError(f"expected {len(codecs)} items, got {value!r:.60}")
-            return tuple(decode(item) for (_, decode), item in zip(codecs, value))
+            if len(_expect(value, list)) != len(decoders):
+                raise ValueError(f"expected {len(decoders)} items, got {value!r:.60}")
+            return tuple(decode(item) for decode, item in zip(decoders, value))
 
-        return list if all(codec[0] is None for codec in codecs) else encode, decode_fixed
+        return decode_fixed
     if hint is float:
-        return None, _number
+        return _number
     if hint in (int, bool, str):
-        return None, lambda value: _expect(value, hint)
+        return lambda value: _expect(value, hint)
     raise NotImplementedError(f"no JSON codec for {hint!r}")

@@ -108,8 +108,8 @@ def fit(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
     for i in (2, 1, 0):
         beta[i] = (work[3, i] - float(np.dot(work[i + 1:3, i], beta[i + 1:]))) / work[i, i]
 
-    residuals = y - x @ beta
-    rss = float(residuals @ residuals)
+    tail = work[3, 3:]  # the part of Q^T y that no combination of the columns reaches
+    rss = float(tail @ tail)
     centered = y - y.mean()
     tss = float(centered @ centered)
     r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0

@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from workforecast.errors import InvalidConfig, MalformedRow
-from workforecast.ingest import ProgrammeRecord, _parse_count, _parse_natural, _read_rows, _write_rows
+from workforecast.ingest import ProgrammeRecord, _claim_entry, _parse_count, _parse_natural, _read_rows, _write_rows
 
 DEFAULT_MIN_HOURS = 16.0
 DEFAULT_WINDOW_MONTHS = 6
@@ -122,6 +122,7 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
     """
     name = str(path)
     rows = []
+    seen: set[tuple[str, int]] = set()
     for lineno, (region, year_s, entrants_s, success_s, printed_s) in _read_rows(path, PERFORMANCE_HEADER):
         year = _parse_natural(year_s, "entry_year", name, lineno)
         entrants = _parse_count(entrants_s, "n_entrants", name, lineno)
@@ -143,6 +144,7 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
                 file=name,
                 line=lineno,
             )
+        _claim_entry(seen, region, year, name, lineno)
         rows.append(
             PerformanceRow(
                 region_id=region,

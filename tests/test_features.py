@@ -257,6 +257,7 @@ class TestFeaturesCsv:
     @pytest.mark.parametrize("stamp, column", [
         ("2,0,16,64", "'normalized'"), ("1,-1,16,64", "'lag'"), ("1,x,16,64", "'lag'"),
         ("1,0,a,64", "'age_lo'"), ("1,0,16,", "'age_hi'"), ("1,0,65,64", "age_lo > age_hi"),
+        ("1,\u0661,16,64", "'lag'"),  # Arabic-Indic 1: str.isdecimal alone takes any Unicode digit
     ])
     def test_malformed_config_is_rejected_with_its_line(self, tmp_path, stamp, column):
         path = tmp_path / "features.csv"
@@ -280,6 +281,18 @@ class TestFeaturesCsv:
         with pytest.raises(MalformedRow, match="features.csv:1: expected header "
                                                "region,year,demand,supply,normalized,lag,age_lo,age_hi, got"):
             read_features_csv(path)
+
+    @pytest.mark.parametrize("year", ["2012", "+2012"])
+    def test_repeated_region_year_is_rejected(self, tmp_path, year):
+        path = tmp_path / "features.csv"
+        path.write_text(
+            "region,year,demand,supply,normalized,lag,age_lo,age_hi\n"
+            f"R1,2012,0.01,0.05,1,0,16,64\nR1,2013,0.02,0.05,1,0,16,64\nR1,{year},0.03,0.05,1,0,16,64\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as info:
+            read_features_csv(path)
+        assert str(info.value) == f"{path}:4: duplicate entry for region 'R1', year 2012"
 
     @pytest.mark.parametrize("demand, supply", [("nan", "0.05"), ("0.01", "inf"), ("-Infinity", "0.05")])
     def test_non_finite_values_are_rejected_with_their_line(self, tmp_path, demand, supply):

@@ -112,6 +112,26 @@ class TestParseRegionalSeries:
         with pytest.raises(MalformedRow, match="duplicate"):
             parse_regional_series(*_stat_files(tmp_path, employment, unemployment, population))
 
+    @pytest.mark.parametrize("file, column, row", [
+        ("employment.csv", "year", "R1,{},100"),
+        ("employment.csv", "employed", "R1,2001,{}"),
+        ("population.csv", "age_lo", "R1,2001,{},64,90"),
+    ], ids=["year", "count", "age"])
+    def test_non_ascii_digits_are_rejected(self, tmp_path, file, column, row):
+        """int() and the regex \\d read any Unicode digit: Arabic-Indic 2001 would pass as a year."""
+        text = "\u0662\u0660\u0660\u0661"
+        texts = {
+            "employment.csv": "region,year,employed\nR1,2000,100\n",
+            "unemployment.csv": "region,year,unemployed_6m\nR1,2000,5\nR1,2001,5\n",
+            "population.csv": "region,year,age_lo,age_hi,persons\nR1,2000,16,64,90\n",
+        }
+        texts[file] += row.format(text) + "\n"
+        with pytest.raises(MalformedRow) as excinfo:
+            parse_regional_series(*_stat_files(tmp_path, *texts.values()))
+        assert excinfo.value.line == 3
+        assert str(excinfo.value).startswith(f"{tmp_path / file}:3: column {column!r} must be ")
+        assert str(excinfo.value).endswith(f", got {text!r}")
+
     def test_overlapping_age_bands(self, tmp_path):
         employment = "region,year,employed\nR1,2000,100\n"
         unemployment = "region,year,unemployed_6m\nR1,2000,5\n"

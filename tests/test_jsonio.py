@@ -34,13 +34,18 @@ def _report(**overrides):
     return EvalReport(**fields)
 
 
+def _saved(path, value, run_config=None):
+    jsonio.save(path, value, run_config)
+    return path.read_text(encoding="utf-8")
+
+
 class TestEncode:
-    def test_fields_in_declaration_order_with_renamed_keys(self):
-        payload = jsonio.encode(_report())
+    def test_fields_in_declaration_order_with_renamed_keys(self, tmp_path):
+        payload = json.loads(_saved(tmp_path / "report.json", _report(), {"subcommand": "evaluate"}))
         assert list(payload) == [
             "benchmark_mode", "scope", "feature_config", "std_definition", "folds",
             "mae_model_pct", "mae_benchmark_pct", "std_model_pct", "std_benchmark_pct",
-            "relative_inaccuracy_pct",
+            "relative_inaccuracy_pct", "run_config",
         ]
         assert payload["std_definition"] == STD_DEFINITION
         assert list(payload["folds"][0])[0] == "region"
@@ -65,8 +70,15 @@ def _encode_per_value(value):
     }
 
 
-class TestCompiledEncoder:
-    def test_large_report_matches_the_per_value_encoder(self):
+def _reference_text(value, run_config=None):
+    payload = _encode_per_value(value)
+    if run_config is not None:
+        payload["run_config"] = _encode_per_value(run_config)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestSavedText:
+    def test_large_report_matches_the_per_value_encoder(self, tmp_path):
         rng = random.Random(7)
         folds = tuple(
             FoldResult(f"R{i % 80:02d}", 2001 + i // 80, rng.random(), rng.random(),
@@ -75,17 +87,21 @@ class TestCompiledEncoder:
         )
         report = _report(folds=folds, std_benchmark_pct=3.5)
         run_config = {"subcommand": "evaluate", "feature_config": report.feature_config, "per_region": False}
-        for value in (report, run_config):
-            assert json.dumps(jsonio.encode(value), indent=2) == json.dumps(_encode_per_value(value), indent=2)
+        assert _saved(tmp_path / "report.json", report, run_config) == _reference_text(report, run_config)
 
     @pytest.mark.parametrize("shock", [None, Shock(year=2015, demand_shift=-0.05)])
-    def test_nested_and_optional_dataclasses_match(self, shock):
+    def test_nested_and_optional_dataclasses_match(self, tmp_path, shock):
         value = {"config": SynthConfig(n_regions=3, shock=shock), "regions": ["R1", "R2"], "n_clipped": 0}
-        assert json.dumps(jsonio.encode(value)) == json.dumps(_encode_per_value(value))
+        run_config = {"subcommand": "synth", "years": (2009, 2018), "shock_year": shock and shock.year}
+        assert _saved(tmp_path / "truth.json", value) == _reference_text(value)
+        assert _saved(tmp_path / "stamped.json", value, run_config) == _reference_text(value, run_config)
+        assert "run_config" not in value
 
-    def test_non_dataclass_object_is_refused(self):
+    def test_non_dataclass_object_is_refused(self, tmp_path):
+        path = tmp_path / "truth.json"
         with pytest.raises(NotImplementedError, match="no JSON codec for <class .set.>"):
-            jsonio.encode({"regions": {"R1"}})
+            jsonio.save(path, {"regions": {"R1"}})
+        assert not path.exists()
 
 
 class TestRoundTrip:

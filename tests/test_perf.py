@@ -270,6 +270,18 @@ class TestPerformanceCsv:
             read_performance_csv(path)
         assert str(info.value) == f"{path}:2: column 'entry_year' must be a calendar year, got 'x'"
 
+    @pytest.mark.parametrize("year", ["2012", "+2012"])
+    def test_repeated_region_year_is_rejected(self, tmp_path, year):
+        path = tmp_path / "performance.csv"
+        path.write_text(
+            "region,entry_year,n_entrants,n_success,performance\n"
+            f"R1,2012,4,1,0.250000\nR2,2012,2,1,0.500000\nR1,{year},1,0,0.000000\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow) as info:
+            read_performance_csv(path)
+        assert str(info.value) == f"{path}:4: duplicate entry for region 'R1', year 2012"
+
     @pytest.mark.parametrize("value", ["nan", "NaN"])
     def test_nan_rate_column_rejected(self, tmp_path, value):
         """nan compares false with everything, so `abs(nan - rate) > tol` alone would let it through."""
