@@ -10,9 +10,9 @@ performances from strictly earlier years across all regions
 ("prior-years-mean"); folds with no earlier year have no benchmark prediction
 and are excluded from the benchmark metrics. Both means are a `math.fsum`
 total divided by the count, the same float `statistics.fmean` returns. The
-trainfold total is `fsum` of the exact partial sums of all targets, built
-once, plus the negated held-out target, so each fold costs O(1); the
-prior-years mean is computed once per distinct year.
+trainfold total is `fsum` of a few floats that sum exactly to all targets,
+each the rounded remainder of those before, plus the negated held-out target,
+so each fold costs O(1); the prior-years mean is computed once per year.
 
 Errors are summarized as mean absolute error and the sample (n-1) standard
 deviation of the absolute errors, both in percentage points. The relative
@@ -128,24 +128,6 @@ def metrics(
     return mae_model, mae_benchmark, std_model, std_benchmark, relative_inaccuracy(mae_model, mae_benchmark)
 
 
-def _exact_partials(values: list[float]) -> list[float]:
-    """Non-overlapping floats whose exact sum is the exact sum of `values` (Shewchuk's msum)."""
-    partials: list[float] = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    return partials
-
-
 def _prior_years_means(data: list[tuple[FeatureRow, float]]) -> dict[int, float | None]:
     """Mean performance of strictly earlier years, per distinct year; None when there are none."""
     means: dict[int, float | None] = {}
@@ -186,7 +168,9 @@ def loocv(
         raise TooFewObservations(f"leave-one-out needs at least 4 data points, got {n}")
     data = sorted(dataset, key=lambda pair: (pair[0].region_id, pair[0].year))
     x, y = design(data)
-    total = _exact_partials([target for _, target in data])
+    total: list[float] = []  # each pass appends the rounded remainder, so the list sums exactly to the targets
+    while rest := math.fsum([*(target for _, target in data), *(-p for p in total)]):
+        total.append(rest)
     prior_means = _prior_years_means(data) if benchmark_mode == "prior-years-mean" else {}
 
     folds = []

@@ -8,7 +8,6 @@ interval contribute pro-rata by the share of their integer ages inside it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from workforecast.errors import (
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
-from workforecast.ingest import RegionalSeries, _claim_entry, _parse_natural, _read_rows, _write_rows
+from workforecast.ingest import RegionalSeries, _claim_entry, _parse_natural, _parse_number, _read_rows, _write_rows
 
 DEFAULT_WORKING_AGE = (16, 64)
 
@@ -193,15 +192,8 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
                 file=name,
                 line=lineno,
             )
-        try:
-            demand = float(demand_s)
-            supply = float(supply_s)
-        except ValueError:
-            demand = supply = math.nan
-        if not (math.isfinite(demand) and math.isfinite(supply)):
-            raise MalformedRow(
-                f"demand and supply must be finite numbers, got {demand_s!r} and {supply_s!r}", file=name, line=lineno
-            )
+        demand = _parse_number(demand_s, "demand", name, lineno)
+        supply = _parse_number(supply_s, "supply", name, lineno)
         _claim_entry(seen, region, year, name, lineno)
         rows.append(FeatureRow(region_id=region, year=year, demand=demand, supply=supply))
     if config is None:

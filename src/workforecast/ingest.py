@@ -8,11 +8,13 @@ All four inputs are UTF-8 CSV with a mandatory header row, comma separator,
     population.csv    region,year,age_lo,age_hi,persons     (band inclusive)
     records.csv       person_id,region,entry_date,spell_start,spell_end,hours_per_week
 
-Counts are head-counts and must be non-negative integers; fractional values
-are rejected. For each region the three statistical files are restricted to
-the intersection of the years they cover, and that intersection must be
-consecutive: gaps are rejected rather than interpolated, because the demand
-proxy differences adjacent years.
+Each kind of cell has one parser, taking ASCII digits only: `_parse_count`,
+`_parse_natural`, `_parse_date` and `_parse_number` (every float column of
+every CSV). Counts must be non-negative integers, and statistical counts at
+most 2**53, so that each is a float exactly. For each region the three
+statistical files are restricted to the intersection of the years they cover,
+and that intersection must be consecutive: gaps are rejected rather than
+interpolated, because the demand proxy differences adjacent years.
 
 Rows are streamed and checked as they are read, so of several faulty rows the
 first in file order is reported, be it a wrong column count or a bad field.
@@ -50,6 +52,7 @@ AgeBand = tuple[int, int]
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass
@@ -122,12 +125,15 @@ def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[list],
         writer.writerows(rows)
 
 
-def _parse_count(text: str, column: str, file: str, line: int) -> int:
+def _parse_count(text: str, column: str, file: str, line: int, bounded: bool = True) -> int:
+    """A non-negative integer; when `bounded`, at most 2**53, up to which every integer is exactly a float."""
     if not _INT_RE.match(text):
         raise MalformedRow(f"column {column!r} must be an integer head-count, got {text!r}", file=file, line=line)
     value = int(text)
     if value < 0:
         raise NegativeCount(f"column {column!r} is negative ({value})", file=file, line=line)
+    if bounded and value > 2**53:
+        raise MalformedRow(f"column {column!r} must be at most 2**53, got {text!r}", file=file, line=line)
     return value
 
 
@@ -148,13 +154,12 @@ def _parse_date(text: str, column: str, file: str, line: int) -> date:
     raise MalformedRow(f"column {column!r} must be an ISO date (YYYY-MM-DD), got {text!r}", file=file, line=line)
 
 
-def _parse_hours(text: str, file: str, line: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value < 0:
-        raise MalformedRow(f"column 'hours_per_week' must be a non-negative number, got {text!r}", file=file, line=line)
+def _parse_number(text: str, column: str, file: str, line: int, non_negative: bool = False) -> float:
+    """A finite number in ASCII: optional sign, digits with an optional point (or a point then digits), exponent."""
+    value = float(text) if _NUMBER_RE.fullmatch(text) else math.inf  # float() also takes '٢', '1_0' and 'nan'
+    if not math.isfinite(value) or (non_negative and value < 0):
+        kind = "a non-negative number" if non_negative else "a finite number"
+        raise MalformedRow(f"column {column!r} must be {kind}, got {text!r}", file=file, line=line)
     return value
 
 
@@ -346,7 +351,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
                 )
             per_week = hours.get(hours_s)
             if per_week is None:
-                per_week = hours[hours_s] = _parse_hours(hours_s, name, lineno)
+                per_week = hours[hours_s] = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
             info[2].append((start, end, per_week, lineno))
         records = []
         for person in sorted(people):

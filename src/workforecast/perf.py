@@ -15,7 +15,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from workforecast.errors import InvalidConfig, MalformedRow
-from workforecast.ingest import ProgrammeRecord, _claim_entry, _parse_count, _parse_natural, _read_rows, _write_rows
+from workforecast.ingest import (ProgrammeRecord, _claim_entry, _parse_count, _parse_natural, _parse_number,
+                                 _read_rows, _write_rows)
 
 DEFAULT_MIN_HOURS = 16.0
 DEFAULT_WINDOW_MONTHS = 6
@@ -125,34 +126,22 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
     seen: set[tuple[str, int]] = set()
     for lineno, (region, year_s, entrants_s, success_s, printed_s) in _read_rows(path, PERFORMANCE_HEADER):
         year = _parse_natural(year_s, "entry_year", name, lineno)
-        entrants = _parse_count(entrants_s, "n_entrants", name, lineno)
-        successes = _parse_count(success_s, "n_success", name, lineno)
+        # Unbounded: synth writes exact ratios whose denominators pass 2**53.
+        entrants = _parse_count(entrants_s, "n_entrants", name, lineno, bounded=False)
+        successes = _parse_count(success_s, "n_success", name, lineno, bounded=False)
         if entrants < 1:
             raise MalformedRow("n_entrants must be positive", file=name, line=lineno)
         if successes > entrants:
             raise MalformedRow(f"n_success ({successes}) exceeds n_entrants ({entrants})", file=name, line=lineno)
         performance = successes / entrants
-        try:
-            printed = float(printed_s)
-        except ValueError:
-            raise MalformedRow(
-                f"column 'performance' must be a number, got {printed_s!r}", file=name, line=lineno
-            ) from None
-        if not abs(printed - performance) <= 1e-6:  # also rejects nan
+        printed = _parse_number(printed_s, "performance", name, lineno)
+        if abs(printed - performance) > 1e-6:
             raise MalformedRow(
                 f"performance column ({printed_s}) disagrees with n_success/n_entrants ({performance:.6f})",
                 file=name,
                 line=lineno,
             )
         _claim_entry(seen, region, year, name, lineno)
-        rows.append(
-            PerformanceRow(
-                region_id=region,
-                entry_year=year,
-                n_entrants=entrants,
-                n_success=successes,
-                performance=performance,
-            )
-        )
+        rows.append(PerformanceRow(region, year, entrants, successes, performance))
     rows.sort(key=lambda r: (r.region_id, r.entry_year))
     return rows

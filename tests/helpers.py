@@ -30,7 +30,7 @@ from workforecast.errors import (
 )
 from workforecast.evaluate import EvalReport, FoldResult, metrics
 from workforecast.features import FeatureConfig, FeatureRow
-from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, RegionalSeries, Spell, _parse_date, _parse_hours
+from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, RegionalSeries, Spell, _parse_date, _parse_number
 from workforecast.model import ModelFit, design, fit, predict
 from workforecast.report import BaselinedSeries
 
@@ -350,7 +350,7 @@ def parse_records_oracle(records_file: str | Path) -> list[ProgrammeRecord]:
             raise MalformedRow(
                 f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
             )
-        hours = _parse_hours(hours_s, name, lineno)
+        hours = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
         info["spells"].append((start, end, hours, lineno))
 
     records = []

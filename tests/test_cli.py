@@ -476,6 +476,41 @@ class TestMalformedInputs:
         assert not (tmp_path / "performance.csv").exists()
 
 
+class TestOversizedCounts:
+    """A 400-digit head-count used to end in `OverflowError: int too large to convert to float`."""
+
+    @staticmethod
+    def _oversize(path: Path, band_lo: str | None = None) -> int:
+        """Make the count of the first data row (in a band from `band_lo`, if given) 400 digits; return its line."""
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = 1 if band_lo is None else next(i for i, line in enumerate(lines) if line.split(",")[2] == band_lo)
+        lines[index] = lines[index].rsplit(",", 1)[0] + "," + "9" * 400 + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return index + 1
+
+    @pytest.mark.parametrize("file, column, band_lo", [
+        ("employment.csv", "employed", None),
+        ("unemployment.csv", "unemployed_6m", None),
+        ("population.csv", "persons", "16"),
+    ])
+    def test_features_exits_one_naming_the_count(self, tmp_path, file, column, band_lo):
+        assert _invoke(["synth", "--out", str(tmp_path / "data"), "--seed", "3"]).exit_code == 0
+        line = self._oversize(tmp_path / "data" / file, band_lo)
+        result = _invoke(_features_args(tmp_path, tmp_path / "features_big.csv"))
+        assert result.exit_code == 1
+        prefix = f"ERROR MalformedRow: {tmp_path / 'data' / file}:{line}: column {column!r}"
+        assert _single_error_line(result, "MalformedRow").startswith(f"{prefix} must be at most 2**53, got '999")
+        assert not (tmp_path / "features_big.csv").exists()
+
+    def test_figures_exits_one_on_a_count_outside_working_age(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        line = self._oversize(tmp_path / "data" / "population.csv", "0")
+        result = _invoke(_figures_args(tmp_path, tmp_path / "report.json"))
+        assert result.exit_code == 1
+        error = _single_error_line(result, "MalformedRow")
+        assert f"population.csv:{line}: column 'persons' must be at most 2**53, got '999" in error
+
+
 class TestFigureHeaders:
     @pytest.mark.parametrize("mode", ["ratio", "difference"])
     def test_population_header_names_its_baseline_mode(self, tmp_path, mode):

@@ -3,6 +3,8 @@ from textwrap import dedent
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from workforecast.errors import (
     EmptyIntersection,
@@ -12,11 +14,15 @@ from workforecast.errors import (
     OverlappingAgeBands,
     OverlappingSpells,
 )
+from workforecast.features import read_features_csv
 from workforecast.ingest import (
+    _parse_count,
+    _parse_number,
     parse_programme_records,
     parse_regional_series,
     write_regional_series,
 )
+from workforecast.perf import read_performance_csv
 
 from helpers import random_regional_series
 
@@ -307,3 +313,83 @@ class TestParseProgrammeRecords:
         records_b = parse_programme_records(path_b)
         assert records_a == records_b
         assert [r.person_id for r in records_a] == ["P1", "P2", "P3"]
+
+
+# One file per float column: its header and a good row 2, then a row 3 with `{}` in the column.
+_NUMBER_COLUMNS = {
+    "hours_per_week": (parse_programme_records, "records.csv",
+                       "person_id,region,entry_date,spell_start,spell_end,hours_per_week\nP0,R1,2014-01-01,,,\n"
+                       "P1,R1,2015-03-01,2015-03-01,2015-03-31,{}\n"),
+    "demand": (read_features_csv, "features.csv",
+               "region,year,demand,supply,normalized,lag,age_lo,age_hi\nR1,2012,0.01,0.05,1,0,16,64\n"
+               "R1,2013,{},0.05,1,0,16,64\n"),
+    "supply": (read_features_csv, "features.csv",
+               "region,year,demand,supply,normalized,lag,age_lo,age_hi\nR1,2012,0.01,0.05,1,0,16,64\n"
+               "R1,2013,0.01,{},1,0,16,64\n"),
+    "performance": (read_performance_csv, "performance.csv",
+                    "region,entry_year,n_entrants,n_success,performance\nR1,2014,4,1,0.25\nR1,2015,4,1,{}\n"),
+}
+
+
+class TestParseNumber:
+    """Every float column goes through `_parse_number`, which takes only a finite number written in ASCII."""
+
+    @pytest.mark.parametrize("column", sorted(_NUMBER_COLUMNS))
+    @pytest.mark.parametrize("text", ["\u0662\u0660", "\u0660.25", "1_0", "nan", "inf", "1e999"])
+    def test_a_bad_cell_names_its_column_and_line(self, tmp_path, column, text):
+        """float() reads Arabic-Indic digits and `_` separators, and gives nan or inf for the last three."""
+        read, file, template = _NUMBER_COLUMNS[column]
+        path = _write(tmp_path / file, template.format(text))
+        with pytest.raises(MalformedRow) as excinfo:
+            read(path)
+        kind = "a non-negative number" if column == "hours_per_week" else "a finite number"
+        assert str(excinfo.value) == f"{path}:3: column {column!r} must be {kind}, got {text!r}"
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("text", ["0", "-0.0", "+1.5", "1.", ".5", "007", "1e5", "1E-5", "2.5e+3", "-.5e-0"])
+    def test_ascii_numbers_are_read_as_float_reads_them(self, text):
+        assert _parse_number(text, "c", "f.csv", 1).hex() == float(text).hex()
+
+    @pytest.mark.parametrize("text", ["", ".", "-", "e5", "1e", "1.2.3", "1e+", "0x10", "1,5", "1 0", "infinity"])
+    def test_other_ascii_text_is_rejected(self, text):
+        with pytest.raises(MalformedRow, match="column 'c' must be a finite number"):
+            _parse_number(text, "c", "f.csv", 1)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_the_written_forms_of_any_finite_float_parse_back(self, x):
+        """features.csv writes repr(x) and performance.csv f"{x:.6f}"; both must read back to what they denote."""
+        assert _parse_number(repr(x), "c", "f.csv", 1).hex() == x.hex()
+        fixed = f"{x:.6f}"
+        assert _parse_number(fixed, "c", "f.csv", 1).hex() == float(fixed).hex()
+
+
+class TestCountBound:
+    """A statistical count above 2**53 would overflow or lose exactness as a float in features and figures."""
+
+    def test_two_to_the_53_is_the_largest_statistical_count(self):
+        assert _parse_count(str(2**53), "employed", "f.csv", 2) == 2**53
+        with pytest.raises(MalformedRow) as excinfo:
+            _parse_count(str(2**53 + 1), "employed", "f.csv", 2)
+        assert str(excinfo.value) == f"f.csv:2: column 'employed' must be at most 2**53, got '{2**53 + 1}'"
+
+    @pytest.mark.parametrize("file, column", [
+        ("employment.csv", "employed"), ("unemployment.csv", "unemployed_6m"), ("population.csv", "persons"),
+    ])
+    def test_each_statistical_count_column_is_bounded(self, tmp_path, file, column):
+        huge = "9" * 400
+        texts = {
+            "employment.csv": "region,year,employed\nR1,2000,{}\n",
+            "unemployment.csv": "region,year,unemployed_6m\nR1,2000,{}\n",
+            "population.csv": "region,year,age_lo,age_hi,persons\nR1,2000,16,64,{}\n",
+        }
+        texts = {name: text.format(huge if name == file else 5) for name, text in texts.items()}
+        with pytest.raises(MalformedRow) as excinfo:
+            parse_regional_series(*_stat_files(tmp_path, *texts.values()))
+        assert str(excinfo.value) == f"{tmp_path / file}:2: column {column!r} must be at most 2**53, got {huge!r}"
+
+    def test_programme_counts_stay_unbounded(self, tmp_path):
+        """synth writes each rate as an exact ratio, whose denominator can pass 2**53."""
+        path = _write(tmp_path / "performance.csv",
+                      f"region,entry_year,n_entrants,n_success,performance\nR1,2014,{2**60},{2**58},0.250000\n")
+        [row] = read_performance_csv(path)
+        assert (row.n_entrants, row.n_success, row.performance) == (2**60, 2**58, 0.25)

@@ -282,13 +282,14 @@ class TestPerformanceCsv:
             read_performance_csv(path)
         assert str(info.value) == f"{path}:4: duplicate entry for region 'R1', year 2012"
 
-    @pytest.mark.parametrize("value", ["nan", "NaN"])
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity"])
     def test_nan_rate_column_rejected(self, tmp_path, value):
-        """nan compares false with everything, so `abs(nan - rate) > tol` alone would let it through."""
+        """nan compares false with everything, so the parser, not `abs(nan - rate) > tol`, must reject it."""
         path = tmp_path / "performance.csv"
         path.write_text(
             f"region,entry_year,n_entrants,n_success,performance\nR1,2014,4,1,0.25\nR1,2015,4,1,{value}\n",
             encoding="utf-8",
         )
-        with pytest.raises(MalformedRow, match=f"performance.csv:3: performance column \\({value}\\) disagrees"):
+        with pytest.raises(MalformedRow) as info:
             read_performance_csv(path)
+        assert str(info.value) == f"{path}:3: column 'performance' must be a finite number, got {value!r}"

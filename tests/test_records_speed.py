@@ -103,18 +103,18 @@ def test_the_callers_gc_state_is_restored(tmp_path, gc_state, enabled, error):
 def test_each_distinct_string_is_parsed_once(records_csv, monkeypatch):
     expected = parse_programme_records(records_csv)
     date_calls, hours_calls = Counter(), Counter()
-    parse_date, parse_hours = ingest._parse_date, ingest._parse_hours
+    parse_date, parse_number = ingest._parse_date, ingest._parse_number
 
     def counting_date(text, column, file, line):
         date_calls[text] += 1
         return parse_date(text, column, file, line)
 
-    def counting_hours(text, file, line):
+    def counting_hours(text, column, file, line, **kwargs):
         hours_calls[text] += 1
-        return parse_hours(text, file, line)
+        return parse_number(text, column, file, line, **kwargs)
 
     monkeypatch.setattr(ingest, "_parse_date", counting_date)
-    monkeypatch.setattr(ingest, "_parse_hours", counting_hours)
+    monkeypatch.setattr(ingest, "_parse_number", counting_hours)
     assert parse_programme_records(records_csv) == expected
 
     with open(records_csv, encoding="utf-8", newline="") as fh:
@@ -130,13 +130,13 @@ def test_each_distinct_string_is_parsed_once(records_csv, monkeypatch):
 def test_a_second_call_parses_again(records_csv, monkeypatch):
     """The caches live for one call; nothing is kept between calls."""
     calls = Counter()
-    parse_hours = ingest._parse_hours
+    parse_number = ingest._parse_number
 
-    def counting_hours(text, file, line):
+    def counting_hours(text, column, file, line, **kwargs):
         calls[text] += 1
-        return parse_hours(text, file, line)
+        return parse_number(text, column, file, line, **kwargs)
 
-    monkeypatch.setattr(ingest, "_parse_hours", counting_hours)
+    monkeypatch.setattr(ingest, "_parse_number", counting_hours)
     parse_programme_records(records_csv)
     parse_programme_records(records_csv)
     assert set(calls.values()) == {2}
