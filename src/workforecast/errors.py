@@ -49,10 +49,6 @@ class EmptyIntersection(DataError):
 
 # --- features ----------------------------------------------------------------
 
-class MissingYear(DataError):
-    """A proxy was requested for a year the series does not cover."""
-
-
 class ZeroWorkingAgePopulation(DataError):
     pass
 

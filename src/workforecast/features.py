@@ -14,7 +14,6 @@ from pathlib import Path
 from workforecast.errors import (
     FeatureConfigMismatch,
     MalformedRow,
-    MissingYear,
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
@@ -48,16 +47,9 @@ def working_age_population(
     working_age: tuple[int, int] = DEFAULT_WORKING_AGE,
 ) -> float:
     """Population inside the working-age interval, pro-rating partial bands; it must be positive."""
-    bands = series.population.get(year)
-    if bands is None:
-        raise MissingYear(
-            f"region {series.region_id!r}: no population data for year {year}",
-            region=series.region_id,
-            year=year,
-        )
     lo, hi = working_age
     total = 0.0
-    for (band_lo, band_hi), persons in sorted(bands.items()):
+    for (band_lo, band_hi), persons in sorted(series.population[year].items()):
         overlap = min(hi, band_hi) - max(lo, band_lo) + 1
         if overlap <= 0:
             continue
@@ -78,15 +70,11 @@ def demand_proxy(
     normalize: bool = False,
     working_age: tuple[int, int] = DEFAULT_WORKING_AGE,
 ) -> float:
-    """employment(year) - employment(year - 1), optionally per working-age head."""
-    for needed in (year - 1, year):
-        if needed not in series.employment:
-            raise MissingYear(
-                f"region {series.region_id!r}: no employment data for year {needed} "
-                f"(needed for demand at {year})",
-                region=series.region_id,
-                year=needed,
-            )
+    """employment(year) - employment(year - 1), optionally per working-age head.
+
+    The series must cover both years, as it does for every year after a
+    region's first; otherwise the lookup raises `KeyError`.
+    """
     change = float(series.employment[year] - series.employment[year - 1])
     if not normalize:
         return change
@@ -99,12 +87,6 @@ def supply_proxy(
     working_age: tuple[int, int] = DEFAULT_WORKING_AGE,
 ) -> float:
     """Long-term unemployed as a fraction of the working-age population."""
-    if year not in series.unemployed_6m:
-        raise MissingYear(
-            f"region {series.region_id!r}: no unemployment data for year {year}",
-            region=series.region_id,
-            year=year,
-        )
     denominator = working_age_population(series, year, working_age)
     ratio = series.unemployed_6m[year] / denominator
     if ratio > 1.0:
@@ -122,12 +104,15 @@ def build_features(
     series_by_region: dict[str, RegionalSeries],
     config: FeatureConfig = FeatureConfig(),
 ) -> list[FeatureRow]:
-    """Build feature rows for every (region, year) where both proxies exist.
+    """Build feature rows for every (region, year) where both proxies exist, in (region, year) order.
 
-    The first covered year of each region has no predecessor, so it yields no
-    row, but a nonzero unemployed count there must still fit its working-age
-    population. A row is labelled with the programme-entry year it predicts:
-    with a lag of L, the row for entry year t carries the proxies of year t - L.
+    `ingest.parse_regional_series` gives each region dense, ascending years, so
+    every year after the first has its predecessor. The first covered year has
+    none, so it yields no row, but a nonzero unemployed count there must still
+    fit its working-age population. A row is labelled with the programme-entry
+    year it predicts: with a lag of L, the row for entry year t carries the
+    proxies of year t - L. Regions are walked sorted, years ascend and L is the
+    same for every row, so the rows come out sorted.
     """
     rows = []
     for region in sorted(series_by_region):
@@ -145,7 +130,6 @@ def build_features(
                     supply=supply_proxy(series, base_year, working_age=config.working_age),
                 )
             )
-    rows.sort(key=lambda row: (row.region_id, row.year))
     return rows
 
 
@@ -162,13 +146,12 @@ def _parse_config(stamp: list[str], name: str, lineno: int) -> FeatureConfig:
     normalized_s, lag_s, lo_s, hi_s = stamp
     if normalized_s not in ("0", "1"):
         raise MalformedRow(f"column 'normalized' must be 0 or 1, got {normalized_s!r}", file=name, line=lineno)
-    if not (lag_s.isascii() and lag_s.isdecimal()):
-        raise MalformedRow(f"column 'lag' must be a non-negative integer, got {lag_s!r}", file=name, line=lineno)
+    lag = _parse_natural(lag_s, "lag", name, lineno)
     lo = _parse_natural(lo_s, "age_lo", name, lineno)
     hi = _parse_natural(hi_s, "age_hi", name, lineno)
     if lo > hi:
         raise MalformedRow(f"working age [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
-    return FeatureConfig(normalize=normalized_s == "1", lag=int(lag_s), working_age=(lo, hi))
+    return FeatureConfig(normalize=normalized_s == "1", lag=lag, working_age=(lo, hi))
 
 
 def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig]:

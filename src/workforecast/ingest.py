@@ -8,10 +8,11 @@ All four inputs are UTF-8 CSV with a mandatory header row, comma separator,
     population.csv    region,year,age_lo,age_hi,persons     (band inclusive)
     records.csv       person_id,region,entry_date,spell_start,spell_end,hours_per_week
 
-Each kind of cell has one parser, taking ASCII digits only: `_parse_count`,
-`_parse_natural`, `_parse_date` and `_parse_number` (every float column of
-every CSV). Counts must be non-negative integers, and statistical counts at
-most 2**53, so that each is a float exactly. For each region the three
+Each kind of cell has one parser, taking ASCII digits only: `_parse_natural`
+(every integer: years, ages, the lag and head-counts, at most 324 digits, so
+`int()` never meets an oversized text), `_parse_date` and `_parse_number`
+(every float column of every CSV). Statistical counts must be at most 2**53,
+so that each is a float exactly. For each region the three
 statistical files are restricted to the intersection of the years they cover,
 and that intersection must be consecutive: gaps are rejected rather than
 interpolated, because the demand proxy differences adjacent years.
@@ -50,7 +51,8 @@ RECORDS_HEADER = ("person_id", "region", "entry_date", "spell_start", "spell_end
 
 AgeBand = tuple[int, int]
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_INT_RE = re.compile(r"([+-]?)([0-9]+)")
+_MAX_DIGITS = 324
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
@@ -125,23 +127,26 @@ def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[list],
         writer.writerows(rows)
 
 
-def _parse_count(text: str, column: str, file: str, line: int, bounded: bool = True) -> int:
-    """A non-negative integer; when `bounded`, at most 2**53, up to which every integer is exactly a float."""
-    if not _INT_RE.match(text):
-        raise MalformedRow(f"column {column!r} must be an integer head-count, got {text!r}", file=file, line=line)
-    value = int(text)
-    if value < 0:
-        raise NegativeCount(f"column {column!r} is negative ({value})", file=file, line=line)
-    if bounded and value > 2**53:
-        raise MalformedRow(f"column {column!r} must be at most 2**53, got {text!r}", file=file, line=line)
-    return value
+def _parse_natural(text: str, column: str, file: str, line: int, count: bool = False, bounded: bool = True) -> int:
+    """A non-negative integer of at most 324 digits: a year, an age, the lag or (`count`) a head-count.
 
-
-def _parse_natural(text: str, column: str, file: str, line: int) -> int:
-    """A non-negative integer: a year in a column ending in 'year', or an age in any other column."""
-    if not _INT_RE.match(text) or int(text) < 0:
-        kind = "a calendar year" if column.endswith("year") else "a non-negative integer age"
+    The digits are counted before `int()` reads them; 324 hold 2**1074, the
+    largest denominator of a float's `as_integer_ratio`. A negative head-count
+    is a `NegativeCount`; a `bounded` one must be at most 2**53, up to which
+    every integer is exactly a float.
+    """
+    match = _INT_RE.fullmatch(text)
+    negative = match is not None and match[1] == "-" and match[2].strip("0") != ""
+    if match is None or (negative and not count):
+        kind = ("an integer head-count" if count else
+                "a calendar year" if column.endswith("year") else "a non-negative integer")
         raise MalformedRow(f"column {column!r} must be {kind}, got {text!r}", file=file, line=line)
+    if negative:
+        raise NegativeCount(f"column {column!r} is negative ({text})", file=file, line=line)
+    bounded = count and bounded
+    if len(match[2]) > _MAX_DIGITS or (bounded and int(text) > 2**53):
+        limit = "2**53" if bounded else f"{_MAX_DIGITS} digits long"
+        raise MalformedRow(f"column {column!r} must be at most {limit}, got {text!r}", file=file, line=line)
     return int(text)
 
 
@@ -182,7 +187,7 @@ def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str,
     seen: set[tuple[str, int]] = set()
     for lineno, (region, year_s, count_s) in _read_rows(path, header):
         year = _parse_natural(year_s, "year", name, lineno)
-        count = _parse_count(count_s, column, name, lineno)
+        count = _parse_natural(count_s, column, name, lineno, count=True)
         _claim_entry(seen, region, year, name, lineno)
         out.setdefault(region, {})[year] = count
     return out
@@ -198,7 +203,7 @@ def _collect_population(path: str | Path) -> dict[str, dict[int, dict[AgeBand, t
         hi = _parse_natural(hi_s, "age_hi", name, lineno)
         if lo > hi:
             raise MalformedRow(f"age band [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
-        persons = _parse_count(persons_s, "persons", name, lineno)
+        persons = _parse_natural(persons_s, "persons", name, lineno, count=True)
         bands = out.setdefault(region, {}).setdefault(year, {})
         if (lo, hi) in bands:
             raise MalformedRow(

@@ -15,8 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from workforecast.errors import InvalidConfig, MalformedRow
-from workforecast.ingest import (ProgrammeRecord, _claim_entry, _parse_count, _parse_natural, _parse_number,
-                                 _read_rows, _write_rows)
+from workforecast.ingest import ProgrammeRecord, _claim_entry, _parse_natural, _parse_number, _read_rows, _write_rows
 
 DEFAULT_MIN_HOURS = 16.0
 DEFAULT_WINDOW_MONTHS = 6
@@ -127,8 +126,8 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
     for lineno, (region, year_s, entrants_s, success_s, printed_s) in _read_rows(path, PERFORMANCE_HEADER):
         year = _parse_natural(year_s, "entry_year", name, lineno)
         # Unbounded: synth writes exact ratios whose denominators pass 2**53.
-        entrants = _parse_count(entrants_s, "n_entrants", name, lineno, bounded=False)
-        successes = _parse_count(success_s, "n_success", name, lineno, bounded=False)
+        entrants = _parse_natural(entrants_s, "n_entrants", name, lineno, count=True, bounded=False)
+        successes = _parse_natural(success_s, "n_success", name, lineno, count=True, bounded=False)
         if entrants < 1:
             raise MalformedRow("n_entrants must be positive", file=name, line=lineno)
         if successes > entrants:

@@ -44,29 +44,26 @@ class BaselinedSeries:
 
 def baseline(
     series: Mapping[int, float],
-    baseline_year: int,
+    baseline_year: int | None,
     mode: str,
     label: str = "",
 ) -> BaselinedSeries:
-    """Subtract (difference mode) or divide by (ratio mode) the baseline value."""
+    """Subtract (difference mode) or divide by (ratio mode) the value at `baseline_year`.
+
+    The one check of every figure baseline: `label` is the region its errors
+    name and carry as context. An empty series has no baseline year (None).
+    """
     if mode not in BASELINE_MODES:
         raise InvalidConfig(f"unknown baseline mode {mode!r}; expected one of {', '.join(BASELINE_MODES)}")
     if baseline_year not in series:
-        raise MissingBaselineYear(
-            f"baseline year {baseline_year} is not in the series" + (f" {label!r}" if label else ""),
-            year=baseline_year,
-        )
+        missing = f"no value in baseline year {baseline_year}" if series else "no values to baseline against"
+        raise MissingBaselineYear(f"region {label!r} has {missing}", region=label, year=baseline_year)
     base = float(series[baseline_year])
     if mode == "ratio" and base == 0.0:
-        raise ZeroBaseline(
-            f"cannot baseline by ratio: value at {baseline_year} is zero"
-            + (f" in series {label!r}" if label else ""),
-            year=baseline_year,
-        )
+        raise ZeroBaseline(f"region {label!r}: cannot baseline by ratio, its value in {baseline_year} is zero",
+                           region=label, year=baseline_year)
     points = tuple((year, _rebase(float(series[year]), base, mode)) for year in sorted(series))
-    return BaselinedSeries(
-        label=label, baseline_year=baseline_year, baseline_value=base, mode=mode, points=points
-    )
+    return BaselinedSeries(label, baseline_year, base, mode, points)
 
 
 def _rebase(value: float, base: float, mode: str) -> float:
@@ -75,10 +72,8 @@ def _rebase(value: float, base: float, mode: str) -> float:
 
 def _default_population_baseline_year(series_by_region: dict[str, RegionalSeries]) -> int:
     """Earliest year covered by every region."""
-    common: set[int] | None = None
-    for series in series_by_region.values():
-        years = set(series.years)
-        common = years if common is None else common & years
+    years = [set(series.years) for series in series_by_region.values()]
+    common = set.intersection(*years) if years else set()
     if not common:
         raise MissingBaselineYear("no year is shared by all regions; pass an explicit baseline year")
     return min(common)
@@ -99,66 +94,48 @@ def emit_figure_data(
 
     Population is baselined at `baseline_year` (default: the earliest year
     shared by all regions). The evaluation chart is baselined per region by
-    the region's first observed performance value.
+    the performance of the region's first entry year. Both go through
+    `baseline`, and every figure's rows are built before the first file is
+    written, so a call that raises leaves out_dir as it was.
     """
-    for mode in (population_mode, performance_mode):
-        if mode not in BASELINE_MODES:
-            raise InvalidConfig(
-                f"unknown baseline mode {mode!r}; expected one of {', '.join(BASELINE_MODES)}"
-            )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {key: out / name for key, name in FIGURE_FILENAMES.items()}
-
-    # demand, as built under the active feature configuration
-    _write_rows(
-        paths["demand"],
-        ("region", "year", "value"),
-        [[row.region_id, row.year, repr(row.demand)] for row in sorted(feature_rows, key=lambda r: (r.region_id, r.year))],
-        comment=f"normalized={int(feature_config.normalize)}",
-    )
-
-    # long-term unemployed head-counts over the full covered years
-    _write_rows(paths["unemployment"], ("region", "year", "value"), (
+    demand_rows = [
+        [row.region_id, row.year, repr(row.demand)] for row in sorted(feature_rows, key=lambda r: (r.region_id, r.year))
+    ]
+    unemployment_rows = [
         [region, year, series.unemployed_6m[year]]
         for region, series in sorted(series_by_region.items())
         for year in series.years
-    ))
+    ]
 
-    # total population baselined at a common year
     pop_year = baseline_year if baseline_year is not None else _default_population_baseline_year(series_by_region)
     population_rows = []
-    for region in sorted(series_by_region):
-        series = series_by_region[region]
+    for region, series in sorted(series_by_region.items()):
         totals = {year: float(sum(series.population[year].values())) for year in series.years}
         baselined = baseline(totals, pop_year, population_mode, label=region)
         population_rows.extend([region, year, repr(value)] for year, value in baselined.points)
-    _write_rows(paths["population"], ("region", "year", population_mode), population_rows)
 
-    # actual vs model vs benchmark, baselined by each region's first performance
-    first_performance: dict[str, float] = {}
-    for row in sorted(performance_rows, key=lambda r: (r.region_id, r.entry_year)):
-        first_performance.setdefault(row.region_id, row.performance)
-    eval_rows = []
-    for fold in eval_report.folds:
-        if fold.region_id not in first_performance:
-            raise MissingBaselineYear(
-                f"region {fold.region_id!r} has no performance rows to baseline against",
-                region=fold.region_id,
-            )
-        base = first_performance[fold.region_id]
-        if performance_mode == "ratio" and base == 0.0:
-            raise ZeroBaseline(
-                f"region {fold.region_id!r}: first performance is zero, cannot baseline by ratio",
-                region=fold.region_id,
-            )
-        eval_rows.append([fold.region_id, fold.year, *(
-            "" if value is None else repr(_rebase(value, base, performance_mode))
+    performance: dict[str, dict[int, float]] = {}
+    for row in performance_rows:
+        performance.setdefault(row.region_id, {})[row.entry_year] = row.performance
+    bases: dict[str, float] = {}
+    for region in dict.fromkeys(fold.region_id for fold in eval_report.folds):
+        series = performance.get(region, {})
+        bases[region] = baseline(series, min(series, default=None), performance_mode, label=region).baseline_value
+    eval_rows = [
+        [fold.region_id, fold.year, *(
+            "" if value is None else repr(_rebase(value, bases[fold.region_id], performance_mode))
             for value in (fold.actual, fold.pred_model, fold.pred_benchmark)
-        )])
-    _write_rows(
-        paths["eval"],
-        ("region", "year", "actual_baselined", "model_baselined", "benchmark_baselined"),
-        eval_rows,
-    )
+        )]
+        for fold in eval_report.folds
+    ]
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {key: out / name for key, name in FIGURE_FILENAMES.items()}
+    _write_rows(paths["demand"], ("region", "year", "value"), demand_rows,
+                comment=f"normalized={int(feature_config.normalize)}")
+    _write_rows(paths["unemployment"], ("region", "year", "value"), unemployment_rows)
+    _write_rows(paths["population"], ("region", "year", population_mode), population_rows)
+    _write_rows(paths["eval"], ("region", "year", "actual_baselined", "model_baselined", "benchmark_baselined"),
+                eval_rows)
     return paths

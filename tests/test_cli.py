@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from workforecast import __version__, jsonio
 from workforecast.cli import cli
 from workforecast.errors import MalformedJson
 from workforecast.model import ModelFit
+
+from helpers import quickstart_args, quickstart_inputs
 
 ENV = {"WF_NO_COLOR": "1"}
 
@@ -718,3 +721,121 @@ class TestRunConfig:
         forward = stamped.read_bytes()
         assert _invoke([command, *(arg for option in reversed(options) for arg in option)]).exit_code == 0
         assert stamped.read_bytes() == forward
+
+
+def _copy_quickstart(quickstart: Path, root: Path, command: str) -> list[str]:
+    """Copy the quick-start inputs of `command` into `root`; return its arguments there."""
+    root.mkdir(exist_ok=True)
+    for name in quickstart_inputs(command):
+        shutil.copyfile(quickstart / name, root / name)
+    return quickstart_args(command, root)
+
+
+def _edit_lines(path: Path, edit) -> None:
+    """Replace the text lines of `path` by `edit(lines)`, each line without its line break."""
+    path.write_text("".join(f"{line}\n" for line in edit(path.read_text(encoding="utf-8").splitlines())),
+                    encoding="utf-8")
+
+
+def _snapshot(directory: Path) -> dict | None:
+    return {path.name: path.read_bytes() for path in directory.iterdir()} if directory.exists() else None
+
+
+class TestFiguresWriteNothingOnError:
+    """Every baseline is checked before the first figure file is written."""
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["no-out-dir", "stale-out-dir"])
+    @pytest.mark.parametrize("edit, extra, code, message", [
+        (lambda lines: [line for line in lines if not line.startswith("R02,")], [],
+         "MissingBaselineYear", "region 'R02' has no values to baseline against"),
+        (lambda lines: [lines[0], "R01,2012,10,0,0.000000", *lines[2:]], ["--performance-baseline", "ratio"],
+         "ZeroBaseline", "region 'R01': cannot baseline by ratio, its value in 2012 is zero"),
+    ], ids=["region-without-performance", "zero-first-performance"])
+    def test_a_baseline_error_leaves_the_out_dir_as_it_was(self, quickstart, tmp_path, stale, edit, extra, code,
+                                                           message):
+        args = _copy_quickstart(quickstart, tmp_path, "figures")
+        out = tmp_path / "out_figs"
+        if stale:  # an earlier run in the other population mode, so a partial rewrite would change fig3
+            assert _invoke([*args, "--population-baseline", "difference"]).exit_code == 0
+        before = _snapshot(out)
+        _edit_lines(tmp_path / "performance.csv", edit)
+        result = _invoke([*args, *extra])
+        assert result.exit_code == 1
+        assert _single_error_line(result, code) == f"ERROR {code}: {message}"
+        assert _snapshot(out) == before
+
+
+class TestUntestedErrorPaths:
+    """Error paths that only a command line reaches, each ending in one `ERROR` line."""
+
+    @pytest.mark.parametrize("command, file, edit, message", [
+        ("validate", "employment.csv", lambda lines: [], "employment.csv:1: missing header row"),
+        ("validate", "population.csv", lambda lines: [*lines[:2], lines[1], *lines[2:]],
+         "population.csv:3: duplicate age band [0, 15] for region 'R01', year 2011"),
+        ("performance", "records.csv", lambda lines: [lines[0], "," + lines[1].split(",", 1)[1], *lines[2:]],
+         "records.csv:2: empty person_id"),
+        ("fit", "performance.csv", lambda lines: [lines[0], "R01,2012,0,0,0.000000", *lines[2:]],
+         "performance.csv:2: n_entrants must be positive"),
+    ], ids=["empty-file", "duplicate-age-band", "empty-person-id", "zero-entrants"])
+    def test_malformed_row(self, quickstart, tmp_path, command, file, edit, message):
+        args = _copy_quickstart(quickstart, tmp_path, command)
+        _edit_lines(tmp_path / file, edit)
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "MalformedRow") == f"ERROR MalformedRow: {tmp_path / message}"
+        assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
+
+    def test_figures_without_a_year_shared_by_all_regions_needs_a_baseline_year(self, quickstart, tmp_path):
+        args = _copy_quickstart(quickstart, tmp_path, "figures")
+        _edit_lines(tmp_path / "employment.csv", lambda lines: [  # R01 keeps 2011-2014, R02 2015-2018
+            line for line in lines if line[:3] not in ("R01", "R02") or (line[:3] == "R01") == (line[4:8] < "2015")
+        ])
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "MissingBaselineYear") == (
+            "ERROR MissingBaselineYear: no year is shared by all regions; pass an explicit baseline year"
+        )
+        assert not (tmp_path / "out_figs").exists()
+        result = _invoke([*args, "--baseline-year", "2011"])
+        assert result.exit_code == 1
+        assert _single_error_line(result, "MissingBaselineYear") == (
+            "ERROR MissingBaselineYear: region 'R02' has no value in baseline year 2011"
+        )
+
+    def test_a_working_age_whose_bounds_are_reversed_is_a_usage_error(self, quickstart, tmp_path):
+        args = _copy_quickstart(quickstart, tmp_path, "features")
+        result = CliRunner().invoke(cli, [*args, "--working-age", "5:3"], env=ENV)
+        assert result.exit_code == 2
+        assert "Invalid value for --working-age: lower bound 5 exceeds upper bound 3" in result.stderr
+        assert not (tmp_path / "out_features.csv").exists()
+
+    def test_validate_reads_good_records(self, quickstart, tmp_path):
+        result = _invoke(_copy_quickstart(quickstart, tmp_path, "validate"))
+        assert result.exit_code == 0
+        assert result.stderr.splitlines()[-1] == "OK records: 4 people"
+
+
+class TestOversizedIntegers:
+    """An integer cell past 4,300 digits used to end in a `ValueError` traceback from `int()`."""
+
+    @pytest.mark.parametrize("command, file, column, limit", [
+        ("features", "employment.csv", 2, "2**53"),
+        ("fit", "performance.csv", 2, "324 digits long"),
+        ("fit", "features.csv", 5, "324 digits long"),
+    ], ids=["employed", "n_entrants", "lag"])
+    def test_exits_one_with_one_malformed_row_line(self, quickstart, tmp_path, command, file, column, limit):
+        args = _copy_quickstart(quickstart, tmp_path, command)
+        huge = "9" * 5000
+
+        def oversize(lines):
+            cells = lines[1].split(",")
+            cells[column] = huge
+            return [lines[0], ",".join(cells), *lines[2:]]
+
+        _edit_lines(tmp_path / file, oversize)
+        name = (tmp_path / file).read_text(encoding="utf-8").splitlines()[0].split(",")[column]
+        result = _invoke(args)
+        assert result.exit_code == 1
+        line = _single_error_line(result, "MalformedRow")
+        assert line == f"ERROR MalformedRow: {tmp_path / file}:2: column {name!r} must be at most {limit}, got {huge!r}"
+        assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())

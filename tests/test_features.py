@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from workforecast.errors import (
     FeatureConfigMismatch,
     MalformedRow,
-    MissingYear,
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
@@ -22,7 +22,7 @@ from workforecast.features import (
     working_age_population,
     write_features_csv,
 )
-from workforecast.ingest import RegionalSeries
+from workforecast.ingest import RegionalSeries, parse_regional_series
 
 from helpers import per_age_supply_oracle, random_regional_series
 
@@ -77,10 +77,6 @@ class TestDemandProxy:
         )
         assert demand_proxy(series, 2015, normalize=True) == 0.1
 
-    def test_missing_predecessor_year(self):
-        series = _flat_series([2014, 2015])
-        with pytest.raises(MissingYear):
-            demand_proxy(series, 2014)
 
 
 class TestSupplyProxy:
@@ -206,6 +202,51 @@ class TestBuildFeatures:
         series.unemployed_6m[2010] = 0
         series.population[2010] = {(65, 90): 20_000}
         assert [row.year for row in build_features({"R1": series}, FeatureConfig())] == [2011, 2012]
+
+    @pytest.mark.parametrize("lag", [0, 2])
+    def test_rows_use_only_the_years_all_three_files_cover(self, tmp_path, lag):
+        """The proxies need no year check of their own: ingest keeps each region to the years every file covers."""
+        coverage = {  # region -> (employment, unemployment, population) years; the intersections are 2010-2015, 2011-2016
+            "R1": (range(2007, 2017), range(2009, 2018), range(2010, 2016)),
+            "R2": (range(2011, 2019), range(2008, 2017), range(2009, 2018)),
+        }
+        rng = random.Random(5)
+        employed, unemployed, working_age = {}, {}, {}
+        for region, years in coverage.items():
+            for year in range(2007, 2019):
+                employed[region, year] = rng.randrange(50_000, 150_000)
+                unemployed[region, year] = rng.randrange(0, 20_000)
+                working_age[region, year] = rng.randrange(80_000, 120_000)
+        files = {name: tmp_path / name for name in ("employment.csv", "unemployment.csv", "population.csv")}
+        files["employment.csv"].write_text("region,year,employed\n" + "".join(
+            f"{region},{year},{employed[region, year]}\n" for region, years in coverage.items() for year in years[0]
+        ), encoding="utf-8")
+        files["unemployment.csv"].write_text("region,year,unemployed_6m\n" + "".join(
+            f"{region},{year},{unemployed[region, year]}\n" for region, years in coverage.items() for year in years[1]
+        ), encoding="utf-8")
+        files["population.csv"].write_text("region,year,age_lo,age_hi,persons\n" + "".join(
+            f"{region},{year},0,15,7\n{region},{year},16,64,{working_age[region, year]}\n{region},{year},65,90,9\n"
+            for region, years in coverage.items() for year in years[2]
+        ), encoding="utf-8")
+
+        rows = build_features(parse_regional_series(*files.values()), FeatureConfig(lag=lag))
+
+        expected = []
+        for region, years in sorted(coverage.items()):
+            common = sorted(set(years[0]) & set(years[1]) & set(years[2]))
+            expected.extend(
+                FeatureRow(
+                    region_id=region,
+                    year=year + lag,
+                    demand=(employed[region, year] - employed[region, year - 1]) / working_age[region, year],
+                    supply=unemployed[region, year] / working_age[region, year],
+                )
+                for year in common[1:]
+            )
+        assert [(row.region_id, row.year - lag) for row in rows] == (  # no row for the first common year
+            [("R1", year) for year in range(2011, 2016)] + [("R2", year) for year in range(2012, 2017)]
+        )
+        assert rows == expected
 
     def test_input_map_order_does_not_matter(self):
         a = _flat_series(range(2010, 2015), region="A")

@@ -16,7 +16,7 @@ from workforecast.errors import (
 )
 from workforecast.features import read_features_csv
 from workforecast.ingest import (
-    _parse_count,
+    _parse_natural,
     _parse_number,
     parse_programme_records,
     parse_regional_series,
@@ -367,9 +367,9 @@ class TestCountBound:
     """A statistical count above 2**53 would overflow or lose exactness as a float in features and figures."""
 
     def test_two_to_the_53_is_the_largest_statistical_count(self):
-        assert _parse_count(str(2**53), "employed", "f.csv", 2) == 2**53
+        assert _parse_natural(str(2**53), "employed", "f.csv", 2, count=True) == 2**53
         with pytest.raises(MalformedRow) as excinfo:
-            _parse_count(str(2**53 + 1), "employed", "f.csv", 2)
+            _parse_natural(str(2**53 + 1), "employed", "f.csv", 2, count=True)
         assert str(excinfo.value) == f"f.csv:2: column 'employed' must be at most 2**53, got '{2**53 + 1}'"
 
     @pytest.mark.parametrize("file, column", [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from helpers import unbaseline
@@ -155,3 +157,27 @@ class TestEmitFigureData:
                 result.series_by_region, rows, LAW_FEATURE_CONFIG, result.performance, report,
                 tmp_path, performance_mode="log",
             )
+
+    @pytest.mark.parametrize("case, error, region, message", [
+        ("no-performance", MissingBaselineYear, "R02", "region 'R02' has no values to baseline against"),
+        ("zero-first-performance", ZeroBaseline, "R01",
+         "region 'R01': cannot baseline by ratio, its value in 2012 is zero"),
+        ("absent-population-year", MissingBaselineYear, "R01", "region 'R01' has no value in baseline year 1999"),
+    ])
+    def test_a_baseline_error_names_its_region_and_writes_nothing(self, tmp_path, case, error, region, message):
+        result, rows, report = _pipeline_outputs()
+        performance, kwargs = result.performance, {}
+        if case == "no-performance":
+            performance = [row for row in performance if row.region_id != "R02"]
+        elif case == "zero-first-performance":
+            assert (performance[0].region_id, performance[0].entry_year) == ("R01", 2012)
+            performance = [replace(performance[0], n_success=0, performance=0.0), *performance[1:]]
+            kwargs = {"performance_mode": "ratio"}
+        else:
+            kwargs = {"baseline_year": 1999}
+        out = tmp_path / "figs"
+        with pytest.raises(error) as excinfo:
+            emit_figure_data(result.series_by_region, rows, LAW_FEATURE_CONFIG, performance, report, out, **kwargs)
+        assert str(excinfo.value) == message
+        assert excinfo.value.region == region
+        assert not out.exists()

@@ -1,5 +1,5 @@
 """Static checks: every global name a function reads is bound at module level or is a builtin,
-only the least-squares modules import numpy, and the source tree does not grow.
+only the least-squares modules import numpy, every error class is used, and the source tree does not grow.
 
 numpy is imported inside the functions that use it, so a missing local import
 would only fail, as a NameError, on the path that runs it. This check finds
@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
 
 # The line count of src/workforecast/*.py is a tracked number: a change that
 # deletes code lowers this ceiling to the count it lands at.
-SRC_LINE_CEILING = 1964
+SRC_LINE_CEILING = 1924
 
 # The modules that run least squares; tests/test_startup.py checks at run time
 # that the commands which do not reach them load no numpy.
@@ -76,6 +76,38 @@ def test_a_numpy_import_inside_a_function_is_found(tmp_path):
     ]:
         module.write_text(source)
         assert _imports_numpy(module) == found, source
+
+
+def _unused_errors(package: Path) -> list[str]:
+    """Classes of `package/errors.py` other than `DataError` that no other module of `package` reads by name."""
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"DataError"}
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    return sorted(classes - read)
+
+
+def test_every_error_class_is_used():
+    assert _unused_errors(SRC) == []
+
+
+def test_an_unused_error_class_is_found(tmp_path):
+    """Only a read counts: an import alone leaves the class unused."""
+    (tmp_path / "errors.py").write_text(
+        "class DataError(Exception):\n    pass\n\n\n"
+        + "".join(f"class {name}(DataError):\n    pass\n\n\n" for name in ("Raised", "Caught", "Imported", "Dead"))
+    )
+    (tmp_path / "stage.py").write_text(
+        "from errors import Imported, Raised\nimport errors\n\n\n"
+        "def f():\n    try:\n        raise Raised('x')\n    except errors.Caught:\n        pass\n"
+    )
+    assert _unused_errors(tmp_path) == ["Dead", "Imported"]
 
 
 def test_src_line_count_does_not_grow():
