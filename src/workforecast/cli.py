@@ -206,14 +206,9 @@ def evaluate_cmd(features, performance, benchmark_mode, per_region, out) -> None
     else:
         result = evaluate_mod.loocv(dataset, config, benchmark_mode)
     evaluate_mod.save_report_json(result, out, run_config=_run_config(feature_config=config))
-    benchmark_text = (
-        "n/a" if result.mae_benchmark_pct is None else f"{result.mae_benchmark_pct:.4g}%"
-    )
-    click.echo(
-        f"{len(result.folds)} folds: MAE model {result.mae_model_pct:.4g}% "
-        f"vs benchmark {benchmark_text}",
-        err=True,
-    )
+    benchmark_text = "n/a" if result.mae_benchmark_pct is None else f"{result.mae_benchmark_pct:.4g}%"
+    click.echo(f"{len(result.folds)} folds: MAE model {result.mae_model_pct:.4g}% vs benchmark {benchmark_text}",
+               err=True)
 
 
 # ---------------------------------------------------------------------------

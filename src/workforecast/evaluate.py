@@ -215,8 +215,7 @@ def loocv_per_region(
                 f"region {region!r} has only {len(subset)} data points; "
                 f"per-region leave-one-out needs at least 4"
             )
-        folds.extend(loocv(subset, config, benchmark_mode).folds)
-    folds.sort(key=lambda fold: (fold.region_id, fold.year))
+        folds.extend(loocv(subset, config, benchmark_mode).folds)  # regions sorted, each region's folds by year
     return _report(folds, config, benchmark_mode, "per-region")
 
 

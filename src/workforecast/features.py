@@ -13,11 +13,14 @@ from pathlib import Path
 
 from workforecast.errors import (
     FeatureConfigMismatch,
+    InvalidConfig,
     MalformedRow,
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
 )
-from workforecast.ingest import RegionalSeries, _claim_entry, _parse_natural, _parse_number, _read_rows, _write_rows
+from workforecast.ingest import (
+    _MAX_DIGITS, RegionalSeries, _claim_entry, _parse_natural, _parse_number, _read_rows, _write_rows,
+)
 
 DEFAULT_WORKING_AGE = (16, 64)
 
@@ -112,11 +115,15 @@ def build_features(
     fit its working-age population. A row is labelled with the programme-entry
     year it predicts: with a lag of L, the row for entry year t carries the
     proxies of year t - L. Regions are walked sorted, years ascend and L is the
-    same for every row, so the rows come out sorted.
+    same for every row, so the rows come out sorted. Every labelled year must
+    read back as a year, so it may have at most 324 digits.
     """
     rows = []
     for region in sorted(series_by_region):
         series = series_by_region[region]
+        if series.years[-1] + config.lag >= 10**_MAX_DIGITS:
+            raise InvalidConfig(f"region {region!r}: lag {config.lag} labels year {series.years[-1]} "
+                                f"with a year of more than {_MAX_DIGITS} digits", region=region)
         if series.unemployed_6m[series.years[0]]:
             supply_proxy(series, series.years[0], working_age=config.working_age)
         for base_year in series.years[1:]:

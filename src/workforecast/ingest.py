@@ -21,19 +21,22 @@ Rows are streamed and checked as they are read, so of several faulty rows the
 first in file order is reported, be it a wrong column count or a bad field.
 Whole-file checks (years, overlapping age bands or spells) come after. Records
 parsing keeps each distinct date, hours or region string once per call, pauses
-the GC, and hands each person's spells over to their record as it is built.
+the GC, builds each spell once, as the `Spell` its record holds, and keeps no
+line number per spell: an overlap reads the file again to name its line.
 """
 from __future__ import annotations
 
 import csv
 import gc
 import math
+import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import date
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from workforecast.errors import (
     EmptyIntersection,
@@ -68,9 +71,8 @@ class RegionalSeries:
     population: dict[int, dict[AgeBand, int]]
 
 
-@dataclass(frozen=True, slots=True)
-class Spell:
-    """One employment spell; both end dates are inclusive."""
+class Spell(NamedTuple):
+    """One employment spell; both end dates are inclusive. `perf.is_reintegrated` unpacks it by field order."""
 
     start_date: date
     end_date: date
@@ -97,13 +99,14 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
     """
     name = str(path)
     width = len(header)
+    lineno = 0  # the last row read; a csv.Error is raised reading the one after it
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = enumerate(csv.reader(fh), start=1)
         try:
-            first = next(rows, None)
+            lineno, first = next(rows, (1, None))
             if first is None:
                 raise MalformedRow("missing header row", file=name, line=1)
-            got = tuple(field.strip() for field in first[1])
+            got = tuple(field.strip() for field in first)
             if got != header:
                 raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=1)
             for lineno, row in rows:
@@ -115,6 +118,8 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
                 yield lineno, fields
         except UnicodeDecodeError as err:
             raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
+        except csv.Error as err:  # a field longer than csv.field_size_limit()
+            raise MalformedRow(f"not a readable CSV row ({err})", file=name, line=lineno + 1) from None
 
 
 def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[list], comment: str | None = None) -> None:
@@ -231,10 +236,8 @@ def parse_regional_series(
 
     out: dict[str, RegionalSeries] = {}
     for region in sorted(set(employment) | set(unemployed) | set(population)):
-        emp_years = set(employment.get(region, ()))
-        unemp_years = set(unemployed.get(region, ()))
-        pop_years = set(population.get(region, ()))
-        common = sorted(emp_years & unemp_years & pop_years)
+        covered = [set(counts.get(region, ())) for counts in (employment, unemployed, population)]
+        common = sorted(set.intersection(*covered))
         if not common:
             raise EmptyIntersection(
                 f"region {region!r}: no year is covered by all three statistical files",
@@ -310,6 +313,8 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     start date and must not overlap. Spells that start before the entry date
     are allowed (their pre-entry portion is simply ignored downstream). Each
     distinct date, hours or region string is kept once per call, GC paused.
+    Each row's `Spell` is built once; no line number is held per spell, so an
+    overlap's line is found by reading the file again (a pipe's is not).
     """
     # The parse builds a large heap with no reference cycles; on 3.11 the cyclic
     # collector would rescan it again and again as it grows, and free nothing.
@@ -317,7 +322,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     gc.disable()
     try:
         name = str(records_file)
-        people: dict[str, tuple[str, date, list[tuple[date, date, float, int]]]] = {}
+        people: dict[str, list] = {}  # person -> [region, entry date, Spell, ...], spells in file order
         dates: dict[str, date] = {}
         hours: dict[str, float] = {}
         regions: dict[str, str] = {}
@@ -329,7 +334,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
                 entry = dates[entry_s] = _parse_date(entry_s, "entry_date", name, lineno)
             info = people.get(person)
             if info is None:
-                info = people[person] = (regions.setdefault(region, region), entry, [])
+                info = people[person] = [regions.setdefault(region, region), entry]
             elif info[0] != region:
                 raise MalformedRow(
                     f"person {person!r} has conflicting regions ({info[0]!r} vs {region!r})", file=name, line=lineno
@@ -357,21 +362,25 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
             per_week = hours.get(hours_s)
             if per_week is None:
                 per_week = hours[hours_s] = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
-            info[2].append((start, end, per_week, lineno))
+            info.append(Spell(start, end, per_week))
         records = []
         for person in sorted(people):
-            region, entry, spells = people.pop(person)  # frees this person's tuples once the record exists
+            info = people.pop(person)  # frees this person's list once the record exists
+            spells = info[2:]
             spells.sort(key=itemgetter(0, 1))  # by (start, end); equal spells keep their file order
             for a, b in zip(spells, spells[1:]):
                 if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
+                    index = [spell is b for spell in info[2:]].index(True)  # b's place among the person's spells
+                    rows = _read_rows(records_file, RECORDS_HEADER) if os.path.isfile(records_file) else ()
+                    lines = [n for n, row in rows if row[0] == person and row[3]]
                     raise OverlappingSpells(
                         f"person {person!r} has overlapping spells "
                         f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
                         file=name,
-                        line=b[3],
+                        line=lines[index] if index < len(lines) else None,  # None for a pipe or a file changed since
                         person_id=person,
                     )
-            records.append(ProgrammeRecord(person, region, entry, tuple(Spell(s, e, h) for s, e, h, _ in spells)))
+            records.append(ProgrammeRecord(person, info[0], info[1], tuple(spells)))
         return records
     finally:
         if enabled:

@@ -65,16 +65,16 @@ def is_reintegrated(
             f"{record.entry_date} ends after {date.max}"
         ) from None
     day = record.entry_date
-    for spell in record.spells:  # sorted, non-overlapping by construction
-        if spell.hours_per_week < min_hours:
+    for start, end, per_week in record.spells:  # sorted, non-overlapping by construction
+        if per_week < min_hours:
             continue  # days covered only by a low-hours spell stay uncovered
-        if spell.end_date < day:
+        if end < day:
             continue
-        if spell.start_date > day:
+        if start > day:
             return False
-        if spell.end_date >= window_end:  # tested before the day after end_date, which may not exist
+        if end >= window_end:  # tested before the day after end, which may not exist
             return True
-        day = spell.end_date + timedelta(days=1)
+        day = end + timedelta(days=1)
     return False
 
 
@@ -93,16 +93,8 @@ def aggregate_performance(
         cell[0] += 1
         if is_reintegrated(record, min_hours=min_hours, window_months=window_months):
             cell[1] += 1
-    return [
-        PerformanceRow(
-            region_id=region,
-            entry_year=year,
-            n_entrants=entrants,
-            n_success=successes,
-            performance=successes / entrants,
-        )
-        for (region, year), (entrants, successes) in sorted(counts.items())
-    ]
+    return [PerformanceRow(region, year, entrants, successes, successes / entrants)
+            for (region, year), (entrants, successes) in sorted(counts.items())]
 
 
 def write_performance_csv(rows: list[PerformanceRow], path: str | Path) -> None:

@@ -36,8 +36,6 @@ from workforecast.perf import PerformanceRow, write_performance_csv
 # configuration under which the linear law links proxies to performance
 LAW_FEATURE_CONFIG = FeatureConfig(normalize=True, lag=0, working_age=(16, 64))
 
-TRUTH_FILENAME = "truth.json"
-
 
 @dataclass(frozen=True)
 class Shock:
@@ -149,7 +147,7 @@ def generate(config: SynthConfig) -> SynthResult:
     performance: list[PerformanceRow] = []
     n_clipped = 0
     for k in range(config.n_regions):
-        region_id = f"R{k + 1:0{width}d}"
+        region_id = f"R{k + 1:0{width}d}"  # one width for all, so ids sort in generation order
         series = _region_series(region_id, years, _rng(config.seed, k, 0), config.shock)
         series_by_region[region_id] = series
 
@@ -175,7 +173,6 @@ def generate(config: SynthConfig) -> SynthResult:
                     performance=value,
                 )
             )
-    performance.sort(key=lambda row: (row.region_id, row.entry_year))
     return SynthResult(series_by_region=series_by_region, performance=performance, n_clipped=n_clipped)
 
 
@@ -193,7 +190,7 @@ def write_outputs(
         "unemployment": out / "unemployment.csv",
         "population": out / "population.csv",
         "performance": out / "performance.csv",
-        "truth": out / TRUTH_FILENAME,
+        "truth": out / "truth.json",
     }
     write_regional_series(
         result.series_by_region, paths["employment"], paths["unemployment"], paths["population"]

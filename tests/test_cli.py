@@ -839,3 +839,50 @@ class TestOversizedIntegers:
         line = _single_error_line(result, "MalformedRow")
         assert line == f"ERROR MalformedRow: {tmp_path / file}:2: column {name!r} must be at most {limit}, got {huge!r}"
         assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
+
+
+class TestOversizedFields:
+    """A field past `csv.field_size_limit()`, 131,072 characters, used to end in a `_csv.Error` traceback."""
+
+    @pytest.mark.parametrize("command, file", [
+        ("features", "employment.csv"), ("features", "unemployment.csv"), ("features", "population.csv"),
+        ("performance", "records.csv"), ("validate", "records.csv"),
+        ("fit", "features.csv"), ("fit", "performance.csv"),
+    ])
+    @pytest.mark.parametrize("row", [1, 3], ids=["header", "data-row"])
+    def test_exits_one_with_one_malformed_row_line(self, quickstart, tmp_path, command, file, row):
+        args = _copy_quickstart(quickstart, tmp_path, command)
+        _edit_lines(tmp_path / file, lambda lines: [*lines[:row - 1], '"' + "x" * 131_073 + '"', *lines[row - 1:]])
+        result = _invoke(args)
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()  # `validate` reports the statistical files OK before it reads records
+        assert [line for line in lines if not line.startswith("OK ")] == [
+            f"ERROR MalformedRow: {tmp_path / file}:{row}: "
+            "not a readable CSV row (field larger than field limit (131072))"
+        ]
+        assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
+
+    def test_the_line_counts_rows_as_every_other_row_error_does(self, quickstart, tmp_path):
+        """A quoted line break spans two lines of text but one row; the row after it is row 3."""
+        args = _copy_quickstart(quickstart, tmp_path, "performance")
+        _edit_lines(tmp_path / "records.csv", lambda lines: [
+            lines[0], '"P0\nx",R01,2012-05-01,,,', "x" * 131_073, *lines[1:],
+        ])
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "MalformedRow").startswith(
+            f"ERROR MalformedRow: {tmp_path / 'records.csv'}:3: not a readable CSV row"
+        )
+
+
+class TestLagBound:
+    def test_a_lag_past_324_digits_exits_one_and_writes_nothing(self, quickstart, tmp_path):
+        """Such a lag used to exit 0 and write a features.csv that `fit` then rejected."""
+        args = _copy_quickstart(quickstart, tmp_path, "features")
+        lag = 10**330
+        result = _invoke([*args, "--lag", str(lag)])
+        assert result.exit_code == 1
+        assert _single_error_line(result, "InvalidConfig") == (
+            f"ERROR InvalidConfig: region 'R01': lag {lag} labels year 2018 with a year of more than 324 digits"
+        )
+        assert not (tmp_path / "out_features.csv").exists()

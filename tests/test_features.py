@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from workforecast.errors import (
     FeatureConfigMismatch,
+    InvalidConfig,
     MalformedRow,
     SupplyExceedsOne,
     ZeroWorkingAgePopulation,
@@ -180,6 +181,20 @@ class TestBuildFeatures:
         assert [row.year for row in lagged] == [2012, 2013]
         unlagged = build_features(series, FeatureConfig(normalize=False, lag=0))
         assert [(l.demand, l.supply) for l in lagged] == [(u.demand, u.supply) for u in unlagged]
+
+    def test_the_largest_lag_labels_a_year_that_reads_back(self, tmp_path):
+        """A labelled year of 324 digits is written and read back; one more digit is an `InvalidConfig`."""
+        series = {"R1": _flat_series(range(2010, 2013)), "R2": _flat_series(range(2010, 2014), region="R2")}
+        largest = FeatureConfig(normalize=False, lag=10**324 - 1 - 2013)
+        rows = build_features(series, largest)
+        assert rows[-1].year == 10**324 - 1
+        path = tmp_path / "features.csv"
+        write_features_csv(rows, largest, path)
+        assert read_features_csv(path) == (rows, largest)
+        with pytest.raises(InvalidConfig, match=r"^region 'R2': lag \d{324} labels year 2013 with a year of more "
+                                                r"than 324 digits$") as excinfo:
+            build_features(series, FeatureConfig(normalize=False, lag=largest.lag + 1))
+        assert excinfo.value.region == "R2"
 
     def test_telescoping_sum(self):
         rng = np.random.default_rng(11)

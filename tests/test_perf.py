@@ -215,7 +215,7 @@ class TestAggregatePerformance:
             random_programme_record(rng, person_id=f"P{i}", region_id=f"R{i % 2}") for i in range(30)
         ]
         scaled = [
-            replace(record, spells=tuple(replace(s, hours_per_week=s.hours_per_week * factor) for s in record.spells))
+            replace(record, spells=tuple(s._replace(hours_per_week=s.hours_per_week * factor) for s in record.spells))
             for record in records
         ]
         base = {(r.region_id, r.entry_year): r.performance for r in aggregate_performance(records)}

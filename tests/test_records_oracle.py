@@ -7,12 +7,15 @@ fields, while the one-pass parser reports the first faulty row in file order.
 """
 import csv
 import io
+import os
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from workforecast.errors import MalformedRow
+from workforecast import ingest
+from workforecast.errors import DataError, MalformedRow, OverlappingSpells
 from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, Spell, parse_programme_records
 
 from helpers import parse_records_oracle, random_programme_record
@@ -94,3 +97,93 @@ def test_records_and_spells_have_no_instance_dict():
     spell = Spell(date(2015, 1, 1), date(2015, 6, 30), 20.0)
     record = ProgrammeRecord("P1", "R1", date(2015, 1, 1), (spell,))
     assert not hasattr(spell, "__dict__") and not hasattr(record, "__dict__")
+
+
+# Files whose only fault is an overlap, with the line it is reported on: the parse keeps no
+# line per spell and finds the later spell's row by reading the file again.
+OVERLAPS = {
+    "identical-rows": (3, [
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+    ]),
+    "equal-dates-higher-hours-first": (3, [
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,30",
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+    ]),
+    "out-of-date-order": (3, [  # sorted: 01-01, 02-28, 08-01; the later of the overlapping pair is the earlier row
+        "P1,R1,2015-03-01,2015-08-01,2015-12-31,20",
+        "P1,R1,2015-03-01,2015-02-28,2015-04-30,20",
+        "P1,R1,2015-03-01,2015-01-01,2015-02-28,20",
+    ]),
+    "interleaved-with-other-people": (7, [
+        "P2,R2,2015-01-01,2015-01-01,2015-06-30,20",
+        "P1,R1,2015-03-01,,,",
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+        "P2,R2,2015-01-01,2015-07-01,2015-12-31,20",
+        "",
+        "P1,R1,2015-03-01,2015-06-30,2015-07-31,20",
+        "P3,R1,2015-03-01,2015-06-30,2015-07-31,20",
+        "P1,R1,2015-03-01,2015-06-01,2015-06-30,20",
+    ]),
+}
+
+
+def _overlap_file(tmp_path, rows):
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([",".join(RECORDS_HEADER), *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def _raised(parse, path):
+    with pytest.raises(DataError) as excinfo:
+        parse(path)
+    return type(excinfo.value), str(excinfo.value), excinfo.value.line
+
+
+@pytest.mark.parametrize("line, rows", OVERLAPS.values(), ids=OVERLAPS.keys())
+def test_an_overlap_names_the_oracles_line(tmp_path, line, rows):
+    path = _overlap_file(tmp_path, rows)
+    raised = _raised(parse_programme_records, path)
+    assert (raised[0], raised[2]) == (OverlappingSpells, line)
+    assert raised == _raised(parse_records_oracle, path)
+
+
+@pytest.mark.parametrize("second_read", [[], ["P1,R1,2015-03-01,2015-03-01,2015-05-31,20"], ["P1,R1"]],
+                         ids=["person-gone", "row-gone", "malformed"])
+def test_a_file_changed_before_the_second_read_still_gives_one_error(tmp_path, monkeypatch, second_read):
+    path = _overlap_file(tmp_path, OVERLAPS["identical-rows"][1])
+    (tmp_path / "changed").mkdir()
+    changed = _overlap_file(tmp_path / "changed", second_read)
+    read_rows = ingest._read_rows
+    paths = []
+
+    def reads(records_file, header):
+        paths.append(records_file)
+        return read_rows(records_file if len(paths) == 1 else changed, header)
+
+    monkeypatch.setattr(ingest, "_read_rows", reads)
+    kind, message, line = _raised(parse_programme_records, path)
+    assert paths == [path, path]
+    if second_read == ["P1,R1"]:
+        assert (kind, line) == (MalformedRow, 2)
+    else:
+        assert (kind, message, line) == (OverlappingSpells, f"{path}: person 'P1' has overlapping spells "
+                                         "(2015-03-01..2015-05-31 and 2015-03-01..2015-05-31)", None)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd to name a pipe")
+def test_an_overlap_in_a_pipe_is_reported_without_a_line(tmp_path):
+    """A pipe cannot be read a second time, so the overlap is named without its line, never as an empty file."""
+    text = "\n".join([",".join(RECORDS_HEADER), *OVERLAPS["identical-rows"][1]]) + "\n"
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(OverlappingSpells) as excinfo:
+            parse_programme_records(path)
+    finally:
+        os.close(read_end)
+    assert excinfo.value.line is None
+    assert str(excinfo.value) == (f"{path}: person 'P1' has overlapping spells "
+                                  "(2015-03-01..2015-05-31 and 2015-03-01..2015-05-31)")
