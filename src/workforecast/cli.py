@@ -35,7 +35,7 @@ from workforecast import model as model_mod
 from workforecast import perf as perf_mod
 from workforecast import report as report_mod
 from workforecast import synth as synth_mod
-from workforecast.errors import DataError, FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
+from workforecast.errors import DataError, FeatureConfigMismatch
 from workforecast.features import FeatureConfig
 
 
@@ -104,7 +104,7 @@ def cli() -> None:
 def validate_cmd(employment_file, unemployment_file, population_file, records_file) -> None:
     """Run ingestion checks only; no outputs."""
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
-    for region in sorted(series):
+    for region in series:
         years = series[region].years
         click.echo(f"OK {region}: years {years[0]}-{years[-1]} ({len(years)})", err=True)
     if records_file is not None:
@@ -167,12 +167,7 @@ def fit_cmd(features, performance, per_region, model) -> None:
     performance_rows = perf_mod.read_performance_csv(performance)
     dataset = evaluate_mod.build_dataset(feature_rows, performance_rows)
     if per_region:
-        models = {}
-        for region, pairs in evaluate_mod.group_by_region(dataset).items():
-            try:
-                models[region] = model_mod.fit(*model_mod.design(pairs), config)
-            except (TooFewObservations, RankDeficientDesign) as err:
-                raise type(err)(f"region {region!r}: {err}", **err.context, region=region) from err
+        models = evaluate_mod.by_region(dataset, lambda pairs: model_mod.fit(*model_mod.design(pairs), config))
         payload = {"scope": "per-region", "feature_config": config, "models": models}
         summary = f"fitted {len(models)} per-region models on {len(dataset)} rows"
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,23 +78,33 @@ def build_dataset(
     feature_rows: list[FeatureRow],
     performance_rows: list[PerformanceRow],
 ) -> list[tuple[FeatureRow, float]]:
-    """Inner-join features with performance on (region, year), sorted."""
+    """Inner-join features with performance on (region, year), in the order of `feature_rows`."""
     targets = {(row.region_id, row.entry_year): row.performance for row in performance_rows}
-    pairs = [
+    return [
         (row, targets[(row.region_id, row.year)])
         for row in feature_rows
         if (row.region_id, row.year) in targets
     ]
-    pairs.sort(key=lambda pair: (pair[0].region_id, pair[0].year))
-    return pairs
 
 
-def group_by_region(dataset: list[tuple[FeatureRow, float]]) -> dict[str, list[tuple[FeatureRow, float]]]:
-    """Split a dataset into one dataset per region, keyed in sorted region order."""
+def by_region(dataset: list[tuple[FeatureRow, float]], run: Callable[[list], object]) -> dict[str, object]:
+    """Map each region, in sorted order, to `run` of its rows; the one split of a dataset by region.
+
+    `run`'s `TooFewObservations` and `RankDeficientDesign` are raised again prefixed
+    `region 'R': `, with `region` context. An empty dataset is a `TooFewObservations`.
+    """
+    if not dataset:
+        raise TooFewObservations("per-region runs need at least 1 data point, got 0")
     regions: dict[str, list[tuple[FeatureRow, float]]] = {}
     for row, target in dataset:
         regions.setdefault(row.region_id, []).append((row, target))
-    return dict(sorted(regions.items()))
+    results = {}
+    for region, rows in sorted(regions.items()):
+        try:
+            results[region] = run(rows)
+        except (TooFewObservations, RankDeficientDesign) as err:
+            raise type(err)(f"region {region!r}: {err}", **err.context, region=region) from err
+    return results
 
 
 def relative_inaccuracy(mae_model: float | None, mae_benchmark: float | None) -> float | None:
@@ -131,7 +142,7 @@ def metrics(
 def _prior_years_means(data: list[tuple[FeatureRow, float]]) -> dict[int, float | None]:
     """Mean performance of strictly earlier years, per distinct year; None when there are none."""
     means: dict[int, float | None] = {}
-    for year in sorted({row.year for row, _ in data}):
+    for year in {row.year for row, _ in data}:
         earlier = [target for row, target in data if row.year < year]
         means[year] = math.fsum(earlier) / len(earlier) if earlier else None
     return means
@@ -208,14 +219,8 @@ def loocv_per_region(
     benchmark_mode: str = "trainfold-mean",
 ) -> EvalReport:
     """Leave-one-out within each region separately, folds merged for the summary."""
-    folds: list[FoldResult] = []
-    for region, subset in group_by_region(dataset).items():
-        if len(subset) < 4:
-            raise TooFewObservations(
-                f"region {region!r} has only {len(subset)} data points; "
-                f"per-region leave-one-out needs at least 4"
-            )
-        folds.extend(loocv(subset, config, benchmark_mode).folds)  # regions sorted, each region's folds by year
+    reports = by_region(dataset, lambda rows: loocv(rows, config, benchmark_mode))
+    folds = [fold for report in reports.values() for fold in report.folds]  # regions sorted, folds by year
     return _report(folds, config, benchmark_mode, "per-region")
 
 

@@ -52,7 +52,7 @@ def working_age_population(
     """Population inside the working-age interval, pro-rating partial bands; it must be positive."""
     lo, hi = working_age
     total = 0.0
-    for (band_lo, band_hi), persons in sorted(series.population[year].items()):
+    for (band_lo, band_hi), persons in series.population[year].items():
         overlap = min(hi, band_hi) - max(lo, band_lo) + 1
         if overlap <= 0:
             continue
@@ -141,11 +141,11 @@ def build_features(
 
 
 def write_features_csv(rows: list[FeatureRow], config: FeatureConfig, path: str | Path) -> None:
-    """Write feature rows, each stamped with `config`; floats use repr so a read round-trips bit-exactly."""
+    """Write feature rows in the order given, each stamped with `config`; floats use repr to round-trip bit-exactly."""
     stamp = [int(config.normalize), config.lag, *config.working_age]
     _write_rows(path, FEATURES_HEADER, (
         [row.region_id, row.year, repr(row.demand), repr(row.supply), *stamp]
-        for row in sorted(rows, key=lambda r: (r.region_id, r.year))
+        for row in rows
     ))
 
 

@@ -62,7 +62,7 @@ _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]
 
 @dataclass
 class RegionalSeries:
-    """Dense per-region panel of labour statistics over consecutive years."""
+    """Dense per-region panel of labour statistics over consecutive years; each year's bands ascend."""
 
     region_id: str
     years: tuple[int, ...]
@@ -223,7 +223,7 @@ def parse_regional_series(
     unemployment_file: str | Path,
     population_file: str | Path,
 ) -> dict[str, RegionalSeries]:
-    """Parse the three statistical files into one validated series per region.
+    """Parse the three statistical files into one validated series per region, in sorted region order.
 
     Years are restricted per region to the intersection of the years present
     in all three files; the intersection must be non-empty and consecutive.
@@ -265,7 +265,7 @@ def parse_regional_series(
                         region=region,
                         year=year,
                     )
-            pop_by_year[year] = {band: persons for band, (persons, _) in sorted(bands.items())}
+            pop_by_year[year] = {band: bands[band][0] for band in ordered}
         out[region] = RegionalSeries(
             region_id=region,
             years=tuple(common),
@@ -282,12 +282,12 @@ def write_regional_series(
     unemployment_file: str | Path,
     population_file: str | Path,
 ) -> None:
-    """Write series back to the three canonical CSV schemas.
+    """Write series back to the three canonical CSV schemas, rows in the order given.
 
-    Rows are emitted in (region, year, age_lo) order so output is
-    deterministic and re-parses to an identical value.
+    `parse_regional_series` and `synth.generate` hold regions, years and bands
+    ascending, so their series are written sorted and re-parse to an identical value.
     """
-    items = sorted(series_by_region.items())
+    items = series_by_region.items()
     _write_rows(employment_file, EMPLOYMENT_HEADER,
                 ([region, year, series.employment[year]] for region, series in items for year in series.years))
     _write_rows(unemployment_file, UNEMPLOYMENT_HEADER,
@@ -296,7 +296,7 @@ def write_regional_series(
         [region, year, lo, hi, persons]
         for region, series in items
         for year in series.years
-        for (lo, hi), persons in sorted(series.population[year].items())
+        for (lo, hi), persons in series.population[year].items()
     ))
 
 

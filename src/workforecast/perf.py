@@ -98,10 +98,10 @@ def aggregate_performance(
 
 
 def write_performance_csv(rows: list[PerformanceRow], path: str | Path) -> None:
-    """Write performance rows; the rate column is display-only at 6 decimals."""
+    """Write performance rows in the order given; the rate column is display-only at 6 decimals."""
     _write_rows(path, PERFORMANCE_HEADER, (
         [row.region_id, row.entry_year, row.n_entrants, row.n_success, f"{row.performance:.6f}"]
-        for row in sorted(rows, key=lambda r: (r.region_id, r.entry_year))
+        for row in rows
     ))
 
 

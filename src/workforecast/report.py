@@ -96,20 +96,19 @@ def emit_figure_data(
     shared by all regions). The evaluation chart is baselined per region by
     the performance of the region's first entry year. Both go through
     `baseline`, and every figure's rows are built before the first file is
-    written, so a call that raises leaves out_dir as it was.
+    written, so a call that raises leaves out_dir as it was. Rows follow the
+    order of the inputs, which their parsers and `evaluate` give sorted.
     """
-    demand_rows = [
-        [row.region_id, row.year, repr(row.demand)] for row in sorted(feature_rows, key=lambda r: (r.region_id, r.year))
-    ]
+    demand_rows = [[row.region_id, row.year, repr(row.demand)] for row in feature_rows]
     unemployment_rows = [
         [region, year, series.unemployed_6m[year]]
-        for region, series in sorted(series_by_region.items())
+        for region, series in series_by_region.items()
         for year in series.years
     ]
 
     pop_year = baseline_year if baseline_year is not None else _default_population_baseline_year(series_by_region)
     population_rows = []
-    for region, series in sorted(series_by_region.items()):
+    for region, series in series_by_region.items():
         totals = {year: float(sum(series.population[year].values())) for year in series.years}
         baselined = baseline(totals, pop_year, population_mode, label=region)
         population_rows.extend([region, year, repr(value)] for year, value in baselined.points)

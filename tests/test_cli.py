@@ -648,6 +648,20 @@ class TestOverflowingFeatures:
         assert line.startswith(f"ERROR TooFewObservations: region {last!r}: need at least 3 observations")
         assert not model.exists()
 
+    def test_per_region_evaluate_names_a_region_with_too_few_rows(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        features = tmp_path / "features.csv"
+        lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+        last = lines[-1].split(",")[0]
+        dropped = [line for line in lines if line.startswith(f"{last},")][3:]
+        features.write_text("".join(line for line in lines if line not in dropped), encoding="utf-8")
+        report = tmp_path / "report_small.json"
+        result = _invoke([*_evaluate_args(tmp_path, report), "--per-region"])
+        assert result.exit_code == 1
+        line = _single_error_line(result, "TooFewObservations")
+        assert line == f"ERROR TooFewObservations: region {last!r}: leave-one-out needs at least 4 data points, got 3"
+        assert not report.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_evaluate_exits_one_without_a_report(self, tmp_path):
         self._overflowing_features(tmp_path)
@@ -656,6 +670,22 @@ class TestOverflowingFeatures:
         assert result.exit_code == 1
         _single_error_line(result, "RankDeficientFold")
         assert not report.exists()
+
+
+class TestEmptyJoin:
+    """A lag past the last performance year leaves no (region, year) in both files."""
+
+    @pytest.mark.parametrize("args", [_fit_args, _evaluate_args], ids=["fit", "evaluate"])
+    def test_per_region_command_exits_one_without_output(self, tmp_path, args):
+        assert _invoke(["synth", "--out", str(tmp_path / "data"), "--seed", "7"]).exit_code == 0
+        features = tmp_path / "features_lag100.csv"
+        assert _invoke(_features_args(tmp_path, features, "--lag", "100")).exit_code == 0
+        out = tmp_path / "per_region.json"
+        result = _invoke([*args(tmp_path, out, features), "--per-region"])
+        assert result.exit_code == 1
+        line = _single_error_line(result, "TooFewObservations")
+        assert line == "ERROR TooFewObservations: per-region runs need at least 1 data point, got 0"
+        assert not out.exists()
 
 
 class TestVersion:

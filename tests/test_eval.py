@@ -145,8 +145,10 @@ class TestLoocvPerRegion:
     def test_small_region_is_rejected(self):
         rows = feature_rows([(0.1, 0.2), (0.2, 0.1), (0.3, 0.3)], region_id="tiny")
         dataset = _synth_dataset() + [(row, 0.5) for row in rows]
-        with pytest.raises(TooFewObservations, match="tiny"):
+        with pytest.raises(TooFewObservations) as excinfo:
             loocv_per_region(dataset, LAW_FEATURE_CONFIG)
+        assert str(excinfo.value) == "region 'tiny': leave-one-out needs at least 4 data points, got 3"
+        assert excinfo.value.region == "tiny"
 
 
 class TestMetrics:

@@ -14,7 +14,7 @@ from workforecast.errors import (
     OverlappingAgeBands,
     OverlappingSpells,
 )
-from workforecast.features import read_features_csv
+from workforecast.features import FeatureConfig, build_features, read_features_csv, write_features_csv
 from workforecast.ingest import (
     _parse_natural,
     _parse_number,
@@ -22,7 +22,8 @@ from workforecast.ingest import (
     parse_regional_series,
     write_regional_series,
 )
-from workforecast.perf import read_performance_csv
+from workforecast.perf import read_performance_csv, write_performance_csv
+from workforecast.synth import SynthConfig, generate
 
 from helpers import random_regional_series
 
@@ -393,3 +394,57 @@ class TestCountBound:
                       f"region,entry_year,n_entrants,n_success,performance\nR1,2014,{2**60},{2**58},0.250000\n")
         [row] = read_performance_csv(path)
         assert (row.n_entrants, row.n_success, row.performance) == (2**60, 2**58, 0.25)
+
+
+_REORDERINGS = {"reversed": lambda rows: rows[::-1], "shuffled": lambda rows: random.Random(5).sample(rows, len(rows))}
+
+
+def _reorder(path, into, how):
+    """Copy `path` to `into` with its data rows reordered; returns `into`."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    into.write_text("".join([header, *_REORDERINGS[how](rows)]), encoding="utf-8")
+    return into
+
+
+@pytest.mark.parametrize("how", sorted(_REORDERINGS))
+class TestReadersSortForTheWriters:
+    """Each reader returns its table sorted, so the writers, which keep the order given, write sorted files."""
+
+    def test_regional_series(self, tmp_path, how):
+        rng = np.random.default_rng(11)
+        series = {f"R{i}": random_regional_series(rng, f"R{i}") for i in range(1, 5)}
+        names = ("employment.csv", "unemployment.csv", "population.csv")
+        write_regional_series(series, *(tmp_path / name for name in names))
+        assert any(len(series[region].population[series[region].years[0]]) > 2 for region in series)
+        shuffled = [_reorder(tmp_path / name, tmp_path / f"{how}_{name}", how) for name in names]
+        parsed = parse_regional_series(*shuffled)
+        assert list(parsed) == sorted(parsed)
+        for region in parsed.values():
+            assert list(region.years) == sorted(region.years)
+            assert [list(bands) for bands in region.population.values()] == [
+                sorted(bands) for bands in region.population.values()
+            ]
+            assert list(region.population) == list(region.employment) == list(region.years)
+        write_regional_series(parsed, *(tmp_path / f"again_{name}" for name in names))
+        for name in names:
+            assert (tmp_path / f"again_{name}").read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_features(self, tmp_path, how):
+        rng = np.random.default_rng(12)
+        config = FeatureConfig()
+        rows = build_features({f"R{i}": random_regional_series(rng, f"R{i}") for i in range(1, 5)}, config)
+        write_features_csv(rows, config, tmp_path / "features.csv")
+        read, _ = read_features_csv(_reorder(tmp_path / "features.csv", tmp_path / "shuffled.csv", how))
+        keys = [(row.region_id, row.year) for row in read]
+        assert len(keys) > 4 and keys == sorted(keys)
+        write_features_csv(read, config, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "features.csv").read_bytes()
+
+    def test_performance(self, tmp_path, how):
+        rows = generate(SynthConfig(n_regions=4, seed=12, noise_sd=0.05)).performance
+        write_performance_csv(rows, tmp_path / "performance.csv")
+        read = read_performance_csv(_reorder(tmp_path / "performance.csv", tmp_path / "shuffled.csv", how))
+        keys = [(row.region_id, row.entry_year) for row in read]
+        assert len(keys) > 4 and keys == sorted(keys)
+        write_performance_csv(read, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "performance.csv").read_bytes()
