@@ -125,18 +125,15 @@ def metrics(
     """
     if not folds:
         raise EmptyFolds("no folds to summarize")
-    model_errors = [fold.abs_err_model for fold in folds]
+    mae_model, std_model = _mae_std([fold.abs_err_model for fold in folds])
     benchmark_errors = [fold.abs_err_benchmark for fold in folds if fold.abs_err_benchmark is not None]
-
-    mae_model = statistics.fmean(model_errors) * 100.0
-    std_model = statistics.stdev(model_errors) * 100.0 if len(model_errors) > 1 else 0.0
-    if benchmark_errors:
-        mae_benchmark = statistics.fmean(benchmark_errors) * 100.0
-        std_benchmark = statistics.stdev(benchmark_errors) * 100.0 if len(benchmark_errors) > 1 else 0.0
-    else:
-        mae_benchmark = None
-        std_benchmark = None
+    mae_benchmark, std_benchmark = _mae_std(benchmark_errors) if benchmark_errors else (None, None)
     return mae_model, mae_benchmark, std_model, std_benchmark, relative_inaccuracy(mae_model, mae_benchmark)
+
+
+def _mae_std(errors: list[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for one error) of absolute errors, in percentage points."""
+    return statistics.fmean(errors) * 100.0, statistics.stdev(errors) * 100.0 if len(errors) > 1 else 0.0
 
 
 def _prior_years_means(data: list[tuple[FeatureRow, float]]) -> dict[int, float | None]:
@@ -171,9 +168,7 @@ def loocv(
     """Run one fold per data point; fold i trains on the other n-1 points."""
     import numpy as np
     if benchmark_mode not in BENCHMARK_MODES:
-        raise InvalidConfig(
-            f"unknown benchmark mode {benchmark_mode!r}; expected one of {', '.join(BENCHMARK_MODES)}"
-        )
+        raise InvalidConfig(f"unknown benchmark mode {benchmark_mode!r}; expected one of {', '.join(BENCHMARK_MODES)}")
     n = len(dataset)
     if n < 4:
         raise TooFewObservations(f"leave-one-out needs at least 4 data points, got {n}")
@@ -199,17 +194,9 @@ def loocv(
             pred_benchmark = math.fsum(total + [-actual]) / (n - 1)
         else:
             pred_benchmark = prior_means[row.year]
-        folds.append(
-            FoldResult(
-                region_id=row.region_id,
-                year=row.year,
-                actual=actual,
-                pred_model=pred_model,
-                pred_benchmark=pred_benchmark,
-                abs_err_model=abs(pred_model - actual),
-                abs_err_benchmark=abs(pred_benchmark - actual) if pred_benchmark is not None else None,
-            )
-        )
+        abs_err_benchmark = abs(pred_benchmark - actual) if pred_benchmark is not None else None
+        folds.append(FoldResult(row.region_id, row.year, actual, pred_model, pred_benchmark,
+                                abs(pred_model - actual), abs_err_benchmark))
     return _report(folds, config, benchmark_mode, "pooled")
 
 

@@ -127,16 +127,9 @@ def build_features(
         if series.unemployed_6m[series.years[0]]:
             supply_proxy(series, series.years[0], working_age=config.working_age)
         for base_year in series.years[1:]:
-            rows.append(
-                FeatureRow(
-                    region_id=region,
-                    year=base_year + config.lag,
-                    demand=demand_proxy(
-                        series, base_year, normalize=config.normalize, working_age=config.working_age
-                    ),
-                    supply=supply_proxy(series, base_year, working_age=config.working_age),
-                )
-            )
+            demand = demand_proxy(series, base_year, normalize=config.normalize, working_age=config.working_age)
+            supply = supply_proxy(series, base_year, working_age=config.working_age)
+            rows.append(FeatureRow(region, base_year + config.lag, demand, supply))
     return rows
 
 

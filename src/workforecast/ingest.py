@@ -23,6 +23,7 @@ Whole-file checks (years, overlapping age bands or spells) come after. Records
 parsing keeps each distinct date, hours or region string once per call, pauses
 the GC, builds each spell once, as the `Spell` its record holds, and keeps no
 line number per spell: an overlap reads the file again to name its line.
+Every output file of the pipeline, CSV or JSON, is written through `open_output`.
 """
 from __future__ import annotations
 
@@ -32,11 +33,12 @@ import math
 import os
 import re
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from workforecast.errors import (
     EmptyIntersection,
@@ -88,7 +90,7 @@ class ProgrammeRecord:
 
 
 # ---------------------------------------------------------------------------
-# low-level row handling
+# low-level file handling
 # ---------------------------------------------------------------------------
 
 def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -122,9 +124,31 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
             raise MalformedRow(f"not a readable CSV row ({err})", file=name, line=lineno + 1) from None
 
 
+@contextmanager
+def open_output(path: str | Path) -> Iterator[TextIO]:
+    """Yield a new sibling `<path>.<pid>.tmp`, then move it onto `path`: the one way an output is written.
+
+    Mode "x" gives it the permission bits `open(path, "w")` would and never follows a planted symlink.
+    If the block raises (`BaseException` included), it is removed and `path` keeps its old bytes; an
+    `OSError` from opening or moving it names `path`, never the temp file.
+    """
+    temp = f"{path}.{os.getpid()}.tmp"
+    fh = None
+    try:
+        with open(temp, "x", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException as err:
+        if fh is not None:
+            os.remove(temp)
+        if isinstance(err, OSError) and err.filename == temp:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+        raise
+
+
 def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[list], comment: str | None = None) -> None:
-    """Write a CSV file: an optional `# comment` line, the header, then `rows`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a CSV file through `open_output`: an optional `# comment` line, the header, then `rows`."""
+    with open_output(path) as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")

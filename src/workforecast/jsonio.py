@@ -1,6 +1,7 @@
 """The one JSON codec: model.json, report.json and truth.json all go through here.
 
-Encoding is `json.dumps`'s own: dicts, lists, tuples (as lists), strings,
+Encoding is `json.dump`'s own, streamed into `ingest.open_output`, so no
+text of the whole file is ever held: dicts, lists, tuples (as lists), strings,
 numbers and None are written by json's recursion, and its `default` hook
 turns a dataclass into a dict of its fields in declaration order; a field's
 ``metadata={"json": key}`` renames its key. Reading back is driven by the
@@ -21,21 +22,22 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from workforecast.errors import MalformedJson
+from workforecast.ingest import open_output
 
 T = TypeVar("T")
 
 
 def save(path: str | Path, value: Any, run_config: dict | None = None) -> None:
-    """Write `value` plus an optional `run_config` stamp; nothing is written on NaN or inf."""
+    """Write `value` plus an optional `run_config` stamp; on NaN or inf `path` keeps its old bytes."""
     payload = value
     if run_config is not None:
         payload = {**(value if isinstance(value, dict) else _fields(value)), "run_config": run_config}
     try:
-        text = json.dumps(payload, indent=2, allow_nan=False, default=_fields)
+        with open_output(path) as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False, default=_fields)
+            fh.write("\n")
     except ValueError as err:
         raise MalformedJson(f"cannot write a non-finite number as JSON ({err})", file=str(path)) from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
 def load(path: str | Path, cls: type[T]) -> T:
@@ -50,10 +52,16 @@ def load(path: str | Path, cls: type[T]) -> T:
 
 
 def _fields(value: Any) -> dict:
-    """A dataclass instance as a dict of its fields; json.dumps calls this for any value it cannot write."""
-    if not dataclasses.is_dataclass(type(value)):
-        raise NotImplementedError(f"no JSON codec for {type(value)!r}")
-    return {field.metadata.get("json", field.name): getattr(value, field.name) for field in dataclasses.fields(value)}
+    """A dataclass instance as a dict of its fields; json.dump calls this for any value it cannot write."""
+    return {key: getattr(value, name) for key, name in _keys(type(value))}
+
+
+@functools.cache
+def _keys(cls: type) -> tuple[tuple[str, str], ...]:
+    """(JSON key, field name) of each field of the dataclass `cls`, read once per type, not once per value."""
+    if not dataclasses.is_dataclass(cls):
+        raise NotImplementedError(f"no JSON codec for {cls!r}")
+    return tuple((field.metadata.get("json", field.name), field.name) for field in dataclasses.fields(cls))
 
 
 def _expect(value: Any, *kinds: type) -> Any:

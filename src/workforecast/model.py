@@ -113,8 +113,7 @@ def fit(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
     centered = y - y.mean()
     tss = float(centered @ centered)
     r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
-    intercept, coef_demand, coef_supply = beta.tolist()
-    return ModelFit(intercept, coef_demand, coef_supply, n, rss, r_squared, config)
+    return ModelFit(*beta.tolist(), n, rss, r_squared, config)
 
 
 def predict(model: ModelFit, row: FeatureRow, config: FeatureConfig) -> float:

@@ -86,6 +86,8 @@ def aggregate_performance(
     """Aggregate records into one row per (region, entry year) with >= 1 entrant."""
     if not (math.isfinite(min_hours) and min_hours >= 0.0):
         raise InvalidConfig(f"min_hours must be a finite non-negative number, got {min_hours}")
+    if window_months < 0:
+        raise InvalidConfig(f"window_months must be non-negative, got {window_months}")
     counts: dict[tuple[str, int], list[int]] = {}
     for record in records:
         key = (record.region_id, record.entry_date.year)

@@ -153,26 +153,14 @@ def generate(config: SynthConfig) -> SynthResult:
 
         noise_rng = _rng(config.seed, k, 1)
         for row in build_features({region_id: series}, LAW_FEATURE_CONFIG):
-            raw = (
-                config.true_intercept
-                + config.true_coef_demand * row.demand
-                + config.true_coef_supply * row.supply
-            )
+            raw = config.true_intercept + config.true_coef_demand * row.demand + config.true_coef_supply * row.supply
             if config.noise_sd > 0:
                 raw += noise_rng.gauss(0.0, config.noise_sd)
             value = min(1.0, max(0.0, raw))
             if value != raw:
                 n_clipped += 1
             n_success, n_entrants = value.as_integer_ratio()
-            performance.append(
-                PerformanceRow(
-                    region_id=region_id,
-                    entry_year=row.year,
-                    n_entrants=n_entrants,
-                    n_success=n_success,
-                    performance=value,
-                )
-            )
+            performance.append(PerformanceRow(region_id, row.year, n_entrants, n_success, value))
     return SynthResult(series_by_region=series_by_region, performance=performance, n_clipped=n_clipped)
 
 
@@ -185,13 +173,8 @@ def write_outputs(
     """Write the four ingestible CSVs plus truth.json into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "employment": out / "employment.csv",
-        "unemployment": out / "unemployment.csv",
-        "population": out / "population.csv",
-        "performance": out / "performance.csv",
-        "truth": out / "truth.json",
-    }
+    paths = {name: out / f"{name}.csv" for name in ("employment", "unemployment", "population", "performance")}
+    paths["truth"] = out / "truth.json"
     write_regional_series(
         result.series_by_region, paths["employment"], paths["unemployment"], paths["population"]
     )

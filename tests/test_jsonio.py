@@ -101,7 +101,7 @@ class TestSavedText:
         path = tmp_path / "truth.json"
         with pytest.raises(NotImplementedError, match="no JSON codec for <class .set.>"):
             jsonio.save(path, {"regions": {"R1"}})
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTrip:
@@ -138,6 +138,7 @@ class TestRejects:
         with pytest.raises(MalformedJson, match="report.json"):
             save_report_json(_report(mae_model_pct=value), path)
         assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "mutate",

@@ -184,6 +184,17 @@ class TestAggregatePerformance:
         with pytest.raises(InvalidConfig, match="min_hours"):
             aggregate_performance([one_hour_spell], min_hours=min_hours)
 
+    @pytest.mark.parametrize("window_months", [-1, -12])
+    def test_negative_window_is_rejected(self, window_months):
+        """A negative window would end before entry, so an entry-day spell alone would count as a success."""
+        entry_day_only = _record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)])
+        with pytest.raises(InvalidConfig, match=f"^window_months must be non-negative, got {window_months}$"):
+            aggregate_performance([entry_day_only], window_months=window_months)
+
+    def test_zero_window_is_the_entry_day(self):
+        entry_day_only = _record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)])
+        assert aggregate_performance([entry_day_only], window_months=0)[0].n_success == 1
+
     def test_zero_min_hours_counts_every_covered_spell(self):
         one_hour_spell = _record("2015-01-01", [("2015-01-01", "2015-08-01", 1.0)])
         assert aggregate_performance([one_hour_spell], min_hours=0.0)[0].n_success == 1
