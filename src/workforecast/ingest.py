@@ -222,10 +222,10 @@ def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str,
     return out
 
 
-def _collect_population(path: str | Path) -> dict[str, dict[int, dict[AgeBand, tuple[int, int]]]]:
-    """Collect region -> year -> band -> (persons, line) from population.csv."""
+def _collect_population(path: str | Path) -> dict[str, dict[int, dict[AgeBand, int]]]:
+    """Collect region -> year -> {band: persons} from population.csv, each year's bands ascending and disjoint."""
     name = str(path)
-    out: dict[str, dict[int, dict[AgeBand, tuple[int, int]]]] = {}
+    rows: dict[tuple[str, int], list[tuple[int, int, int, int]]] = {}  # (lo, hi, line, persons) per row
     for lineno, (region, year_s, lo_s, hi_s, persons_s) in _read_rows(path, POPULATION_HEADER):
         year = _parse_natural(year_s, "year", name, lineno)
         lo = _parse_natural(lo_s, "age_lo", name, lineno)
@@ -233,12 +233,17 @@ def _collect_population(path: str | Path) -> dict[str, dict[int, dict[AgeBand, t
         if lo > hi:
             raise MalformedRow(f"age band [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
         persons = _parse_natural(persons_s, "persons", name, lineno, count=True)
-        bands = out.setdefault(region, {}).setdefault(year, {})
-        if (lo, hi) in bands:
-            raise MalformedRow(
-                f"duplicate age band [{lo}, {hi}] for region {region!r}, year {year}", file=name, line=lineno
-            )
-        bands[(lo, hi)] = (persons, lineno)
+        rows.setdefault((region, year), []).append((lo, hi, lineno, persons))
+    out: dict[str, dict[int, dict[AgeBand, int]]] = {}
+    for region, year in sorted(rows):  # after the last row, so a row error wins; every year, not only common ones
+        bands = sorted(rows[region, year])  # a repeated band sorts by line, so the later row comes second
+        for (a_lo, a_hi, _, _), (b_lo, b_hi, line, _) in zip(bands, bands[1:]):
+            if b_lo <= a_hi:
+                raise OverlappingAgeBands(
+                    f"region {region!r} year {year}: band [{b_lo}, {b_hi}] overlaps band [{a_lo}, {a_hi}]",
+                    file=name, line=line, region=region, year=year,
+                )
+        out.setdefault(region, {})[year] = {(lo, hi): persons for lo, hi, _, persons in bands}
     return out
 
 
@@ -251,12 +256,10 @@ def parse_regional_series(
 
     Years are restricted per region to the intersection of the years present
     in all three files; the intersection must be non-empty and consecutive.
-    Age bands within a kept year must be pairwise disjoint.
     """
     employment = _collect_year_counts(employment_file, EMPLOYMENT_HEADER)
     unemployed = _collect_year_counts(unemployment_file, UNEMPLOYMENT_HEADER)
     population = _collect_population(population_file)
-    pop_name = str(population_file)
 
     out: dict[str, RegionalSeries] = {}
     for region in sorted(set(employment) | set(unemployed) | set(population)):
@@ -275,27 +278,12 @@ def parse_regional_series(
                     region=region,
                     year=prev + 1,
                 )
-        pop_by_year: dict[int, dict[AgeBand, int]] = {}
-        for year in common:
-            bands = population[region][year]
-            ordered = sorted(bands)
-            for a, b in zip(ordered, ordered[1:]):
-                if b[0] <= a[1]:
-                    line = bands[b][1]
-                    raise OverlappingAgeBands(
-                        f"region {region!r} year {year}: band [{b[0]}, {b[1]}] overlaps band [{a[0]}, {a[1]}]",
-                        file=pop_name,
-                        line=line,
-                        region=region,
-                        year=year,
-                    )
-            pop_by_year[year] = {band: bands[band][0] for band in ordered}
         out[region] = RegionalSeries(
             region_id=region,
             years=tuple(common),
             employment={year: employment[region][year] for year in common},
             unemployed_6m={year: unemployed[region][year] for year in common},
-            population=pop_by_year,
+            population={year: population[region][year] for year in common},
         )
     return out
 

@@ -800,19 +800,28 @@ class TestUntestedErrorPaths:
 
     @pytest.mark.parametrize("command, file, edit, message", [
         ("validate", "employment.csv", lambda lines: [], "employment.csv:1: missing header row"),
-        ("validate", "population.csv", lambda lines: [*lines[:2], lines[1], *lines[2:]],
-         "population.csv:3: duplicate age band [0, 15] for region 'R01', year 2011"),
         ("performance", "records.csv", lambda lines: [lines[0], "," + lines[1].split(",", 1)[1], *lines[2:]],
          "records.csv:2: empty person_id"),
         ("fit", "performance.csv", lambda lines: [lines[0], "R01,2012,0,0,0.000000", *lines[2:]],
          "performance.csv:2: n_entrants must be positive"),
-    ], ids=["empty-file", "duplicate-age-band", "empty-person-id", "zero-entrants"])
+    ], ids=["empty-file", "empty-person-id", "zero-entrants"])
     def test_malformed_row(self, quickstart, tmp_path, command, file, edit, message):
         args = _copy_quickstart(quickstart, tmp_path, command)
         _edit_lines(tmp_path / file, edit)
         result = _invoke(args)
         assert result.exit_code == 1
         assert _single_error_line(result, "MalformedRow") == f"ERROR MalformedRow: {tmp_path / message}"
+        assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
+
+    def test_repeated_age_band_is_an_overlap(self, quickstart, tmp_path):
+        args = _copy_quickstart(quickstart, tmp_path, "validate")
+        _edit_lines(tmp_path / "population.csv", lambda lines: [*lines[:2], lines[1], *lines[2:]])
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "OverlappingAgeBands") == (
+            f"ERROR OverlappingAgeBands: {tmp_path / 'population.csv'}:3: "
+            "region 'R01' year 2011: band [0, 15] overlaps band [0, 15]"
+        )
         assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
 
     def test_figures_without_a_year_shared_by_all_regions_needs_a_baseline_year(self, quickstart, tmp_path):

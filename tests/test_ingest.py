@@ -153,6 +153,67 @@ class TestParseRegionalSeries:
         assert excinfo.value.line == 3
         assert excinfo.value.year == 2000
 
+    def test_overlapping_age_bands_outside_the_common_years(self, tmp_path):
+        """The bands of a year that only population.csv covers must be disjoint too."""
+        employment = "region,year,employed\nR1,2000,100\n"
+        unemployment = "region,year,unemployed_6m\nR1,2000,5\n"
+        population = """
+        region,year,age_lo,age_hi,persons
+        R1,2000,16,64,90
+        R1,1999,16,64,90
+        R1,1999,60,70,10
+        """
+        with pytest.raises(OverlappingAgeBands) as excinfo:
+            parse_regional_series(*_stat_files(tmp_path, employment, unemployment, population))
+        assert str(excinfo.value) == (
+            f"{tmp_path / 'population.csv'}:4: region 'R1' year 1999: band [60, 70] overlaps band [16, 64]"
+        )
+        assert (excinfo.value.region, excinfo.value.year) == ("R1", 1999)
+
+    def test_repeated_age_band_names_the_later_line(self, tmp_path):
+        employment = "region,year,employed\nR1,2000,100\n"
+        unemployment = "region,year,unemployed_6m\nR1,2000,5\n"
+        population = """
+        region,year,age_lo,age_hi,persons
+        R1,2000,16,64,90
+        R1,2000,0,15,20
+        R1,2000,16,64,91
+        """
+        with pytest.raises(OverlappingAgeBands) as excinfo:
+            parse_regional_series(*_stat_files(tmp_path, employment, unemployment, population))
+        assert str(excinfo.value) == (
+            f"{tmp_path / 'population.csv'}:4: region 'R1' year 2000: band [16, 64] overlaps band [16, 64]"
+        )
+        assert (excinfo.value.line, excinfo.value.region, excinfo.value.year) == (4, "R1", 2000)
+
+    def test_a_malformed_row_after_a_repeated_band_is_reported(self, tmp_path):
+        """Bands are checked once every row is read, so a later row error comes first."""
+        employment = "region,year,employed\nR1,2000,100\n"
+        unemployment = "region,year,unemployed_6m\nR1,2000,5\n"
+        population = """
+        region,year,age_lo,age_hi,persons
+        R1,2000,16,64,90
+        R1,2000,16,64,90
+        R1,2000,65,x,10
+        """
+        with pytest.raises(MalformedRow) as excinfo:
+            parse_regional_series(*_stat_files(tmp_path, employment, unemployment, population))
+        assert excinfo.value.line == 4
+        assert "column 'age_hi'" in str(excinfo.value)
+
+    def test_a_band_overlap_comes_before_the_coverage_rules(self, tmp_path):
+        employment = "region,year,employed\nR1,2000,100\nR2,2000,100\n"
+        unemployment = "region,year,unemployed_6m\nR1,2000,5\nR2,2000,5\n"
+        population = """
+        region,year,age_lo,age_hi,persons
+        R1,1990,16,64,90
+        R2,2000,16,64,90
+        R2,2000,30,40,90
+        """
+        with pytest.raises(OverlappingAgeBands) as excinfo:  # R1, first in order, has no common year
+            parse_regional_series(*_stat_files(tmp_path, employment, unemployment, population))
+        assert excinfo.value.region == "R2"
+
     def test_bad_header_rejected(self, tmp_path):
         employment = "region,year,jobs\nR1,2000,100\n"
         unemployment = "region,year,unemployed_6m\nR1,2000,5\n"

@@ -100,6 +100,24 @@ class TestIsReintegrated:
             with pytest.raises(InvalidConfig, match="^person 'B': a 6-month window from entry date 9999-07-01"):
                 aggregate_performance([ok, first, second])
 
+    @pytest.mark.parametrize("min_hours", [float("nan"), float("inf"), -1.0])
+    def test_invalid_min_hours_is_rejected(self, min_hours):
+        """With `nan` no spell is below the minimum, so a year of 1-hour weeks would count as a success."""
+        one_hour_year = _record("2015-01-01", [("2015-01-01", "2015-12-31", 1.0)])
+        with pytest.raises(InvalidConfig, match=f"^min_hours must be a finite non-negative number, got {min_hours}$"):
+            is_reintegrated(one_hour_year, min_hours=min_hours)
+
+    @pytest.mark.parametrize("window_months", [-1, -12])
+    def test_negative_window_is_rejected(self, window_months):
+        """A negative window would end before entry, so an entry-day spell alone would count as a success."""
+        entry_day_only = _record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)])
+        with pytest.raises(InvalidConfig, match=f"^window_months must be non-negative, got {window_months}$"):
+            is_reintegrated(entry_day_only, window_months=window_months)
+
+    def test_zero_options_are_accepted(self):
+        assert is_reintegrated(_record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)]), window_months=0) is True
+        assert is_reintegrated(_record("2015-01-01", [("2015-01-01", "2015-12-31", 1.0)]), min_hours=0.0) is True
+
     def test_no_spells(self):
         record = _record("2015-01-01", [])
         assert is_reintegrated(record) is False

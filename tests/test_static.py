@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
 
 # The line count of src/workforecast/*.py is a tracked number: a change that
 # deletes code lowers this ceiling to the count it lands at.
-SRC_LINE_CEILING = 1918
+SRC_LINE_CEILING = 1912
 
 # The modules that run least squares; tests/test_startup.py checks at run time
 # that the commands which do not reach them load no numpy.
@@ -168,4 +168,4 @@ def test_a_file_writer_is_found(tmp_path):
 
 def test_src_line_count_does_not_grow():
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
-    assert lines <= SRC_LINE_CEILING
+    assert lines <= SRC_LINE_CEILING, f"src/ has {lines} lines, above the ceiling of {SRC_LINE_CEILING}"
