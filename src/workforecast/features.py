@@ -84,11 +84,7 @@ def demand_proxy(
     return change / working_age_population(series, year, working_age)
 
 
-def supply_proxy(
-    series: RegionalSeries,
-    year: int,
-    working_age: tuple[int, int] = DEFAULT_WORKING_AGE,
-) -> float:
+def supply_proxy(series: RegionalSeries, year: int, working_age: tuple[int, int] = DEFAULT_WORKING_AGE) -> float:
     """Long-term unemployed as a fraction of the working-age population."""
     denominator = working_age_population(series, year, working_age)
     ratio = series.unemployed_6m[year] / denominator

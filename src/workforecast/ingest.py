@@ -22,7 +22,8 @@ first in file order is reported, be it a wrong column count or a bad field.
 Whole-file checks (years, overlapping age bands or spells) come after. Records
 parsing keeps each distinct date, hours or region string once per call, pauses
 the GC, builds each spell once, as the `Spell` its record holds, and keeps no
-line number per spell: an overlap reads the file again to name its line.
+line number per spell: an overlap reads the file again to name its line. A parse
+that succeeds ends with `gc.freeze()`, so no later collection walks its heap.
 Every output file of the pipeline, CSV or JSON, is written through `open_output`.
 """
 from __future__ import annotations
@@ -275,8 +276,7 @@ def parse_regional_series(
                 raise GapInYears(
                     f"region {region!r}: missing year {prev + 1} in the common coverage "
                     f"({common[0]}-{common[-1]})",
-                    region=region,
-                    year=prev + 1,
+                    region=region, year=prev + 1,
                 )
         out[region] = RegionalSeries(
             region_id=region,
@@ -326,7 +326,8 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     are allowed (their pre-entry portion is simply ignored downstream). Each
     distinct date, hours or region string is kept once per call, GC paused.
     Each row's `Spell` is built once; no line number is held per spell, so an
-    overlap's line is found by reading the file again (a pipe's is not).
+    overlap's line is found by reading the file again (a pipe's is not). On
+    success, `gc.freeze()` freezes every tracked object, process-wide.
     """
     # The parse builds a large heap with no reference cycles; on 3.11 the cyclic
     # collector would rescan it again and again as it grows, and free nothing.
@@ -354,8 +355,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
             elif info[1] != entry:
                 raise MalformedRow(
                     f"person {person!r} has conflicting entry dates ({info[1].isoformat()} vs {entry.isoformat()})",
-                    file=name,
-                    line=lineno,
+                    file=name, line=lineno,
                 )
             if not (start_s and end_s and hours_s):
                 if start_s or end_s or hours_s:
@@ -374,7 +374,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
             per_week = hours.get(hours_s)
             if per_week is None:
                 per_week = hours[hours_s] = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
-            info.append(Spell(start, end, per_week))
+            info.append(tuple.__new__(Spell, (start, end, per_week)))  # as `Spell._make`, minus a Python frame
         records = []
         for person in sorted(people):
             info = people.pop(person)  # frees this person's list once the record exists
@@ -393,6 +393,7 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
                         person_id=person,
                     )
             records.append(ProgrammeRecord(person, info[0], info[1], tuple(spells)))
+        gc.freeze()  # to the permanent generation: no later collection walks the heap just built
         return records
     finally:
         if enabled:

@@ -19,6 +19,7 @@ from workforecast.ingest import ProgrammeRecord, _claim_entry, _parse_natural, _
 
 DEFAULT_MIN_HOURS = 16.0
 DEFAULT_WINDOW_MONTHS = 6
+_ONE_DAY = timedelta(days=1)  # built once: the rule steps past every covering spell's end
 
 PERFORMANCE_HEADER = ("region", "entry_year", "n_entrants", "n_success", "performance")
 
@@ -66,6 +67,11 @@ def is_reintegrated(
     only from the entry date onwards. Invalid options are an `InvalidConfig`.
     """
     _check_options(min_hours, window_months)
+    return _covers_window(record, min_hours, window_months)
+
+
+def _covers_window(record: ProgrammeRecord, min_hours: float, window_months: int) -> bool:
+    """`is_reintegrated` on options already checked, so `aggregate_performance` checks them once per call."""
     try:
         window_end = add_months(record.entry_date, window_months)
     except (ValueError, OverflowError):  # the window ends after date.max
@@ -83,7 +89,7 @@ def is_reintegrated(
             return False
         if end >= window_end:  # tested before the day after end, which may not exist
             return True
-        day = end + timedelta(days=1)
+        day = end + _ONE_DAY
     return False
 
 
@@ -96,11 +102,9 @@ def aggregate_performance(
     _check_options(min_hours, window_months)
     counts: dict[tuple[str, int], list[int]] = {}
     for record in records:
-        key = (record.region_id, record.entry_date.year)
-        cell = counts.setdefault(key, [0, 0])
+        cell = counts.setdefault((record.region_id, record.entry_date.year), [0, 0])
         cell[0] += 1
-        if is_reintegrated(record, min_hours=min_hours, window_months=window_months):
-            cell[1] += 1
+        cell[1] += _covers_window(record, min_hours, window_months)  # a bool: True counts one success
     return [PerformanceRow(region, year, entrants, successes, successes / entrants)
             for (region, year), (entrants, successes) in sorted(counts.items())]
 
@@ -137,8 +141,7 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
         if abs(printed - performance) > 1e-6:
             raise MalformedRow(
                 f"performance column ({printed_s}) disagrees with n_success/n_entrants ({performance:.6f})",
-                file=name,
-                line=lineno,
+                file=name, line=lineno,
             )
         _claim_entry(seen, region, year, name, lineno)
         rows.append(PerformanceRow(region, year, entrants, successes, performance))

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from helpers import write_quickstart
@@ -9,3 +11,14 @@ def quickstart(tmp_path_factory):
     root = tmp_path_factory.mktemp("quickstart")
     write_quickstart(root)
     return root
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_gc():
+    """Put back under the collector what a test left frozen: `parse_programme_records` freezes the process's heap.
+
+    Without this, a later test's `gc.collect()` would not reach garbage frozen by an earlier test.
+    """
+    yield
+    if gc.get_freeze_count():
+        gc.unfreeze()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from workforecast import perf
 from workforecast.errors import InvalidConfig, MalformedRow
 from workforecast.ingest import ProgrammeRecord, Spell
 from workforecast.perf import (
@@ -186,6 +187,25 @@ class TestAggregatePerformance:
         add_months.cache_clear()
         aggregate_performance(records)
         assert sum(calls.values()) == len(entry_dates) < len(records)
+
+    def test_the_options_are_checked_once_per_call(self, monkeypatch):
+        """Up front for the whole list, not once per record; `is_reintegrated` still checks them on every call."""
+        rng = np.random.default_rng(21)
+        records = [random_programme_record(rng, person_id=f"P{i}") for i in range(50)]
+        calls = []
+        check_options = perf._check_options
+
+        def counting(min_hours, window_months):
+            calls.append((min_hours, window_months))
+            check_options(min_hours, window_months)
+
+        monkeypatch.setattr(perf, "_check_options", counting)
+        rows = aggregate_performance(records, min_hours=10.0, window_months=3)
+        assert calls == [(10.0, 3)]
+        expected = sum(is_reintegrated(record, min_hours=10.0, window_months=3) for record in records)
+        assert len(calls) == 1 + len(records)
+        assert sum(row.n_success for row in rows) == expected
+        assert all(type(row.n_success) is int and type(row.n_entrants) is int for row in rows)
 
     def test_the_window_length_is_part_of_the_cached_key(self):
         rng = np.random.default_rng(11)

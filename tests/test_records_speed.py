@@ -3,10 +3,13 @@
 The parse keeps caches local to the call, so each distinct date or hours
 string is converted once and each region id is stored once, and it pauses the
 cyclic garbage collector, whose collections would rescan the large, acyclic
-heap it builds. It builds each spell once, as the `Spell` its record keeps, and
+heap it builds. A parse that succeeds freezes that heap (`gc.freeze()`), so the
+first collections after it, in the stage that judges the records, do not walk
+it either. It builds each spell once, as the `Spell` its record keeps, and
 holds no line number per spell, so it never holds the whole file twice nor a
 second copy of any spell. All of this is checked here by what it does, not by
-timing, on seeded files of a few thousand rows.
+timing, on seeded files of a few thousand rows. `conftest.py` unfreezes after
+every test, so no test's `gc.collect()` misses what an earlier one froze.
 """
 import csv
 import gc
@@ -87,6 +90,24 @@ def test_no_collection_runs_during_the_parse(records_csv, gc_state):
     assert len(records) == PEOPLE
     assert "start" not in phases[:during]
     assert "start" in phases[during:]
+
+
+def test_a_successful_parse_freezes_its_records(records_csv, gc_state):
+    gc.enable()
+    before = gc.get_freeze_count()
+    records = parse_programme_records(records_csv)
+    assert len(records) == PEOPLE
+    assert gc.get_freeze_count() - before >= len(records)
+
+
+def test_the_parse_leaves_generation_0_nearly_empty(records_csv, gc_state):
+    """Unfrozen, the whole paused-parse heap would sit in generation 0 for the next collection to walk."""
+    gc.enable()
+    gc.collect()
+    records = parse_programme_records(records_csv)
+    young = gc.get_count()[0]
+    assert len(records) == PEOPLE
+    assert young < gc.get_threshold()[0] < len(records)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
