@@ -22,6 +22,8 @@ its parameter name in declaration order, then (fit and evaluate) the resolved
 """
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import sys
 
@@ -38,6 +40,8 @@ from workforecast import synth as synth_mod
 from workforecast.errors import DataError, FeatureConfigMismatch
 from workforecast.features import FeatureConfig
 
+atexit.register(gc.freeze)  # shutdown's collections then skip the heap, which reference counting frees anyway
+
 
 class _PipelineGroup(click.Group):
     """Maps validation and I/O failures in any command to exit code 1 with a one-line diagnostic."""
@@ -47,10 +51,7 @@ class _PipelineGroup(click.Group):
             return super().invoke(ctx)
         except (DataError, OSError) as err:
             line = f"ERROR {type(err).__name__}: {err}"
-            if os.environ.get("WF_NO_COLOR"):
-                click.echo(line, err=True)
-            else:
-                click.secho(line, err=True, fg="red")
+            click.secho(line, err=True, fg="red", color=False if os.environ.get("WF_NO_COLOR") else None)
             sys.exit(1)
 
 

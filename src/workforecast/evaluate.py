@@ -23,7 +23,6 @@ that commands which only read reports (`figures`) do not load it.
 from __future__ import annotations
 
 import math
-import statistics
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,6 +132,7 @@ def metrics(
 
 def _mae_std(errors: list[float]) -> tuple[float, float]:
     """Mean and sample standard deviation (0 for one error) of absolute errors, in percentage points."""
+    import statistics  # here, so that only `evaluate` loads it (with fractions and decimal)
     return statistics.fmean(errors) * 100.0, statistics.stdev(errors) * 100.0 if len(errors) > 1 else 0.0
 
 

@@ -102,27 +102,26 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
     """
     name = str(path)
     width = len(header)
-    lineno = 0  # the last row read; a csv.Error is raised reading the one after it
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = enumerate(csv.reader(fh), start=1)
+        reader = csv.reader(fh)
         try:
-            lineno, first = next(rows, (1, None))
+            first = next(reader, None)
             if first is None:
                 raise MalformedRow("missing header row", file=name, line=1)
             got = tuple(field.strip() for field in first)
             if got != header:
                 raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=1)
-            for lineno, row in rows:
+            for row in reader:
                 fields = list(map(str.strip, row))
                 if not any(fields):
                     continue  # tolerate blank lines
                 if len(fields) != width:
-                    raise MalformedRow(f"expected {width} columns, got {len(fields)}", file=name, line=lineno)
-                yield lineno, fields
+                    raise MalformedRow(f"expected {width} columns, got {len(fields)}", file=name, line=reader.line_num)
+                yield reader.line_num, fields  # the line the row ends on, past any quoted line break
         except UnicodeDecodeError as err:
             raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
-        except csv.Error as err:  # a field longer than csv.field_size_limit()
-            raise MalformedRow(f"not a readable CSV row ({err})", file=name, line=lineno + 1) from None
+        except csv.Error as err:  # a field longer than csv.field_size_limit(), named by the line it fails on
+            raise MalformedRow(f"not a readable CSV row ({err})", file=name, line=reader.line_num) from None
 
 
 @contextmanager

@@ -38,7 +38,7 @@ class PerformanceRow:
 @lru_cache(maxsize=1 << 14)  # records share a few thousand entry dates; a raise is never cached
 def add_months(day: date, months: int) -> date:
     """Shift a date by whole calendar months, clamping to the target month's last day; cached."""
-    import calendar  # on first use, so the CLI start-up loads neither calendar nor locale
+    import calendar  # on first use, so the CLI start-up does not load it
     month_index = day.month - 1 + months
     year = day.year + month_index // 12
     month = month_index % 12 + 1

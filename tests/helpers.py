@@ -296,19 +296,19 @@ def loocv_refit_oracle(
 # ---------------------------------------------------------------------------
 
 def _read_rows_oracle(path: str | Path, header: tuple[str, ...]) -> list[tuple[int, list[str]]]:
-    """Read a CSV file, check its header, and return (line_number, fields) rows."""
+    """Read a CSV file, check its header, and return (line_number, fields) rows, each row's line the one it ends on."""
     name = str(path)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            rows = list(enumerate(csv.reader(fh), start=1))
+            rows = [(reader.line_num, row) for row in reader]
         except UnicodeDecodeError as err:
             raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
     if not rows:
         raise MalformedRow("missing header row", file=name, line=1)
-    first_line, first = rows[0]
-    got = tuple(field.strip() for field in first)
+    got = tuple(field.strip() for field in rows[0][1])
     if got != header:
-        raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=first_line)
+        raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=1)
     data = []
     for lineno, row in rows[1:]:
         if not row or all(not field.strip() for field in row):

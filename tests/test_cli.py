@@ -256,6 +256,17 @@ class TestErrorMapping:
         assert re.fullmatch(r"ERROR [A-Za-z]+: [^\n]*\n", result.stderr), result.stderr
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("env, styled", [({"WF_NO_COLOR": None}, True), (ENV, False)],
+                             ids=["default", "WF_NO_COLOR"])
+    def test_the_error_line_is_red_unless_wf_no_color_is_set(self, tmp_path, env, styled):
+        """On a terminal that takes colour; `WF_NO_COLOR` keeps the line plain there too."""
+        records = tmp_path / "missing.csv"
+        args = ["performance", "--records", str(records), "--out", str(tmp_path / "performance.csv")]
+        result = CliRunner().invoke(cli, args, env=env, color=True)
+        assert result.exit_code == 1
+        line = f"ERROR FileNotFoundError: [Errno 2] No such file or directory: {str(records)!r}"
+        assert result.stderr == (f"\x1b[31m{line}\x1b[0m\n" if styled else f"{line}\n")
+
 
 class TestValidate:
     def test_reports_region_summaries(self, tmp_path):
@@ -901,16 +912,43 @@ class TestOversizedFields:
         ]
         assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
 
-    def test_the_line_counts_rows_as_every_other_row_error_does(self, quickstart, tmp_path):
-        """A quoted line break spans two lines of text but one row; the row after it is row 3."""
+
+class TestLinesAfterAQuotedLineBreak:
+    """A quoted line break makes lines 2-3 one row: an error in the row after it names line 4, not 3."""
+
+    def test_a_later_rows_error_names_its_line(self, quickstart, tmp_path):
+        args = _copy_quickstart(quickstart, tmp_path, "features")
+        _edit_lines(tmp_path / "employment.csv", lambda lines: [lines[0], '"R\n1",2011,5', "R2,x,5", *lines[1:]])
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "MalformedRow") == (
+            f"ERROR MalformedRow: {tmp_path / 'employment.csv'}:4: column 'year' must be a calendar year, got 'x'"
+        )
+
+    @pytest.mark.parametrize("rows, line", [
+        (['"P0\nx",R01,2012-05-01,,,', "x" * 131_073], 4),
+        (['"P0\n' + "x" * 131_073 + '",R01,2012-05-01,,,'], 3),
+    ], ids=["after", "inside"])
+    def test_an_oversized_field_names_the_line_it_fails_on(self, quickstart, tmp_path, rows, line):
         args = _copy_quickstart(quickstart, tmp_path, "performance")
-        _edit_lines(tmp_path / "records.csv", lambda lines: [
-            lines[0], '"P0\nx",R01,2012-05-01,,,', "x" * 131_073, *lines[1:],
-        ])
+        _edit_lines(tmp_path / "records.csv", lambda lines: [lines[0], *rows, *lines[1:]])
         result = _invoke(args)
         assert result.exit_code == 1
         assert _single_error_line(result, "MalformedRow").startswith(
-            f"ERROR MalformedRow: {tmp_path / 'records.csv'}:3: not a readable CSV row"
+            f"ERROR MalformedRow: {tmp_path / 'records.csv'}:{line}: not a readable CSV row"
+        )
+
+    def test_an_overlap_names_the_later_spells_line(self, quickstart, tmp_path):
+        args = _copy_quickstart(quickstart, tmp_path, "performance")
+        _edit_lines(tmp_path / "records.csv", lambda lines: [
+            lines[0], '"Q0\nx",R01,2012-05-01,,,',
+            "Q1,R01,2012-05-01,2012-06-01,2012-07-31,20", "Q1,R01,2012-05-01,2012-05-01,2012-06-30,20", *lines[1:],
+        ])
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "OverlappingSpells") == (
+            f"ERROR OverlappingSpells: {tmp_path / 'records.csv'}:4: person 'Q1' has overlapping spells "
+            "(2012-05-01..2012-06-30 and 2012-06-01..2012-07-31)"
         )
 
 

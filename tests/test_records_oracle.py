@@ -125,6 +125,11 @@ OVERLAPS = {
         "P3,R1,2015-03-01,2015-06-30,2015-07-31,20",
         "P1,R1,2015-03-01,2015-06-01,2015-06-30,20",
     ]),
+    "after-a-multi-line-field": (5, [  # the quoted line break makes lines 2-3 one row
+        '"P0\nx",R1,2015-03-01,,,',
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+    ]),
 }
 
 
