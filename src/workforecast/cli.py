@@ -71,6 +71,8 @@ def _range_callback(ctx, param, value: str) -> tuple[int, int]:
         raise click.BadParameter(f"expected LO:HI, got {value!r}", param_hint=flag) from None
     if lo < 0:
         raise click.BadParameter(f"lower bound {lo} is negative", param_hint=flag)
+    if max(lo, hi) >= 10**ingest_mod._MAX_DIGITS:
+        raise click.BadParameter(f"a bound has more than {ingest_mod._MAX_DIGITS} digits", param_hint=flag)
     if lo > hi:
         raise click.BadParameter(f"lower bound {lo} exceeds upper bound {hi}", param_hint=flag)
     return lo, hi

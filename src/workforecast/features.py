@@ -2,9 +2,10 @@
 
 Demand is the year-on-year change in employment, optionally normalized by the
 working-age population so that regions of different size pool onto comparable
-scales. Supply is the long-term unemployed count as a fraction of the
-working-age population. Age bands that only partially overlap the working-age
-interval contribute pro-rata by the share of their integer ages inside it.
+scales. Supply is the long-term unemployed count as a fraction of the same
+population, which is computed once per region-year. Age bands that only
+partially overlap the working-age interval contribute pro-rata by the share
+of their integer ages inside it.
 """
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ from workforecast.ingest import (
     _MAX_DIGITS, RegionalSeries, _claim_entry, _parse_natural, _parse_number, _read_rows, _write_rows,
 )
 
-DEFAULT_WORKING_AGE = (16, 64)
-
 FEATURES_HEADER = ("region", "year", "demand", "supply", "normalized", "lag", "age_lo", "age_hi")
 
 
@@ -33,7 +32,7 @@ class FeatureConfig:
 
     normalize: bool = True
     lag: int = 0
-    working_age: tuple[int, int] = DEFAULT_WORKING_AGE
+    working_age: tuple[int, int] = (16, 64)
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,7 @@ class FeatureRow:
     supply: float
 
 
-def working_age_population(
-    series: RegionalSeries,
-    year: int,
-    working_age: tuple[int, int] = DEFAULT_WORKING_AGE,
-) -> float:
+def working_age_population(series: RegionalSeries, year: int, working_age: tuple[int, int]) -> float:
     """Population inside the working-age interval, pro-rating partial bands; it must be positive."""
     lo, hi = working_age
     total = 0.0
@@ -67,52 +62,24 @@ def working_age_population(
     return total
 
 
-def demand_proxy(
-    series: RegionalSeries,
-    year: int,
-    normalize: bool = False,
-    working_age: tuple[int, int] = DEFAULT_WORKING_AGE,
-) -> float:
-    """employment(year) - employment(year - 1), optionally per working-age head.
-
-    The series must cover both years, as it does for every year after a
-    region's first; otherwise the lookup raises `KeyError`.
-    """
-    change = float(series.employment[year] - series.employment[year - 1])
-    if not normalize:
-        return change
-    return change / working_age_population(series, year, working_age)
-
-
-def supply_proxy(series: RegionalSeries, year: int, working_age: tuple[int, int] = DEFAULT_WORKING_AGE) -> float:
-    """Long-term unemployed as a fraction of the working-age population."""
-    denominator = working_age_population(series, year, working_age)
-    ratio = series.unemployed_6m[year] / denominator
-    if ratio > 1.0:
-        raise SupplyExceedsOne(
-            f"region {series.region_id!r} year {year}: unemployed count "
-            f"({series.unemployed_6m[year]}) exceeds working-age population ({denominator:.1f})",
-            region=series.region_id,
-            year=year,
-            ratio=ratio,
-        )
-    return ratio
-
-
 def build_features(
     series_by_region: dict[str, RegionalSeries],
     config: FeatureConfig = FeatureConfig(),
 ) -> list[FeatureRow]:
     """Build feature rows for every (region, year) where both proxies exist, in (region, year) order.
 
-    `ingest.parse_regional_series` gives each region dense, ascending years, so
-    every year after the first has its predecessor. The first covered year has
-    none, so it yields no row, but a nonzero unemployed count there must still
-    fit its working-age population. A row is labelled with the programme-entry
-    year it predicts: with a lag of L, the row for entry year t carries the
-    proxies of year t - L. Regions are walked sorted, years ascend and L is the
-    same for every row, so the rows come out sorted. Every labelled year must
-    read back as a year, so it may have at most 324 digits.
+    Demand is employment(year) - employment(year - 1), per working-age head
+    when `config.normalize` is set; supply is the long-term unemployed count
+    over that population, and a `SupplyExceedsOne` above 1. Each year's
+    working-age population is computed once, so its `ZeroWorkingAgePopulation`
+    comes first. `ingest.parse_regional_series` gives each region dense,
+    ascending years, so every year after the first has its predecessor. The
+    first covered year has none, so it yields no row, but a nonzero unemployed
+    count there must still fit its working-age population. A row is labelled
+    with the programme-entry year it predicts: with a lag of L, the row for
+    entry year t carries the proxies of year t - L. Regions are walked sorted,
+    years ascend and L is the same for every row, so the rows come out sorted.
+    A labelled year may have at most 324 digits, so that it reads back.
     """
     rows = []
     for region in sorted(series_by_region):
@@ -120,12 +87,25 @@ def build_features(
         if series.years[-1] + config.lag >= 10**_MAX_DIGITS:
             raise InvalidConfig(f"region {region!r}: lag {config.lag} labels year {series.years[-1]} "
                                 f"with a year of more than {_MAX_DIGITS} digits", region=region)
-        if series.unemployed_6m[series.years[0]]:
-            supply_proxy(series, series.years[0], working_age=config.working_age)
-        for base_year in series.years[1:]:
-            demand = demand_proxy(series, base_year, normalize=config.normalize, working_age=config.working_age)
-            supply = supply_proxy(series, base_year, working_age=config.working_age)
-            rows.append(FeatureRow(region, base_year + config.lag, demand, supply))
+        first = series.years[0]
+        for year in series.years:
+            if year == first and not series.unemployed_6m[year]:
+                continue
+            population = working_age_population(series, year, config.working_age)
+            supply = series.unemployed_6m[year] / population
+            if supply > 1.0:
+                raise SupplyExceedsOne(
+                    f"region {series.region_id!r} year {year}: unemployed count "
+                    f"({series.unemployed_6m[year]}) exceeds working-age population ({population:.1f})",
+                    region=series.region_id,
+                    year=year,
+                    ratio=supply,
+                )
+            if year != first:
+                demand = float(series.employment[year] - series.employment[year - 1])
+                if config.normalize:
+                    demand /= population
+                rows.append(FeatureRow(region, year + config.lag, demand, supply))
     return rows
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +74,8 @@ def _validate(config: SynthConfig) -> None:
         raise InvalidConfig(f"year range {first}..{last} is empty")
     if last - first + 1 < 2:
         raise InvalidConfig("need at least two years to difference employment")
+    if last - first >= sys.maxsize:
+        raise InvalidConfig(f"year range {first}..{last} has more years than can be counted")
     if not 0 <= config.seed < 2**64:
         raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     if config.noise_sd < 0:

@@ -114,8 +114,8 @@ def coordinate_descent(x: np.ndarray, y: np.ndarray, tol: float = 1e-12, max_ite
     return beta
 
 
-def per_age_supply_oracle(series: RegionalSeries, year: int, working_age: tuple[int, int]) -> float:
-    """Supply proxy computed by spreading each band uniformly over integer ages."""
+def per_age_population_oracle(series: RegionalSeries, year: int, working_age: tuple[int, int]) -> float:
+    """Working-age population computed by spreading each band uniformly over integer ages."""
     lo, hi = working_age
     total = 0.0
     for (band_lo, band_hi), persons in series.population[year].items():
@@ -123,7 +123,12 @@ def per_age_supply_oracle(series: RegionalSeries, year: int, working_age: tuple[
         for age in range(band_lo, band_hi + 1):
             if lo <= age <= hi:
                 total += persons / width
-    return series.unemployed_6m[year] / total
+    return total
+
+
+def per_age_supply_oracle(series: RegionalSeries, year: int, working_age: tuple[int, int]) -> float:
+    """Supply proxy over the per-age working-age population."""
+    return series.unemployed_6m[year] / per_age_population_oracle(series, year, working_age)
 
 
 def unbaseline(baselined: BaselinedSeries) -> dict[int, float]:

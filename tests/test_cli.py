@@ -232,6 +232,32 @@ class TestExitCodes:
         assert line.startswith("ERROR SupplyExceedsOne: region 'R01' year 2011: unemployed count (5000000) exceeds")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, flag", [
+        (["synth", "--years", f"2011:{'9' * 325}"], "--years"),
+        (["features", "--employment", "e.csv", "--unemployment", "u.csv", "--population", "p.csv",
+          "--working-age", f"0:{'9' * 400}"], "--working-age"),
+        (["features", "--employment", "e.csv", "--unemployment", "u.csv", "--population", "p.csv",
+          "--working-age", f"{'9' * 401}:{'9' * 400}"], "--working-age"),
+    ], ids=["years", "working-age", "both-bounds"])
+    def test_a_range_bound_past_324_digits_is_a_usage_error(self, tmp_path, args, flag):
+        """Such a --working-age used to exit 0 and write a features.csv that `fit` then rejected."""
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli, [*args, "--out", str(out)], env=ENV)
+        assert result.exit_code == 2
+        assert f"Invalid value for {flag}: a bound has more than 324 digits" in result.stderr
+        assert not out.exists()
+
+    def test_a_year_range_too_long_to_count_exits_one(self, tmp_path):
+        """It used to end in an `OverflowError` traceback from `range`, before any year was generated."""
+        out = tmp_path / "out"
+        last = "9" * 30
+        result = CliRunner().invoke(cli, ["synth", "--out", str(out), "--years", f"2011:{last}"], env=ENV)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "InvalidConfig") == (
+            f"ERROR InvalidConfig: year range 2011..{last} has more years than can be counted"
+        )
+        assert not out.exists()
+
     def test_shift_without_shock_year_is_a_usage_error(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli, [
@@ -379,6 +405,19 @@ def _figures_args(root: Path, report: Path, *extra):
 
 
 class TestMalformedInputs:
+    def test_deeply_nested_report_exits_one(self, quickstart, tmp_path):
+        """It used to end in a `RecursionError` traceback from json's decoder."""
+        args = _copy_quickstart(quickstart, tmp_path, "figures")
+        report = tmp_path / "report.json"
+        report.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "MalformedJson") == (
+            f"ERROR MalformedJson: {report}: not a valid EvalReport file: "
+            "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        )
+        assert not (tmp_path / "out_figs").exists()
+
     def test_truncated_report_exits_one(self, tmp_path):
         assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
         report = tmp_path / "report.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from workforecast import features
 from workforecast.errors import (
     FeatureConfigMismatch,
     InvalidConfig,
@@ -17,15 +18,13 @@ from workforecast.features import (
     FeatureConfig,
     FeatureRow,
     build_features,
-    demand_proxy,
     read_features_csv,
-    supply_proxy,
     working_age_population,
     write_features_csv,
 )
 from workforecast.ingest import RegionalSeries, parse_regional_series
 
-from helpers import per_age_supply_oracle, random_regional_series
+from helpers import per_age_population_oracle, per_age_supply_oracle, random_regional_series
 
 
 def _series(employment, unemployed, population, region="R1"):
@@ -48,6 +47,12 @@ def _flat_series(years, employed=100_000, unemployed=5_000, working_age=100_000,
     )
 
 
+def _only_row(series, config=FeatureConfig()):
+    """The one feature row of a two-year series."""
+    (row,) = build_features({series.region_id: series}, config)
+    return row
+
+
 class TestDemandProxy:
     def test_year_on_year_difference(self):
         series = _series(
@@ -55,12 +60,12 @@ class TestDemandProxy:
             {2014: 0, 2015: 0},
             {y: {(16, 64): 100_000} for y in (2014, 2015)},
         )
-        assert demand_proxy(series, 2015) == 10_000.0
+        assert _only_row(series, FeatureConfig(normalize=False)).demand == 10_000.0
 
     def test_constant_series_gives_zero(self):
         series = _flat_series(range(2010, 2015))
-        for year in range(2011, 2015):
-            assert demand_proxy(series, year) == 0.0
+        rows = build_features({"R1": series}, FeatureConfig(normalize=False))
+        assert [(row.year, row.demand) for row in rows] == [(year, 0.0) for year in range(2011, 2015)]
 
     def test_sign_convention(self):
         series = _series(
@@ -68,7 +73,7 @@ class TestDemandProxy:
             {2014: 0, 2015: 0},
             {y: {(16, 64): 100_000} for y in (2014, 2015)},
         )
-        assert demand_proxy(series, 2015) == -10_000.0
+        assert _only_row(series, FeatureConfig(normalize=False)).demand == -10_000.0
 
     def test_normalized_by_working_age_population(self):
         series = _series(
@@ -76,77 +81,91 @@ class TestDemandProxy:
             {2014: 0, 2015: 0},
             {y: {(16, 64): 100_000} for y in (2014, 2015)},
         )
-        assert demand_proxy(series, 2015, normalize=True) == 0.1
-
+        assert _only_row(series, FeatureConfig(normalize=True)).demand == 0.1
 
 
 class TestSupplyProxy:
     def test_definition(self):
-        series = _flat_series([2015], unemployed=5_000, working_age=100_000)
-        assert supply_proxy(series, 2015) == 0.05
+        series = _flat_series([2014, 2015], unemployed=5_000, working_age=100_000)
+        assert _only_row(series).supply == 0.05
 
     def test_zero_unemployed(self):
-        series = _flat_series([2015], unemployed=0)
-        assert supply_proxy(series, 2015) == 0.0
+        series = _flat_series([2014, 2015], unemployed=0)
+        assert _only_row(series).supply == 0.0
 
     def test_band_outside_working_age_is_excluded(self):
         series = _series(
-            {2015: 0},
-            {2015: 4_000},
-            {2015: {(16, 64): 80_000, (65, 90): 20_000}},
+            {2014: 0, 2015: 0},
+            {2014: 4_000, 2015: 4_000},
+            {y: {(16, 64): 80_000, (65, 90): 20_000} for y in (2014, 2015)},
         )
-        assert supply_proxy(series, 2015) == 0.05
+        assert _only_row(series).supply == 0.05
 
     def test_partial_band_contributes_pro_rata(self):
         # ages 60..69: 5 of the 10 ages are inside [16, 64]
         series = _series(
-            {2015: 0},
-            {2015: 9_500},
-            {2015: {(16, 59): 90_000, (60, 69): 10_000}},
+            {2014: 0, 2015: 0},
+            {2014: 9_500, 2015: 9_500},
+            {y: {(16, 59): 90_000, (60, 69): 10_000} for y in (2014, 2015)},
         )
-        assert working_age_population(series, 2015) == 95_000.0
-        assert supply_proxy(series, 2015) == pytest.approx(0.1, abs=1e-15)
+        assert working_age_population(series, 2015, (16, 64)) == 95_000.0
+        assert _only_row(series).supply == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_working_age_population(self):
         series = _series({2015: 0}, {2015: 10}, {2015: {(65, 90): 20_000}})
         with pytest.raises(ZeroWorkingAgePopulation) as excinfo:
-            supply_proxy(series, 2015)
-        assert excinfo.value.region == "R1"
+            build_features({"R1": series})
+        assert (excinfo.value.region, excinfo.value.year) == ("R1", 2015)
 
     def test_supply_above_one_rejected(self):
         series = _flat_series([2015], unemployed=200_000, working_age=100_000)
         with pytest.raises(SupplyExceedsOne) as excinfo:
-            supply_proxy(series, 2015)
-        assert excinfo.value.year == 2015
+            build_features({"R1": series})
+        assert (excinfo.value.region, excinfo.value.year) == ("R1", 2015)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("years", [[2015], [2014, 2015]], ids=["first-year", "later-year"])
+    def test_zero_working_age_population_comes_before_supply_above_one(self, normalize, years):
+        """A year without working-age population fails on that, not on its unemployed count."""
+        series = _flat_series(years, unemployed=10)
+        series.population[2015] = {(65, 90): 20_000}
+        with pytest.raises(ZeroWorkingAgePopulation) as excinfo:
+            build_features({"R1": series}, FeatureConfig(normalize=normalize))
+        assert (excinfo.value.region, excinfo.value.year) == ("R1", 2015)
 
     def test_matches_per_age_expansion_oracle(self):
         rng = np.random.default_rng(99)
         for i in range(100):
             series = random_regional_series(rng, f"R{i}")
-            year = series.years[0]
-            assert supply_proxy(series, year) == pytest.approx(
-                per_age_supply_oracle(series, year, (16, 64)), rel=1e-9
-            )
+            rows = build_features({series.region_id: series}, FeatureConfig(normalize=True))
+            assert [row.year for row in rows] == list(series.years[1:])
+            for row in rows:
+                population = per_age_population_oracle(series, row.year, (16, 64))
+                change = series.employment[row.year] - series.employment[row.year - 1]
+                assert row.supply == pytest.approx(per_age_supply_oracle(series, row.year, (16, 64)), rel=1e-9)
+                assert row.demand == pytest.approx(change / population, rel=1e-9, abs=1e-15)
 
     @given(st.integers(0, 5_000), st.integers(2, 1_000))
     @settings(max_examples=40, deadline=None)
     def test_scale_invariance(self, seed, factor):
         rng = np.random.default_rng(seed)
         series = random_regional_series(rng)
-        year = series.years[0]
-        scaled = RegionalSeries(
+        scaled_series = RegionalSeries(
             region_id=series.region_id,
             years=series.years,
             employment=series.employment,
             unemployed_6m={y: v * factor for y, v in series.unemployed_6m.items()},
             population={y: {b: v * factor for b, v in bands.items()} for y, bands in series.population.items()},
         )
-        base = supply_proxy(series, year)
-        if all(lo >= 16 and hi <= 64 or hi < 16 or lo > 64 for (lo, hi) in series.population[year]):
-            # bands aligned with the working-age boundary: integer sums, exact
-            assert supply_proxy(scaled, year) == base
-        else:
-            assert math.isclose(supply_proxy(scaled, year), base, rel_tol=1e-12)
+        base = build_features({series.region_id: series}, FeatureConfig(normalize=False))
+        scaled = build_features({series.region_id: scaled_series}, FeatureConfig(normalize=False))
+        assert [(row.year, row.demand) for row in scaled] == [(row.year, row.demand) for row in base]
+        for row, scaled_row in zip(base, scaled):
+            if all(lo >= 16 and hi <= 64 or hi < 16 or lo > 64 for (lo, hi) in series.population[row.year]):
+                # bands aligned with the working-age boundary: integer sums, exact
+                assert scaled_row.supply == row.supply
+            else:
+                assert math.isclose(scaled_row.supply, row.supply, rel_tol=1e-12)
 
 
 class TestBuildFeatures:
@@ -262,6 +281,23 @@ class TestBuildFeatures:
             [("R1", year) for year in range(2011, 2016)] + [("R2", year) for year in range(2012, 2017)]
         )
         assert rows == expected
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_each_checked_year_computes_its_working_age_population_once(self, monkeypatch, normalize):
+        """Every year but a first year without unemployed is checked, and each computes its population once."""
+        calls = []
+
+        def counted(series, year, working_age):
+            calls.append((series.region_id, year))
+            return working_age_population(series, year, working_age)
+
+        monkeypatch.setattr(features, "working_age_population", counted)
+        a = _flat_series(range(2010, 2015), region="A")
+        b = _flat_series(range(2010, 2015), region="B")
+        b.unemployed_6m[2010] = 0
+        rows = build_features({"A": a, "B": b}, FeatureConfig(normalize=normalize))
+        assert len(rows) == 8
+        assert calls == [("A", year) for year in range(2010, 2015)] + [("B", year) for year in range(2011, 2015)]
 
     def test_input_map_order_does_not_matter(self):
         a = _flat_series(range(2010, 2015), region="A")

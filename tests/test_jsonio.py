@@ -171,6 +171,25 @@ class TestRejects:
         with pytest.raises(MalformedJson):
             load_report_json(path)
 
+    def test_deeply_nested_file_raises_malformed_json(self, tmp_path):
+        """json's decoder gives up past the recursion limit; its `RecursionError` used to escape as a traceback."""
+        path = tmp_path / "report.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        with pytest.raises(MalformedJson, match=re.escape(f"{path}: not a valid EvalReport file: maximum recursion")):
+            load_report_json(path)
+
+    def test_a_field_type_without_a_decoder_is_not_malformed_json(self, tmp_path):
+        """A type hint the codec cannot read is the program's fault, so it is not reported as a bad file."""
+
+        @dataclasses.dataclass
+        class Tagged:
+            ids: set[int]
+
+        path = tmp_path / "tagged.json"
+        path.write_text('{"ids": [1, 2]}', encoding="utf-8")
+        with pytest.raises(NotImplementedError, match=r"^no JSON codec for set\[int\]$"):
+            jsonio.load(path, Tagged)
+
     def test_missing_file_stays_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_report_json(tmp_path / "absent.json")

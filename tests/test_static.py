@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
 
 # The line count of src/workforecast/*.py is a tracked number: a change that
 # deletes code lowers this ceiling to the count it lands at.
-SRC_LINE_CEILING = 1912
+SRC_LINE_CEILING = 1897
 
 # The modules that run least squares; tests/test_startup.py checks at run time
 # that the commands which do not reach them load no numpy.
