@@ -37,7 +37,7 @@ from workforecast import model as model_mod
 from workforecast import perf as perf_mod
 from workforecast import report as report_mod
 from workforecast import synth as synth_mod
-from workforecast.errors import DataError, FeatureConfigMismatch
+from workforecast.errors import DataError, FeatureConfigMismatch, shown
 from workforecast.features import FeatureConfig
 
 atexit.register(gc.freeze)  # shutdown's collections then skip the heap, which reference counting frees anyway
@@ -109,7 +109,7 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
     for region in series:
         years = series[region].years
-        click.echo(f"OK {region}: years {years[0]}-{years[-1]} ({len(years)})", err=True)
+        click.echo(f"OK {shown(region)}: years {years[0]}-{years[-1]} ({len(years)})", err=True)
     if records_file is not None:
         records = ingest_mod.parse_programme_records(records_file)
         click.echo(f"OK records: {len(records)} people", err=True)
@@ -134,7 +134,7 @@ def features_cmd(employment_file, unemployment_file, population_file, normalize,
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
     rows = features_mod.build_features(series, config)
     features_mod.write_features_csv(rows, config, out)
-    click.echo(f"wrote {len(rows)} feature rows to {out}", err=True)
+    click.echo(f"wrote {len(rows)} feature rows to {shown(out)}", err=True)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def performance_cmd(records_file, min_hours, window_months, out) -> None:
     records = ingest_mod.parse_programme_records(records_file)
     rows = perf_mod.aggregate_performance(records, min_hours=min_hours, window_months=window_months)
     perf_mod.write_performance_csv(rows, out)
-    click.echo(f"wrote {len(rows)} performance rows to {out}", err=True)
+    click.echo(f"wrote {len(rows)} performance rows to {shown(out)}", err=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def synth_cmd(out, shock_year, demand_shift, supply_shift, **params) -> None:
     paths = synth_mod.write_outputs(result, config, out, run_config=_run_config())
     click.echo(
         f"generated {len(result.series_by_region)} regions, {len(result.performance)} "
-        f"performance rows ({result.n_clipped} clipped) in {paths['truth'].parent}",
+        f"performance rows ({result.n_clipped} clipped) in {shown(paths['truth'].parent)}",
         err=True,
     )
 
@@ -271,7 +271,7 @@ def figures_cmd(employment_file, unemployment_file, population_file, features, p
     eval_report = evaluate_mod.load_report_json(report_file)
     if eval_report.feature_config != config:
         raise FeatureConfigMismatch(
-            f"report was built under {eval_report.feature_config} but {features} under {config}",
+            f"report was built under {eval_report.feature_config} but {shown(features)} under {config}",
             file=str(report_file),
         )
     paths = report_mod.emit_figure_data(
@@ -285,7 +285,7 @@ def figures_cmd(employment_file, unemployment_file, population_file, features, p
         population_mode=population_baseline,
         performance_mode=performance_baseline,
     )
-    click.echo(f"wrote {len(paths)} figure files to {out}", err=True)
+    click.echo(f"wrote {len(paths)} figure files to {shown(out)}", err=True)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,15 @@
 
 Row-level errors carry the source file name and the 1-based line number of
 the offending row as attributes; the message is prefixed with them as
-``file:line: `` (``file: `` without a line; an unprintable name as its repr).
+``file:line: `` (``file: `` without a line; the name as `shown`).
 """
 from __future__ import annotations
+
+
+def shown(name: object) -> str:
+    """`name` as text, written as a string literal unless printable, so that quoting it cannot split a line."""
+    text = str(name)
+    return text if text.isprintable() else repr(text)
 
 
 class DataError(Exception):
@@ -12,7 +18,7 @@ class DataError(Exception):
 
     def __init__(self, message: str, **context: object) -> None:
         if "file" in context:
-            file = context["file"] if str(context["file"]).isprintable() else repr(context["file"])
+            file = shown(context["file"])
             where = file if context.get("line") is None else f"{file}:{context['line']}"
             message = f"{where}: {message}"
         super().__init__(message)

@@ -34,6 +34,7 @@ from workforecast.errors import (
     RankDeficientDesign,
     RankDeficientFold,
     TooFewObservations,
+    shown,
 )
 from workforecast.features import FeatureConfig, FeatureRow
 from workforecast.model import design, fit, predict
@@ -106,28 +107,31 @@ def by_region(dataset: list[tuple[FeatureRow, float]], run: Callable[[list], obj
     return results
 
 
-def relative_inaccuracy(mae_model: float | None, mae_benchmark: float | None) -> float | None:
-    """(mae_benchmark / mae_model - 1) * 100; undefined when mae_model is 0."""
-    if mae_model is None or mae_benchmark is None or mae_model == 0.0:
-        return None
-    return (mae_benchmark / mae_model - 1.0) * 100.0
-
-
-def metrics(
-    folds: list[FoldResult] | tuple[FoldResult, ...],
-) -> tuple[float, float | None, float, float | None, float | None]:
-    """(mae_model_pct, mae_benchmark_pct, std_model_pct, std_benchmark_pct, relative_inaccuracy_pct).
+def summarize(folds: list[FoldResult], config: FeatureConfig, benchmark_mode: str, scope: str) -> EvalReport:
+    """The report on `folds`: each side's MAE and std, in percentage points, and the relative inaccuracy.
 
     Benchmark metrics cover only folds that have a benchmark prediction and
     are None when no fold does. A single fold has no sample spread, so its
-    std is reported as 0.
+    std is reported as 0. The relative inaccuracy is 100 * (mae_benchmark /
+    mae_model - 1), None when there is no benchmark MAE or mae_model is 0.
     """
     if not folds:
         raise EmptyFolds("no folds to summarize")
     mae_model, std_model = _mae_std([fold.abs_err_model for fold in folds])
     benchmark_errors = [fold.abs_err_benchmark for fold in folds if fold.abs_err_benchmark is not None]
     mae_benchmark, std_benchmark = _mae_std(benchmark_errors) if benchmark_errors else (None, None)
-    return mae_model, mae_benchmark, std_model, std_benchmark, relative_inaccuracy(mae_model, mae_benchmark)
+    relative = None if mae_benchmark is None or mae_model == 0.0 else (mae_benchmark / mae_model - 1.0) * 100.0
+    return EvalReport(
+        benchmark_mode=benchmark_mode,
+        scope=scope,
+        feature_config=config,
+        folds=tuple(folds),
+        mae_model_pct=mae_model,
+        mae_benchmark_pct=mae_benchmark,
+        std_model_pct=std_model,
+        std_benchmark_pct=std_benchmark,
+        relative_inaccuracy_pct=relative,
+    )
 
 
 def _mae_std(errors: list[float]) -> tuple[float, float]:
@@ -143,21 +147,6 @@ def _prior_years_means(data: list[tuple[FeatureRow, float]]) -> dict[int, float 
         earlier = [target for row, target in data if row.year < year]
         means[year] = math.fsum(earlier) / len(earlier) if earlier else None
     return means
-
-
-def _report(folds: list[FoldResult], config: FeatureConfig, benchmark_mode: str, scope: str) -> EvalReport:
-    mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
-    return EvalReport(
-        benchmark_mode=benchmark_mode,
-        scope=scope,
-        feature_config=config,
-        folds=tuple(folds),
-        mae_model_pct=mae_model,
-        mae_benchmark_pct=mae_benchmark,
-        std_model_pct=std_model,
-        std_benchmark_pct=std_benchmark,
-        relative_inaccuracy_pct=relative,
-    )
 
 
 def loocv(
@@ -185,7 +174,7 @@ def loocv(
             model = fit(np.delete(x, i, 0), np.delete(y, i), config)
         except RankDeficientDesign as err:
             raise RankDeficientFold(
-                f"training fold for ({row.region_id}, {row.year}) is rank deficient: {err}",
+                f"training fold for ({shown(row.region_id)}, {row.year}) is rank deficient: {err}",
                 region=row.region_id,
                 year=row.year,
             ) from err
@@ -197,7 +186,7 @@ def loocv(
         abs_err_benchmark = abs(pred_benchmark - actual) if pred_benchmark is not None else None
         folds.append(FoldResult(row.region_id, row.year, actual, pred_model, pred_benchmark,
                                 abs(pred_model - actual), abs_err_benchmark))
-    return _report(folds, config, benchmark_mode, "pooled")
+    return summarize(folds, config, benchmark_mode, "pooled")
 
 
 def loocv_per_region(
@@ -208,7 +197,7 @@ def loocv_per_region(
     """Leave-one-out within each region separately, folds merged for the summary."""
     reports = by_region(dataset, lambda rows: loocv(rows, config, benchmark_mode))
     folds = [fold for report in reports.values() for fold in report.folds]  # regions sorted, folds by year
-    return _report(folds, config, benchmark_mode, "per-region")
+    return summarize(folds, config, benchmark_mode, "per-region")
 
 
 # Kept as named functions: perfbench/replay.py traces them, and takes `evaluate.folds` from this save.

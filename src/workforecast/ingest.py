@@ -75,7 +75,7 @@ class RegionalSeries:
 
 
 class Spell(NamedTuple):
-    """One employment spell; both end dates are inclusive. `perf.is_reintegrated` unpacks it by field order."""
+    """One employment spell; both end dates are inclusive. `perf._covers_window` unpacks it by field order."""
 
     start_date: date
     end_date: date

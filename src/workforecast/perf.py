@@ -46,32 +46,15 @@ def add_months(day: date, months: int) -> date:
     return date(year, month, min(day.day, last_day))
 
 
-def _check_options(min_hours: float, window_months: int) -> None:
-    """Reject options the rule cannot apply: `min_hours` not a finite number >= 0, or a negative window."""
-    if not (math.isfinite(min_hours) and min_hours >= 0.0):
-        raise InvalidConfig(f"min_hours must be a finite non-negative number, got {min_hours}")
-    if window_months < 0:
-        raise InvalidConfig(f"window_months must be non-negative, got {window_months}")
-
-
-def is_reintegrated(
-    record: ProgrammeRecord,
-    min_hours: float = DEFAULT_MIN_HOURS,
-    window_months: int = DEFAULT_WINDOW_MONTHS,
-) -> bool:
+def _covers_window(record: ProgrammeRecord, min_hours: float, window_months: int) -> bool:
     """Return True when the whole post-entry window is covered by qualifying spells.
 
     Both boundaries are inclusive ("at least" semantics): a spell at exactly
     ``min_hours`` qualifies, and the window closes on the day exactly
     ``window_months`` calendar months after entry. Pre-entry spell days count
-    only from the entry date onwards. Invalid options are an `InvalidConfig`.
+    only from the entry date onwards. The options are checked once per call
+    by `aggregate_performance`, the one caller.
     """
-    _check_options(min_hours, window_months)
-    return _covers_window(record, min_hours, window_months)
-
-
-def _covers_window(record: ProgrammeRecord, min_hours: float, window_months: int) -> bool:
-    """`is_reintegrated` on options already checked, so `aggregate_performance` checks them once per call."""
     try:
         window_end = add_months(record.entry_date, window_months)
     except (ValueError, OverflowError):  # the window ends after date.max
@@ -99,7 +82,10 @@ def aggregate_performance(
     window_months: int = DEFAULT_WINDOW_MONTHS,
 ) -> list[PerformanceRow]:
     """Aggregate records into one row per (region, entry year) with >= 1 entrant; options checked first."""
-    _check_options(min_hours, window_months)
+    if not (math.isfinite(min_hours) and min_hours >= 0.0):
+        raise InvalidConfig(f"min_hours must be a finite non-negative number, got {min_hours}")
+    if window_months < 0:
+        raise InvalidConfig(f"window_months must be non-negative, got {window_months}")
     counts: dict[tuple[str, int], list[int]] = {}
     for record in records:
         cell = counts.setdefault((record.region_id, record.entry_date.year), [0, 0])

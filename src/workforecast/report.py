@@ -11,7 +11,6 @@ percentage points) or dividing by it (ratios, natural for growth).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -31,27 +30,17 @@ FIGURE_FILENAMES = {
 }
 
 
-@dataclass(frozen=True)
-class BaselinedSeries:
-    """A series re-expressed relative to its value at the baseline year."""
-
-    label: str
-    baseline_year: int
-    baseline_value: float
-    mode: str
-    points: tuple[tuple[int, float], ...]
-
-
 def baseline(
     series: Mapping[int, float],
     baseline_year: int | None,
     mode: str,
     label: str = "",
-) -> BaselinedSeries:
-    """Subtract (difference mode) or divide by (ratio mode) the value at `baseline_year`.
+) -> float:
+    """Return the base that `_rebase` subtracts (difference mode) or divides by (ratio mode).
 
-    The one check of every figure baseline: `label` is the region its errors
-    name and carry as context. An empty series has no baseline year (None).
+    The base is the series' value at `baseline_year`. This is the one check of
+    every figure baseline: `label` is the region its errors name and carry as
+    context. An empty series has no baseline year (None).
     """
     if mode not in BASELINE_MODES:
         raise InvalidConfig(f"unknown baseline mode {mode!r}; expected one of {', '.join(BASELINE_MODES)}")
@@ -62,8 +51,7 @@ def baseline(
     if mode == "ratio" and base == 0.0:
         raise ZeroBaseline(f"region {label!r}: cannot baseline by ratio, its value in {baseline_year} is zero",
                            region=label, year=baseline_year)
-    points = tuple((year, _rebase(float(series[year]), base, mode)) for year in sorted(series))
-    return BaselinedSeries(label, baseline_year, base, mode, points)
+    return base
 
 
 def _rebase(value: float, base: float, mode: str) -> float:
@@ -110,8 +98,9 @@ def emit_figure_data(
     population_rows = []
     for region, series in series_by_region.items():
         totals = {year: float(sum(series.population[year].values())) for year in series.years}
-        baselined = baseline(totals, pop_year, population_mode, label=region)
-        population_rows.extend([region, year, repr(value)] for year, value in baselined.points)
+        base = baseline(totals, pop_year, population_mode, label=region)
+        population_rows.extend([region, year, repr(_rebase(total, base, population_mode))]
+                               for year, total in totals.items())
 
     performance: dict[str, dict[int, float]] = {}
     for row in performance_rows:
@@ -119,7 +108,7 @@ def emit_figure_data(
     bases: dict[str, float] = {}
     for region in dict.fromkeys(fold.region_id for fold in eval_report.folds):
         series = performance.get(region, {})
-        bases[region] = baseline(series, min(series, default=None), performance_mode, label=region).baseline_value
+        bases[region] = baseline(series, min(series, default=None), performance_mode, label=region)
     eval_rows = [
         [fold.region_id, fold.year, *(
             "" if value is None else repr(_rebase(value, bases[fold.region_id], performance_mode))

@@ -12,7 +12,9 @@ it triangularizes a row-major [x | y] with one `np.outer` update per
 reflection. The records oracle is the two-pass parser that
 `ingest.parse_programme_records` replaced: it reads and checks the structure
 of the whole file before any row check. `unbaseline` is the inverse of
-`report.baseline`, computed from the stored baseline value.
+`report._rebase`, computed from the base `report.baseline` returns.
+`reintegrated` is not an oracle: it asks `perf.aggregate_performance`, the
+rule's one caller, for its verdict on a single record.
 """
 from __future__ import annotations
 
@@ -28,11 +30,11 @@ from workforecast.cli import cli
 from workforecast.errors import (
     MalformedRow, OverlappingSpells, RankDeficientDesign, RankDeficientFold, TooFewObservations,
 )
-from workforecast.evaluate import EvalReport, FoldResult, metrics
+from workforecast.evaluate import EvalReport, FoldResult, summarize
 from workforecast.features import FeatureConfig, FeatureRow
 from workforecast.ingest import RECORDS_HEADER, ProgrammeRecord, RegionalSeries, Spell, _parse_date, _parse_number
 from workforecast.model import ModelFit, design, fit, predict
-from workforecast.report import BaselinedSeries
+from workforecast.perf import aggregate_performance
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +68,11 @@ def reintegration_oracle(record: ProgrammeRecord, min_hours: float = 16.0, windo
             return False
         day += timedelta(days=1)
     return True
+
+
+def reintegrated(record: ProgrammeRecord, **options) -> bool:
+    """The program's verdict on one record: the rule as `perf.aggregate_performance` applies it."""
+    return aggregate_performance([record], **options)[0].n_success == 1
 
 
 def random_programme_record(rng: np.random.Generator, person_id: str = "P1", region_id: str = "R1") -> ProgrammeRecord:
@@ -131,11 +138,11 @@ def per_age_supply_oracle(series: RegionalSeries, year: int, working_age: tuple[
     return series.unemployed_6m[year] / per_age_population_oracle(series, year, working_age)
 
 
-def unbaseline(baselined: BaselinedSeries) -> dict[int, float]:
-    """Invert `report.baseline` using the stored baseline value."""
-    if baselined.mode == "difference":
-        return {year: value + baselined.baseline_value for year, value in baselined.points}
-    return {year: value * baselined.baseline_value for year, value in baselined.points}
+def unbaseline(rebased: dict[int, float], base: float, mode: str) -> dict[int, float]:
+    """Invert `report._rebase` of each value against `base`."""
+    if mode == "difference":
+        return {year: value + base for year, value in rebased.items()}
+    return {year: value * base for year, value in rebased.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +289,7 @@ def loocv_refit_oracle(
         for region in sorted({row.region_id for row, _ in dataset}):
             subset = [(row, target) for row, target in dataset if row.region_id == region]
             folds.extend(_refit_folds(subset, config, benchmark_mode, solver))
-    mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
-    return EvalReport(
-        benchmark_mode=benchmark_mode,
-        scope=scope,
-        feature_config=config,
-        folds=tuple(folds),
-        mae_model_pct=mae_model,
-        mae_benchmark_pct=mae_benchmark,
-        std_model_pct=std_model,
-        std_benchmark_pct=std_benchmark,
-        relative_inaccuracy_pct=relative,
-    )
+    return summarize(folds, config, benchmark_mode, scope)
 
 
 # ---------------------------------------------------------------------------

@@ -952,6 +952,38 @@ class TestOversizedFields:
         assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
 
 
+class TestQuotedNamesStayOnOneLine:
+    """A region or path with a line break is written as a string literal, so it cannot forge or split a line."""
+
+    def test_validate_quotes_a_region_that_holds_a_line_break(self, tmp_path):
+        region = '"R1\nERROR GapInYears: fake"'
+        files = {
+            "employment": ("region,year,employed", "100", "110"),
+            "unemployment": ("region,year,unemployed_6m", "5", "6"),
+            "population": ("region,year,age_lo,age_hi,persons", "16,64,1000", "16,64,1000"),
+        }
+        args = ["validate"]
+        for name, (header, first, second) in files.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"{header}\n{region},2011,{first}\n{region},2012,{second}\n", encoding="utf-8")
+            args += [f"--{name}", str(path)]
+        result = _invoke(args)
+        assert result.exit_code == 0
+        assert result.stderr == "OK 'R1\\nERROR GapInYears: fake': years 2011-2012 (2)\n"
+
+    def test_a_features_path_that_holds_a_line_break_stays_on_the_error_line(self, tmp_path):
+        assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
+        features = tmp_path / "nl\nf.csv"
+        written = _invoke(_features_args(tmp_path, features, "--no-normalize"))
+        assert written.exit_code == 0
+        assert written.stderr == f"wrote 14 feature rows to {str(features)!r}\n"
+        args = _figures_args(tmp_path, tmp_path / "report.json")
+        args[args.index("--features") + 1] = str(features)
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert f" but {str(features)!r} under " in _single_error_line(result, "FeatureConfigMismatch")
+
+
 class TestLinesAfterAQuotedLineBreak:
     """A quoted line break makes lines 2-3 one row: an error in the row after it names line 4, not 3."""
 

@@ -10,9 +10,8 @@ from workforecast.evaluate import (
     load_report_json,
     loocv,
     loocv_per_region,
-    metrics,
-    relative_inaccuracy,
     save_report_json,
+    summarize,
 )
 from workforecast.features import FeatureConfig, build_features
 from workforecast.synth import LAW_FEATURE_CONFIG, SynthConfig, generate
@@ -152,38 +151,54 @@ class TestLoocvPerRegion:
 
 
 class TestMetrics:
+    @staticmethod
+    def _summary(folds):
+        return summarize(folds, CONFIG, "trainfold-mean", "pooled")
+
     def test_reproduces_headline_relative_inaccuracy(self):
         folds = [_fold(0.039, 0.06), _fold(0.039, 0.06, year=2013)]
-        mae_model, mae_benchmark, _, _, relative = metrics(folds)
-        assert mae_model == pytest.approx(3.9, abs=1e-12)
-        assert mae_benchmark == pytest.approx(6.0, abs=1e-12)
-        assert round(relative, 1) == 53.8
-        assert round(relative) == 54
+        report = self._summary(folds)
+        assert report.mae_model_pct == pytest.approx(3.9, abs=1e-12)
+        assert report.mae_benchmark_pct == pytest.approx(6.0, abs=1e-12)
+        assert round(report.relative_inaccuracy_pct, 1) == 53.8
+        assert round(report.relative_inaccuracy_pct) == 54
 
     def test_mean_of_absolute_errors(self):
         folds = [_fold(0.01, 0.02), _fold(-0.03, 0.04, year=2013)]
-        mae_model, mae_benchmark, std_model, _, _ = metrics(folds)
-        assert mae_model == pytest.approx(2.0, abs=1e-12)
-        assert mae_benchmark == pytest.approx(3.0, abs=1e-12)
-        assert std_model == pytest.approx(statistics.stdev([0.01, 0.03]) * 100, abs=1e-12)
+        report = self._summary(folds)
+        assert report.mae_model_pct == pytest.approx(2.0, abs=1e-12)
+        assert report.mae_benchmark_pct == pytest.approx(3.0, abs=1e-12)
+        assert report.std_model_pct == pytest.approx(statistics.stdev([0.01, 0.03]) * 100, abs=1e-12)
 
     def test_all_zero_errors(self):
         folds = [_fold(0.0, 0.0), _fold(0.0, 0.0, year=2013)]
-        mae_model, mae_benchmark, std_model, std_benchmark, relative = metrics(folds)
-        assert (mae_model, mae_benchmark, std_model, std_benchmark) == (0.0, 0.0, 0.0, 0.0)
-        assert relative is None
+        report = self._summary(folds)
+        spreads = (report.mae_model_pct, report.mae_benchmark_pct, report.std_model_pct, report.std_benchmark_pct)
+        assert spreads == (0.0, 0.0, 0.0, 0.0)
+        assert report.relative_inaccuracy_pct is None
 
     def test_empty_folds(self):
         with pytest.raises(EmptyFolds):
-            metrics([])
+            self._summary([])
 
     def test_single_fold_has_zero_spread(self):
-        mae_model, _, std_model, std_benchmark, _ = metrics([_fold(0.02, 0.03)])
-        assert mae_model == pytest.approx(2.0, abs=1e-12)
-        assert std_model == 0.0
-        assert std_benchmark == 0.0
+        report = self._summary([_fold(0.02, 0.03)])
+        assert report.mae_model_pct == pytest.approx(2.0, abs=1e-12)
+        assert report.std_model_pct == 0.0
+        assert report.std_benchmark_pct == 0.0
 
     def test_relative_inaccuracy_helper(self):
-        assert relative_inaccuracy(3.9, 6.0) == pytest.approx(53.846153846153854)
-        assert relative_inaccuracy(0.0, 6.0) is None
-        assert relative_inaccuracy(3.9, None) is None
+        """Defined from the two MAEs; None when the model's MAE is 0 or no fold has a benchmark prediction."""
+        assert self._summary([_fold(0.039, 0.06)]).relative_inaccuracy_pct == pytest.approx(53.846153846153854)
+        assert self._summary([_fold(0.0, 0.06)]).relative_inaccuracy_pct is None
+        no_benchmark = self._summary([_fold(0.039, None), _fold(0.02, None, year=2013)])
+        assert no_benchmark.mae_benchmark_pct is None and no_benchmark.std_benchmark_pct is None
+        assert no_benchmark.relative_inaccuracy_pct is None
+
+    def test_the_report_carries_the_folds_and_the_run_settings(self):
+        folds = [_fold(0.01, 0.02), _fold(-0.03, None, year=2013)]
+        report = summarize(folds, LAW_FEATURE_CONFIG, "prior-years-mean", "per-region")
+        assert report.folds == tuple(folds)
+        assert (report.feature_config, report.benchmark_mode, report.scope) == (
+            LAW_FEATURE_CONFIG, "prior-years-mean", "per-region")
+        assert report.mae_benchmark_pct == pytest.approx(2.0, abs=1e-12)

@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workforecast import perf
 from workforecast.errors import InvalidConfig, MalformedRow
 from workforecast.ingest import ProgrammeRecord, Spell
 from workforecast.perf import (
     PerformanceRow,
     add_months,
     aggregate_performance,
-    is_reintegrated,
     read_performance_csv,
     write_performance_csv,
 )
 
-from helpers import random_programme_record, reintegration_oracle
+from helpers import random_programme_record, reintegrated, reintegration_oracle
 
 
 def _record(entry, spells, person="P1", region="R1"):
@@ -50,44 +48,44 @@ class TestAddMonths:
 class TestIsReintegrated:
     def test_single_covering_spell(self):
         record = _record("2015-01-01", [("2015-01-01", "2015-08-01", 20.0)])
-        assert is_reintegrated(record) is True
+        assert reintegrated(record) is True
 
     def test_below_minimum_hours(self):
         record = _record("2015-01-01", [("2015-01-01", "2015-08-01", 15.0)])
-        assert is_reintegrated(record) is False
+        assert reintegrated(record) is False
 
     def test_one_day_gap_breaks_continuity(self):
         record = _record(
             "2015-01-01",
             [("2015-01-01", "2015-03-31", 20.0), ("2015-04-02", "2015-08-01", 20.0)],
         )
-        assert is_reintegrated(record) is False
+        assert reintegrated(record) is False
 
     def test_adjacent_spells_at_exactly_16_hours(self):
         record = _record(
             "2015-01-01",
             [("2015-01-01", "2015-03-31", 16.0), ("2015-04-01", "2015-07-01", 16.0)],
         )
-        assert is_reintegrated(record) is True
+        assert reintegrated(record) is True
         assert reintegration_oracle(record) is True
 
     def test_pre_entry_spell_counts_from_entry(self):
         record = _record("2015-03-01", [("2014-06-01", "2015-09-10", 20.0)])
-        assert is_reintegrated(record) is True
+        assert reintegrated(record) is True
 
     def test_window_end_is_inclusive(self):
         # spell stops one day short of the six-month mark
         record = _record("2015-01-01", [("2015-01-01", "2015-06-30", 20.0)])
-        assert is_reintegrated(record) is False
+        assert reintegrated(record) is False
 
     def test_spell_ending_on_the_last_date_covers_the_window(self):
         # the day after 9999-12-31 does not exist
-        assert is_reintegrated(_record("2015-01-01", [("2014-01-01", "9999-12-31", 20.0)])) is True
-        assert is_reintegrated(_record("9999-06-01", [("9999-06-01", "9999-12-31", 20.0)])) is True
+        assert reintegrated(_record("2015-01-01", [("2014-01-01", "9999-12-31", 20.0)])) is True
+        assert reintegrated(_record("9999-06-01", [("9999-06-01", "9999-12-31", 20.0)])) is True
 
     def test_window_ending_after_the_last_date_is_rejected(self):
         with pytest.raises(InvalidConfig, match="6-month window from entry date 9999-07-01"):
-            is_reintegrated(_record("9999-07-01", [("9999-07-01", "9999-12-31", 20.0)]))
+            reintegrated(_record("9999-07-01", [("9999-07-01", "9999-12-31", 20.0)]))
 
     def test_the_first_person_past_the_last_date_is_named_whatever_is_cached(self):
         ok = _record("2015-01-01", [("2015-01-01", "2015-08-01", 20.0)], person="A")
@@ -106,22 +104,22 @@ class TestIsReintegrated:
         """With `nan` no spell is below the minimum, so a year of 1-hour weeks would count as a success."""
         one_hour_year = _record("2015-01-01", [("2015-01-01", "2015-12-31", 1.0)])
         with pytest.raises(InvalidConfig, match=f"^min_hours must be a finite non-negative number, got {min_hours}$"):
-            is_reintegrated(one_hour_year, min_hours=min_hours)
+            aggregate_performance([one_hour_year], min_hours=min_hours)
 
     @pytest.mark.parametrize("window_months", [-1, -12])
     def test_negative_window_is_rejected(self, window_months):
         """A negative window would end before entry, so an entry-day spell alone would count as a success."""
         entry_day_only = _record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)])
         with pytest.raises(InvalidConfig, match=f"^window_months must be non-negative, got {window_months}$"):
-            is_reintegrated(entry_day_only, window_months=window_months)
+            aggregate_performance([entry_day_only], window_months=window_months)
 
     def test_zero_options_are_accepted(self):
-        assert is_reintegrated(_record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)]), window_months=0) is True
-        assert is_reintegrated(_record("2015-01-01", [("2015-01-01", "2015-12-31", 1.0)]), min_hours=0.0) is True
+        assert reintegrated(_record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)]), window_months=0) is True
+        assert reintegrated(_record("2015-01-01", [("2015-01-01", "2015-12-31", 1.0)]), min_hours=0.0) is True
 
     def test_no_spells(self):
         record = _record("2015-01-01", [])
-        assert is_reintegrated(record) is False
+        assert reintegrated(record) is False
 
     def test_low_hour_spell_between_good_ones_leaves_gap(self):
         record = _record(
@@ -132,7 +130,7 @@ class TestIsReintegrated:
                 ("2015-05-01", "2015-08-01", 20.0),
             ],
         )
-        assert is_reintegrated(record) is False
+        assert reintegrated(record) is False
 
     def test_agrees_with_day_enumeration_oracle(self):
         rng = np.random.default_rng(123)
@@ -140,7 +138,7 @@ class TestIsReintegrated:
         for i in range(500):
             record = random_programme_record(rng, person_id=f"P{i}")
             expected = reintegration_oracle(record)
-            assert is_reintegrated(record) == expected, record
+            assert reintegrated(record) == expected, record
             outcomes.add(expected)
         assert outcomes == {True, False}  # the sample exercises both branches
 
@@ -188,22 +186,21 @@ class TestAggregatePerformance:
         aggregate_performance(records)
         assert sum(calls.values()) == len(entry_dates) < len(records)
 
-    def test_the_options_are_checked_once_per_call(self, monkeypatch):
-        """Up front for the whole list, not once per record; `is_reintegrated` still checks them on every call."""
+    def test_the_options_are_checked_before_any_record(self):
+        """The first record's window ends after date.max, but a bad option is what the call names."""
+        past_date_max = _record("9999-07-01", [("9999-07-01", "9999-12-31", 20.0)])
+        with pytest.raises(InvalidConfig, match="^min_hours must be a finite non-negative number, got nan$"):
+            aggregate_performance([past_date_max], min_hours=float("nan"))
+        with pytest.raises(InvalidConfig, match="^min_hours must be a finite non-negative number, got -1.0$"):
+            aggregate_performance([past_date_max], min_hours=-1.0, window_months=-1)
+        with pytest.raises(InvalidConfig, match="^window_months must be non-negative, got -1$"):
+            aggregate_performance([past_date_max], window_months=-1)
+
+    def test_a_list_counts_what_each_record_counts_alone(self):
         rng = np.random.default_rng(21)
         records = [random_programme_record(rng, person_id=f"P{i}") for i in range(50)]
-        calls = []
-        check_options = perf._check_options
-
-        def counting(min_hours, window_months):
-            calls.append((min_hours, window_months))
-            check_options(min_hours, window_months)
-
-        monkeypatch.setattr(perf, "_check_options", counting)
         rows = aggregate_performance(records, min_hours=10.0, window_months=3)
-        assert calls == [(10.0, 3)]
-        expected = sum(is_reintegrated(record, min_hours=10.0, window_months=3) for record in records)
-        assert len(calls) == 1 + len(records)
+        expected = sum(reintegrated(record, min_hours=10.0, window_months=3) for record in records)
         assert sum(row.n_success for row in rows) == expected
         assert all(type(row.n_success) is int and type(row.n_entrants) is int for row in rows)
 
@@ -218,16 +215,15 @@ class TestAggregatePerformance:
 
     @pytest.mark.parametrize("min_hours", [float("nan"), float("inf"), -1.0])
     def test_invalid_min_hours_is_rejected(self, min_hours):
-        one_hour_spell = _record("2015-01-01", [("2015-01-01", "2015-08-01", 1.0)])
-        with pytest.raises(InvalidConfig, match="min_hours"):
-            aggregate_performance([one_hour_spell], min_hours=min_hours)
+        """Even with no record to apply it to."""
+        with pytest.raises(InvalidConfig, match=f"^min_hours must be a finite non-negative number, got {min_hours}$"):
+            aggregate_performance([], min_hours=min_hours)
 
     @pytest.mark.parametrize("window_months", [-1, -12])
     def test_negative_window_is_rejected(self, window_months):
-        """A negative window would end before entry, so an entry-day spell alone would count as a success."""
-        entry_day_only = _record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)])
+        """Even with no record to apply it to."""
         with pytest.raises(InvalidConfig, match=f"^window_months must be non-negative, got {window_months}$"):
-            aggregate_performance([entry_day_only], window_months=window_months)
+            aggregate_performance([], window_months=window_months)
 
     def test_zero_window_is_the_entry_day(self):
         entry_day_only = _record("2015-01-01", [("2015-01-01", "2015-01-01", 20.0)])

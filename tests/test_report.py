@@ -7,7 +7,7 @@ from workforecast.errors import InvalidConfig, MissingBaselineYear, ZeroBaseline
 from workforecast.evaluate import build_dataset, loocv
 from workforecast.features import build_features
 from workforecast.ingest import RegionalSeries
-from workforecast.report import FIGURE_FILENAMES, baseline, emit_figure_data
+from workforecast.report import FIGURE_FILENAMES, _rebase, baseline, emit_figure_data
 from workforecast.synth import LAW_FEATURE_CONFIG, SynthConfig, generate
 
 
@@ -27,17 +27,22 @@ def _emit(tmp_path, seed=3, years=(2011, 2018), **kwargs):
     return result, rows, report, paths
 
 
+def _rebased(series, base, mode):
+    return {year: _rebase(value, base, mode) for year, value in series.items()}
+
+
 class TestBaseline:
     def test_ratio_mode(self):
         series = {2011: 100.0, 2012: 110.0}
-        baselined = baseline(series, 2011, "ratio")
-        assert baselined.points == ((2011, 1.0), (2012, 1.1))
-        assert baselined.baseline_value == 100.0
+        base = baseline(series, 2011, "ratio")
+        assert base == 100.0
+        assert _rebased(series, base, "ratio") == {2011: 1.0, 2012: 1.1}
 
     def test_difference_mode(self):
         series = {2011: 100.0, 2012: 110.0}
-        baselined = baseline(series, 2011, "difference")
-        assert baselined.points == ((2011, 0.0), (2012, 10.0))
+        base = baseline(series, 2011, "difference")
+        assert base == 100.0
+        assert _rebased(series, base, "difference") == {2011: 0.0, 2012: 10.0}
 
     def test_missing_baseline_year(self):
         with pytest.raises(MissingBaselineYear):
@@ -53,12 +58,14 @@ class TestBaseline:
 
     def test_unbaseline_difference_is_exact_on_counts(self):
         series = {year: float(v) for year, v in [(2011, 123456), (2012, 120300), (2013, 131111)]}
-        assert unbaseline(baseline(series, 2011, "difference")) == series
+        base = baseline(series, 2011, "difference")
+        assert unbaseline(_rebased(series, base, "difference"), base, "difference") == series
 
     def test_unbaseline_ratio_is_exact_on_commensurable_values(self):
         base = 250.0
         series = {2011: base, 2012: base * 3, 2013: base * 17}
-        assert unbaseline(baseline(series, 2011, "ratio")) == series
+        assert baseline(series, 2011, "ratio") == base
+        assert unbaseline(_rebased(series, base, "ratio"), base, "ratio") == series
 
 
 class TestEmitFigureData:
