@@ -230,14 +230,9 @@ def evaluate_cmd(features, performance, benchmark_mode, per_region, out) -> None
               help="Employment level shift as a fraction of working-age population.")
 @click.option("--supply-shift", type=float, default=0.0, show_default=True,
               help="Unemployment level shift as a fraction of working-age population.")
-def synth_cmd(out, shock_year, demand_shift, supply_shift, **params) -> None:
+def synth_cmd(out, **params) -> None:
     """Generate a synthetic panel with a known linear ground truth."""
-    if shock_year is None and (demand_shift != 0.0 or supply_shift != 0.0):
-        raise click.UsageError("--demand-shift/--supply-shift require --shock-year")
-    shock = None
-    if shock_year is not None:
-        shock = synth_mod.Shock(year=shock_year, demand_shift=demand_shift, supply_shift=supply_shift)
-    config = synth_mod.SynthConfig(**params, shock=shock)
+    config = synth_mod.SynthConfig(**params)
     result = synth_mod.generate(config)
     paths = synth_mod.write_outputs(result, config, out, run_config=_run_config())
     click.echo(

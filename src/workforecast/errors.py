@@ -94,7 +94,7 @@ class MissingBaselineYear(DataError):
 
 
 class ZeroBaseline(DataError):
-    """Ratio baselining against a zero baseline value."""
+    """Ratio baselining against a zero baseline value, or one so near zero that a rebased value overflows."""
 
 
 class InvalidConfig(DataError):

@@ -46,7 +46,7 @@ def load(path: str | Path, cls: type[T]) -> T:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return _codec(cls)(payload)
-    except (ValueError, KeyError, TypeError, RecursionError) as err:
+    except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as err:
         reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
         raise MalformedJson(f"not a valid {cls.__name__} file: {reason}", file=str(path)) from None
 

@@ -96,7 +96,8 @@ def fit(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
     diag = np.abs(np.diag(work[:3, :3]))
     tolerance = max(n, 3) * np.finfo(float).eps * float(diag.max())
     collinear = tuple(name for name, d in zip(_COLUMNS, diag) if d <= tolerance)
-    condition = float("inf") if float(diag.min()) == 0.0 else float(diag.max() / diag.min())
+    # Python floats, so that a ratio past the float range is inf without a numpy RuntimeWarning
+    condition = float(diag.max()) / float(diag.min()) if diag.min() > 0.0 else float("inf")
     if collinear:
         raise RankDeficientDesign(
             f"design matrix is rank deficient: column(s) {', '.join(collinear)} are "

@@ -11,6 +11,7 @@ percentage points) or dividing by it (ratios, natural for growth).
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -39,8 +40,9 @@ def baseline(
     """Return the base that `_rebase` subtracts (difference mode) or divides by (ratio mode).
 
     The base is the series' value at `baseline_year`. This is the one check of
-    every figure baseline: `label` is the region its errors name and carry as
-    context. An empty series has no baseline year (None).
+    every figure baseline, and `_rebase` the one check of every rebased value:
+    `label` is the region their errors name and carry as context. An empty
+    series has no baseline year (None).
     """
     if mode not in BASELINE_MODES:
         raise InvalidConfig(f"unknown baseline mode {mode!r}; expected one of {', '.join(BASELINE_MODES)}")
@@ -54,8 +56,12 @@ def baseline(
     return base
 
 
-def _rebase(value: float, base: float, mode: str) -> float:
-    return value - base if mode == "difference" else value / base
+def _rebase(value: float, base: float, mode: str, label: str, base_year: int | None) -> float:
+    rebased = value - base if mode == "difference" else value / base
+    if not math.isfinite(rebased):  # a ratio against a subnormal base can overflow
+        raise ZeroBaseline(f"region {label!r}: cannot baseline by {mode} against its value in {base_year} ({base!r}), "
+                           "a result overflows", region=label, year=base_year)
+    return rebased
 
 
 def _default_population_baseline_year(series_by_region: dict[str, RegionalSeries]) -> int:
@@ -99,23 +105,23 @@ def emit_figure_data(
     for region, series in series_by_region.items():
         totals = {year: float(sum(series.population[year].values())) for year in series.years}
         base = baseline(totals, pop_year, population_mode, label=region)
-        population_rows.extend([region, year, repr(_rebase(total, base, population_mode))]
+        population_rows.extend([region, year, repr(_rebase(total, base, population_mode, region, pop_year))]
                                for year, total in totals.items())
 
     performance: dict[str, dict[int, float]] = {}
     for row in performance_rows:
         performance.setdefault(row.region_id, {})[row.entry_year] = row.performance
-    bases: dict[str, float] = {}
+    bases: dict[str, tuple[float, int | None]] = {}
     for region in dict.fromkeys(fold.region_id for fold in eval_report.folds):
         series = performance.get(region, {})
-        bases[region] = baseline(series, min(series, default=None), performance_mode, label=region)
-    eval_rows = [
-        [fold.region_id, fold.year, *(
-            "" if value is None else repr(_rebase(value, bases[fold.region_id], performance_mode))
-            for value in (fold.actual, fold.pred_model, fold.pred_benchmark)
-        )]
-        for fold in eval_report.folds
-    ]
+        first = min(series, default=None)
+        bases[region] = baseline(series, first, performance_mode, label=region), first
+    eval_rows = []
+    for fold in eval_report.folds:
+        base, first = bases[fold.region_id]
+        rebased = ("" if value is None else repr(_rebase(value, base, performance_mode, fold.region_id, first))
+                   for value in (fold.actual, fold.pred_model, fold.pred_benchmark))
+        eval_rows.append([fold.region_id, fold.year, *rebased])
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

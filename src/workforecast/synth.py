@@ -13,8 +13,9 @@ Randomness comes from standard-library `random.Random` streams, one per
 Each is seeded with the string "seed:region:stream", which `random` hashes with
 SHA-512, so output is reproducible bit-for-bit, does not depend on
 PYTHONHASHSEED, and a region's draws do not depend on generation order or on
-how many regions there are. An optional shock applies persistent level shifts
-to the underlying employment and unemployment series from the shock year onward.
+how many regions there are. An optional shock (`shock_year` with
+`demand_shift`/`supply_shift`) applies persistent level shifts to the
+underlying employment and unemployment series from the shock year onward.
 
 Entrant counts are the exact integer ratio of each performance value
 (float.as_integer_ratio), so the rate survives the 6-decimal CSV display
@@ -39,15 +40,6 @@ LAW_FEATURE_CONFIG = FeatureConfig(normalize=True, lag=0, working_age=(16, 64))
 
 
 @dataclass(frozen=True)
-class Shock:
-    """Persistent level shift applied to the underlying series from `year` on."""
-
-    year: int
-    demand_shift: float = 0.0
-    supply_shift: float = 0.0
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     n_regions: int = 2
     years: tuple[int, int] = (2011, 2018)
@@ -56,7 +48,9 @@ class SynthConfig:
     true_coef_demand: float = 1.5
     true_coef_supply: float = -2.0
     noise_sd: float = 0.0
-    shock: Shock | None = None
+    shock_year: int | None = None  # the shifts below apply from this year on; without it they must be zero
+    demand_shift: float = 0.0  # employment level shift, a fraction of the working-age population
+    supply_shift: float = 0.0  # unemployment level shift, likewise
 
 
 @dataclass(frozen=True)
@@ -80,29 +74,23 @@ def _validate(config: SynthConfig) -> None:
         raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     if config.noise_sd < 0:
         raise InvalidConfig(f"noise_sd must be non-negative, got {config.noise_sd}")
-    floats = [(config, name) for name in ("true_intercept", "true_coef_demand", "true_coef_supply", "noise_sd")]
-    floats += [(config.shock, name) for name in ("demand_shift", "supply_shift") if config.shock is not None]
-    for owner, name in floats:
-        if not math.isfinite(getattr(owner, name)):
+    for name in ("true_intercept", "true_coef_demand", "true_coef_supply", "noise_sd", "demand_shift", "supply_shift"):
+        if not math.isfinite(getattr(config, name)):
             raise InvalidConfig(f"{name} must be finite")
-        if owner is config.shock and not -1.0 <= getattr(owner, name) <= 1.0:
+        if name.endswith("_shift") and not -1.0 <= getattr(config, name) <= 1.0:
             raise InvalidConfig(f"{name} must be within [-1, 1], a fraction of the working-age population")
-    if config.shock is not None and not first <= config.shock.year <= last:
-        raise InvalidConfig(
-            f"shock year {config.shock.year} is outside the year range {first}..{last}"
-        )
+    if config.shock_year is None and (config.demand_shift != 0.0 or config.supply_shift != 0.0):
+        raise InvalidConfig("demand_shift and supply_shift require a shock_year")
+    if config.shock_year is not None and not first <= config.shock_year <= last:
+        raise InvalidConfig(f"shock year {config.shock_year} is outside the year range {first}..{last}")
 
 
 def _rng(seed: int, region_index: int, stream: int) -> random.Random:
     return random.Random(f"{seed}:{region_index}:{stream}")
 
 
-def _region_series(
-    region_id: str,
-    years: list[int],
-    rng: random.Random,
-    shock: Shock | None,
-) -> RegionalSeries:
+def _region_series(region_id: str, rng: random.Random, config: SynthConfig) -> RegionalSeries:
+    years = range(config.years[0], config.years[1] + 1)
     n = len(years)
     working_age0 = rng.randrange(600_000, 1_400_000)
     young = [round(working_age0 * rng.uniform(0.15, 0.25))]
@@ -121,11 +109,11 @@ def _region_series(
         unemployed_rate.append(min(0.12, max(0.01, unemployed_rate[-1] + rng.uniform(-0.008, 0.008))))
     unemployed = [round(unemployed_rate[i] * working_age[i]) for i in range(n)]
 
-    if shock is not None:
+    if config.shock_year is not None:
         for i, year in enumerate(years):
-            if year >= shock.year:
-                employment[i] = max(0, employment[i] + round(shock.demand_shift * working_age[i]))
-                shifted = unemployed[i] + round(shock.supply_shift * working_age[i])
+            if year >= config.shock_year:
+                employment[i] = max(0, employment[i] + round(config.demand_shift * working_age[i]))
+                shifted = unemployed[i] + round(config.supply_shift * working_age[i])
                 unemployed[i] = min(working_age[i], max(0, shifted))
 
     return RegionalSeries(
@@ -143,7 +131,6 @@ def _region_series(
 def generate(config: SynthConfig) -> SynthResult:
     """Generate series and performance rows; pure given the config."""
     _validate(config)
-    years = list(range(config.years[0], config.years[1] + 1))
     width = max(2, len(str(config.n_regions)))
 
     series_by_region: dict[str, RegionalSeries] = {}
@@ -151,7 +138,7 @@ def generate(config: SynthConfig) -> SynthResult:
     n_clipped = 0
     for k in range(config.n_regions):
         region_id = f"R{k + 1:0{width}d}"  # one width for all, so ids sort in generation order
-        series = _region_series(region_id, years, _rng(config.seed, k, 0), config.shock)
+        series = _region_series(region_id, _rng(config.seed, k, 0), config)
         series_by_region[region_id] = series
 
         noise_rng = _rng(config.seed, k, 1)

@@ -12,7 +12,7 @@ from workforecast.cli import cli
 from workforecast.evaluate import FoldResult, build_dataset, loocv, summarize
 from workforecast.features import FeatureConfig, FeatureRow, build_features
 from workforecast.model import design, fit
-from workforecast.synth import LAW_FEATURE_CONFIG, Shock, SynthConfig, generate
+from workforecast.synth import LAW_FEATURE_CONFIG, SynthConfig, generate
 
 from helpers import (
     coordinate_descent,
@@ -167,7 +167,8 @@ def test_criterion_6_demand_shock_favours_the_model():
             seed=seed,
             years=(2009, 2018),
             noise_sd=0.005,
-            shock=Shock(year=2017, demand_shift=-0.05),
+            shock_year=2017,
+            demand_shift=-0.05,
         )
         result = generate(config)
         dataset = build_dataset(build_features(result.series_by_region, LAW_FEATURE_CONFIG), result.performance)

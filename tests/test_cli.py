@@ -258,12 +258,15 @@ class TestExitCodes:
         )
         assert not out.exists()
 
-    def test_shift_without_shock_year_is_a_usage_error(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(cli, [
-            "synth", "--out", str(tmp_path), "--demand-shift", "-0.05",
-        ], env=ENV)
-        assert result.exit_code == 2
+    @pytest.mark.parametrize("option", ["--demand-shift", "--supply-shift"])
+    def test_shift_without_shock_year_exits_one(self, tmp_path, option):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli, ["synth", "--out", str(out), option, "-0.05"], env=ENV)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "InvalidConfig") == (
+            "ERROR InvalidConfig: demand_shift and supply_shift require a shock_year"
+        )
+        assert not out.exists()
 
 
 class TestErrorMapping:
@@ -415,6 +418,19 @@ class TestMalformedInputs:
         assert _single_error_line(result, "MalformedJson") == (
             f"ERROR MalformedJson: {report}: not a valid EvalReport file: "
             "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        )
+        assert not (tmp_path / "out_figs").exists()
+
+    def test_a_number_too_large_for_a_float_exits_one(self, quickstart, tmp_path):
+        """A 400-digit integer used to end in an `OverflowError` traceback from the codec's float conversion."""
+        args = _copy_quickstart(quickstart, tmp_path, "figures")
+        report = tmp_path / "report.json"
+        text = report.read_text(encoding="utf-8")
+        report.write_text(re.sub(r'"actual": [^,]+', f'"actual": {"9" * 400}', text, count=1), encoding="utf-8")
+        result = _invoke(args)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "MalformedJson") == (
+            f"ERROR MalformedJson: {report}: not a valid EvalReport file: int too large to convert to float"
         )
         assert not (tmp_path / "out_figs").exists()
 
@@ -722,6 +738,36 @@ class TestOverflowingFeatures:
         assert not report.exists()
 
 
+class TestConditionEstimateOverflow:
+    """QR diagonal entries of about 1e-300 and 1e10: their ratio, the condition estimate, overflows to inf."""
+
+    @staticmethod
+    def _inputs(root: Path) -> list[str]:
+        values = [("1e-300", "1e10"), ("2e-300", "3e10"), ("3e-300", "2e10"), ("5e-300", "7e10")]
+        (root / "features.csv").write_text("region,year,demand,supply,normalized,lag,age_lo,age_hi\n" + "".join(
+            f"R1,{2012 + i},{demand},{supply},1,0,16,64\n" for i, (demand, supply) in enumerate(values)
+        ), encoding="utf-8")
+        (root / "performance.csv").write_text("region,entry_year,n_entrants,n_success,performance\n" + "".join(
+            f"R1,{2012 + i},10,{success},0.{success}00000\n" for i, success in enumerate((5, 4, 6, 3))
+        ), encoding="utf-8")
+        return ["--features", str(root / "features.csv"), "--performance", str(root / "performance.csv")]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, output, line", [
+        ("fit", "--model", "ERROR RankDeficientDesign: design matrix is rank deficient: column(s) demand are "
+                           "collinear with the rest (condition estimate inf)"),
+        ("evaluate", "--out", "ERROR RankDeficientFold: training fold for (R1, 2012) is rank deficient: design "
+                              "matrix is rank deficient: column(s) demand are collinear with the rest "
+                              "(condition estimate inf)"),
+    ], ids=["fit", "evaluate"])
+    def test_the_one_error_line_is_all_of_stderr(self, tmp_path, command, output, line):
+        out = tmp_path / "out.json"
+        result = _invoke([command, *self._inputs(tmp_path), output, str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == line + "\n"
+        assert not out.exists()
+
+
 class TestEmptyJoin:
     """A lag past the last performance year leaves no (region, year) in both files."""
 
@@ -785,6 +831,13 @@ def _stamp_cases(quickstart: Path, out: Path) -> dict:
 class TestRunConfig:
     """The stamp is the parsed command line: `subcommand`, each option in declaration order, then `feature_config`."""
 
+    def test_truth_config_has_the_keys_and_values_of_the_synth_stamp(self, quickstart, tmp_path):
+        options, truth_file, _ = _stamp_cases(quickstart, tmp_path / "out")["synth"]
+        assert _invoke(["synth", *(arg for option in options for arg in option)]).exit_code == 0
+        truth = json.loads(truth_file.read_text(encoding="utf-8"))
+        stamp = {key: value for key, value in truth["run_config"].items() if key not in ("subcommand", "out")}
+        assert truth["config"] == stamp
+
     @pytest.mark.parametrize("command", ["fit", "evaluate", "synth"])
     def test_stamp_is_the_parsed_configuration(self, quickstart, tmp_path, command):
         options, stamped, expected = _stamp_cases(quickstart, tmp_path / "out")[command]
@@ -830,7 +883,10 @@ class TestFiguresWriteNothingOnError:
          "MissingBaselineYear", "region 'R02' has no values to baseline against"),
         (lambda lines: [lines[0], "R01,2012,10,0,0.000000", *lines[2:]], ["--performance-baseline", "ratio"],
          "ZeroBaseline", "region 'R01': cannot baseline by ratio, its value in 2012 is zero"),
-    ], ids=["region-without-performance", "zero-first-performance"])
+        (lambda lines: [lines[0], f"R01,2012,1{'0' * 320},1,0.000000", *lines[2:]],
+         ["--performance-baseline", "ratio"], "ZeroBaseline",
+         "region 'R01': cannot baseline by ratio against its value in 2012 (1e-320), a result overflows"),
+    ], ids=["region-without-performance", "zero-first-performance", "subnormal-first-performance"])
     def test_a_baseline_error_leaves_the_out_dir_as_it_was(self, quickstart, tmp_path, stale, edit, extra, code,
                                                            message):
         args = _copy_quickstart(quickstart, tmp_path, "figures")

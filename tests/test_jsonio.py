@@ -10,9 +10,23 @@ from workforecast import jsonio
 from workforecast.errors import DataError, MalformedJson
 from workforecast.evaluate import STD_DEFINITION, EvalReport, FoldResult, load_report_json, save_report_json
 from workforecast.features import FeatureConfig
-from workforecast.synth import Shock, SynthConfig
+from workforecast.synth import SynthConfig
 
 SRC = Path(jsonio.__file__).parent
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shock:
+    year: int
+    demand_shift: float = 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """A dataclass nesting another one optionally, which no program type does but the codec supports."""
+
+    config: SynthConfig
+    shock: _Shock | None = None
 
 
 def _report(**overrides):
@@ -89,9 +103,9 @@ class TestSavedText:
         run_config = {"subcommand": "evaluate", "feature_config": report.feature_config, "per_region": False}
         assert _saved(tmp_path / "report.json", report, run_config) == _reference_text(report, run_config)
 
-    @pytest.mark.parametrize("shock", [None, Shock(year=2015, demand_shift=-0.05)])
+    @pytest.mark.parametrize("shock", [None, _Shock(year=2015, demand_shift=-0.05)])
     def test_nested_and_optional_dataclasses_match(self, tmp_path, shock):
-        value = {"config": SynthConfig(n_regions=3, shock=shock), "regions": ["R1", "R2"], "n_clipped": 0}
+        value = {"run": _Run(SynthConfig(n_regions=3), shock), "regions": ["R1", "R2"], "n_clipped": 0}
         run_config = {"subcommand": "synth", "years": (2009, 2018), "shock_year": shock and shock.year}
         assert _saved(tmp_path / "truth.json", value) == _reference_text(value)
         assert _saved(tmp_path / "stamped.json", value, run_config) == _reference_text(value, run_config)
@@ -110,11 +124,17 @@ class TestRoundTrip:
         save_report_json(report, tmp_path / "report.json", run_config={"subcommand": "evaluate"})
         assert load_report_json(tmp_path / "report.json") == report
 
-    @pytest.mark.parametrize("shock", [None, Shock(year=2015, demand_shift=-0.05)])
+    @pytest.mark.parametrize("shock", [None, {"shock_year": 2015, "demand_shift": -0.05}])
     def test_synth_config_round_trips(self, tmp_path, shock):
-        config = SynthConfig(n_regions=3, years=(2009, 2018), seed=5, noise_sd=0.01, shock=shock)
+        config = SynthConfig(n_regions=3, years=(2009, 2018), seed=5, noise_sd=0.01, **(shock or {}))
         jsonio.save(tmp_path / "config.json", config)
         assert jsonio.load(tmp_path / "config.json", SynthConfig) == config
+
+    @pytest.mark.parametrize("shock", [None, _Shock(year=2015, demand_shift=-0.05)])
+    def test_nested_optional_dataclass_round_trips(self, tmp_path, shock):
+        run = _Run(SynthConfig(n_regions=3, years=(2009, 2018)), shock)
+        jsonio.save(tmp_path / "run.json", run)
+        assert jsonio.load(tmp_path / "run.json", _Run) == run
 
     def test_missing_defaulted_field_takes_its_default(self, tmp_path):
         path = tmp_path / "report.json"
@@ -125,9 +145,9 @@ class TestRoundTrip:
         assert load_report_json(path).scope == "pooled"
 
     def test_written_file_is_indented_with_trailing_newline(self, tmp_path):
-        jsonio.save(tmp_path / "shock.json", Shock(year=2015))
-        assert (tmp_path / "shock.json").read_text(encoding="utf-8") == (
-            '{\n  "year": 2015,\n  "demand_shift": 0.0,\n  "supply_shift": 0.0\n}\n'
+        jsonio.save(tmp_path / "config.json", FeatureConfig(lag=1))
+        assert (tmp_path / "config.json").read_text(encoding="utf-8") == (
+            '{\n  "normalize": true,\n  "lag": 1,\n  "working_age": [\n    16,\n    64\n  ]\n}\n'
         )
 
 
@@ -149,6 +169,7 @@ class TestRejects:
             lambda text: text.replace('"year": 2012', '"year": 2012.5'),  # float for an int
             lambda text: text.replace('"actual": 0.4', '"actual": NaN'),  # non-finite token
             lambda text: text.replace('"actual": 0.4', '"actual": 1e999'),  # overflows to inf
+            lambda text: text.replace('"actual": 0.4', f'"actual": {"9" * 400}'),  # int too large for a float
             lambda text: text.replace('"normalize": false', '"normalize": 0'),  # int for a bool
             lambda text: text.replace("18,\n", "18, 30,\n"),  # three-item working_age
             lambda text: text.replace('"folds"', '"fold"'),  # missing required key

@@ -160,6 +160,16 @@ class TestFit:
             fit(*design(pairs), CONFIG)
         assert excinfo.value.condition_estimate == float("inf")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_condition_estimate_past_the_float_range_is_inf_without_warnings(self):
+        """Diagonal entries of about 1e-300 and 1e10: numpy's scalar division warned on their overflowing ratio."""
+        values = [(1e-300, 1e10), (2e-300, 3e10), (3e-300, 2e10), (5e-300, 7e10)]
+        pairs = [(row, target) for row, target in zip(feature_rows(values), (0.5, 0.4, 0.6, 0.3))]
+        with pytest.raises(RankDeficientDesign) as excinfo:
+            fit(*design(pairs), CONFIG)
+        assert excinfo.value.columns == ("demand",)
+        assert excinfo.value.condition_estimate == float("inf")
+
 
 def _outcome(x, y):
     try:

@@ -28,7 +28,7 @@ def _emit(tmp_path, seed=3, years=(2011, 2018), **kwargs):
 
 
 def _rebased(series, base, mode):
-    return {year: _rebase(value, base, mode) for year, value in series.items()}
+    return {year: _rebase(value, base, mode, "R1", min(series)) for year, value in series.items()}
 
 
 class TestBaseline:
@@ -51,6 +51,13 @@ class TestBaseline:
     def test_zero_baseline_in_ratio_mode(self):
         with pytest.raises(ZeroBaseline):
             baseline({2011: 0.0, 2012: 5.0}, 2011, "ratio")
+
+    @pytest.mark.parametrize("value", [1.0, -2.5, 1e300])
+    def test_a_rebased_value_that_overflows_is_a_zero_baseline(self, value):
+        with pytest.raises(ZeroBaseline, match=r"^region 'R1': cannot baseline by ratio against its value in 2011 "
+                                               r"\(1e-320\), a result overflows$") as info:
+            _rebase(value, 1e-320, "ratio", "R1", 2011)
+        assert (info.value.region, info.value.year) == ("R1", 2011)
 
     def test_unknown_mode(self):
         with pytest.raises(InvalidConfig):
