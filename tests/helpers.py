@@ -105,7 +105,9 @@ def random_programme_record(rng: np.random.Generator, person_id: str = "P1", reg
 # least-squares oracle (coordinate descent on the quadratic loss)
 # ---------------------------------------------------------------------------
 
-def coordinate_descent(x: np.ndarray, y: np.ndarray, tol: float = 1e-12, max_iter: int = 500_000) -> np.ndarray:
+def coordinate_descent(x, y, tol: float = 1e-12, max_iter: int = 500_000) -> np.ndarray:
+    """Coefficients of y on the columns of x (arrays, or the lists `design` returns)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, p = x.shape
     beta = np.zeros(p)
     column_sq = (x * x).sum(axis=0)
@@ -179,8 +181,8 @@ def _back_substitute_oracle(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return beta
 
 
-def householder_fit_oracle(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
-    """Least-squares fit of y on the columns of x, as built by `design`.
+def householder_fit_oracle(x, y, config: FeatureConfig) -> ModelFit:
+    """Least-squares fit of y on the columns of x, as built by `design` (arrays, or the lists it returns).
 
     Requires at least 3 observations (one per parameter) and a full-rank
     design. Near-collinear columns are reported by name together with a
@@ -188,6 +190,7 @@ def householder_fit_oracle(x: np.ndarray, y: np.ndarray, config: FeatureConfig) 
     r_squared is reported as 1.0 (the intercept explains it perfectly).
     """
     import numpy as np
+    x, y = np.asarray(x, dtype=float).reshape(-1, 3), np.asarray(y, dtype=float)
     n = x.shape[0]
     if n < 3:
         raise TooFewObservations(f"need at least 3 observations to fit 3 parameters, got {n}")

@@ -76,7 +76,7 @@ def test_criterion_2_ols_matches_coordinate_descent_oracle():
             for i in range(n)
         ]
         model = fit(*design(pairs), config)
-        x = design(pairs)[0]
+        x = np.array(design(pairs)[0])
         y = np.array([target for _, target in pairs])
         oracle = coordinate_descent(x, y, tol=1e-12)
         beta = np.array([model.intercept, model.coef_demand, model.coef_supply])

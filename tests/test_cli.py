@@ -254,7 +254,22 @@ class TestExitCodes:
         result = CliRunner().invoke(cli, ["synth", "--out", str(out), "--years", f"2011:{last}"], env=ENV)
         assert result.exit_code == 1
         assert _single_error_line(result, "InvalidConfig") == (
-            f"ERROR InvalidConfig: year range 2011..{last} has more years than can be counted"
+            f"ERROR InvalidConfig: 2 regions over 2011..{last} are more than 1,000,000 region-years"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, text", [
+        (["--years", "0:9223372036854775806"], "2 regions over 0..9223372036854775806"),
+        (["--regions", "1000000000"], "1000000000 regions over 2011..2018"),
+        (["--regions", "333334", "--years", "2001:2003"], "333334 regions over 2001..2003"),
+    ], ids=["countable-years", "regions", "just-past-the-cap"])
+    def test_a_panel_past_a_million_region_years_exits_one(self, tmp_path, args, text):
+        """The first two used to run out of memory (or time) generating, the first after passing a sys.maxsize check."""
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli, ["synth", "--out", str(out), *args], env=ENV)
+        assert result.exit_code == 1
+        assert _single_error_line(result, "InvalidConfig") == (
+            f"ERROR InvalidConfig: {text} are more than 1,000,000 region-years"
         )
         assert not out.exists()
 

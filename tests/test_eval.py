@@ -195,6 +195,22 @@ class TestMetrics:
         assert no_benchmark.mae_benchmark_pct is None and no_benchmark.std_benchmark_pct is None
         assert no_benchmark.relative_inaccuracy_pct is None
 
+    def test_a_model_mae_within_rounding_of_zero_has_no_relative_inaccuracy(self):
+        """Up to n * eps * max |actual| (here 2 * 2**-52 * 0.8) the model's MAE is rounding, and a ratio to it is noise."""
+        bound = 2 * 2.0**-52 * 0.8
+        at_bound = [_fold(bound, 0.06, actual=0.8), _fold(-bound, 0.06, year=2013, actual=-0.3)]
+        assert self._summary(at_bound).mae_model_pct == bound * 100.0
+        assert self._summary(at_bound).relative_inaccuracy_pct is None
+        above = [_fold(2 * bound, 0.06, actual=0.8), _fold(-2 * bound, 0.06, year=2013, actual=-0.3)]
+        assert self._summary(above).relative_inaccuracy_pct == pytest.approx((0.06 / (2 * bound) - 1.0) * 100.0)
+
+    def test_the_noiseless_quick_start_has_no_relative_inaccuracy(self):
+        """`synth --seed 7` has no noise: every fold's error is rounding, and used to give a ratio near 1e16 %."""
+        report = loocv(_synth_dataset(seed=7, noise_sd=0.0), LAW_FEATURE_CONFIG)
+        assert 0.0 < report.mae_model_pct <= 14 * 2.0**-52 * max(fold.actual for fold in report.folds) * 100.0
+        assert report.mae_benchmark_pct > 1.0
+        assert report.relative_inaccuracy_pct is None
+
     def test_the_report_carries_the_folds_and_the_run_settings(self):
         folds = [_fold(0.01, 0.02), _fold(-0.03, None, year=2013)]
         report = summarize(folds, LAW_FEATURE_CONFIG, "prior-years-mean", "per-region")

@@ -14,6 +14,10 @@ held to BOUND * |y|^2 and r_squared to BOUND * |y|^2 / tss.
 
 Where the old solver raises, the new one must raise the same exception type
 naming the same columns.
+
+Every check runs twice: on numpy arrays, which `fit` reduces with numpy, and
+on the same values as lists of floats, which it reduces in pure Python with
+correctly rounded sums. The bounds are the same for both.
 """
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from helpers import feature_rows, householder_fit_oracle
 CONFIG = FeatureConfig()
 KINDS = ("plain", "near-collinear", "constant-target", "square", "extreme-features")
 SEEDS = range(250)
+REPRESENTATIONS = {"array": lambda x, y: (x, y), "list": lambda x, y: (x.tolist(), y.tolist())}
 
 
 def _random_design(seed: int) -> tuple[str, np.ndarray, np.ndarray]:
@@ -55,23 +60,32 @@ def _random_design(seed: int) -> tuple[str, np.ndarray, np.ndarray]:
     return kind, x, y
 
 
-def _assert_same_error(x: np.ndarray, y: np.ndarray) -> None:
+def _assert_same_error(x, y, representation: str = "array") -> None:
     with pytest.raises((RankDeficientDesign, TooFewObservations)) as expected:
         householder_fit_oracle(x, y, CONFIG)
     with pytest.raises(type(expected.value)) as got:
-        fit(x, y, CONFIG)
+        fit(*REPRESENTATIONS[representation](x, y), CONFIG)
     assert getattr(got.value, "columns", None) == getattr(expected.value, "columns", None)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fit_agrees_with_the_row_major_solver(seed):
+    _assert_agrees(seed, "array")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fit_on_lists_agrees_with_the_row_major_solver(seed):
+    _assert_agrees(seed, "list")
+
+
+def _assert_agrees(seed: int, representation: str) -> None:
     kind, x, y = _random_design(seed)
     try:
         expected = householder_fit_oracle(x, y, CONFIG)
     except RankDeficientDesign:
-        _assert_same_error(x, y)
+        _assert_same_error(x, y, representation)
         return
-    got = fit(x, y, CONFIG)
+    got = fit(*REPRESENTATIONS[representation](x, y), CONFIG)
 
     col_norms, y_norm = np.linalg.norm(x, axis=0), float(np.linalg.norm(y))
     kappa = np.linalg.cond(x / col_norms)
@@ -124,22 +138,38 @@ LOOCV_VALUES = {
 @pytest.mark.parametrize("name", FAILING_VALUES)
 def test_failing_inputs_raise_what_the_row_major_solver_raises(name):
     x, y = design([(row, 0.3 + 0.1 * i) for i, row in enumerate(feature_rows(FAILING_VALUES[name]))])
-    _assert_same_error(x, y)
+    _assert_same_error(np.array(x).reshape(-1, 3), np.array(y))
+
+
+@pytest.mark.parametrize("name", FAILING_VALUES)
+def test_failing_lists_raise_what_the_row_major_solver_raises(name):
+    x, y = design([(row, 0.3 + 0.1 * i) for i, row in enumerate(feature_rows(FAILING_VALUES[name]))])
+    _assert_same_error(np.array(x).reshape(-1, 3), np.array(y), "list")
 
 
 @pytest.mark.parametrize("name", LOOCV_VALUES)
 def test_every_fold_of_the_failing_loocv_inputs_agrees(name):
+    _assert_every_fold_agrees(name, "array")
+
+
+@pytest.mark.parametrize("name", LOOCV_VALUES)
+def test_every_fold_of_the_failing_loocv_lists_agrees(name):
+    _assert_every_fold_agrees(name, "list")
+
+
+def _assert_every_fold_agrees(name: str, representation: str) -> None:
     x, y = design([(row, 0.3 + 0.1 * i) for i, row in enumerate(feature_rows(LOOCV_VALUES[name]))])
+    x, y = np.array(x), np.array(y)
     raised = 0
     for i in range(len(y)):
         fold_x, fold_y = np.delete(x, i, 0), np.delete(y, i)
         try:
             expected = householder_fit_oracle(fold_x, fold_y, CONFIG)
         except RankDeficientDesign:
-            _assert_same_error(fold_x, fold_y)
+            _assert_same_error(fold_x, fold_y, representation)
             raised += 1
             continue
-        got = fit(fold_x, fold_y, CONFIG)
+        got = fit(*REPRESENTATIONS[representation](fold_x, fold_y), CONFIG)
         assert got.intercept == pytest.approx(expected.intercept, rel=1e-12, abs=1e-12)
         assert got.coef_demand == pytest.approx(expected.coef_demand, rel=1e-12, abs=1e-12)
         assert got.coef_supply == pytest.approx(expected.coef_supply, rel=1e-12, abs=1e-12)

@@ -1,12 +1,14 @@
-"""Deterministic guards for the speed of `model.fit`.
+"""Deterministic guards for the speed and the inputs of `model.fit`.
 
-`fit` copies [x | y] into one C-contiguous (4, n) array, row k holding
-column k, so that every Householder reflection reads and updates contiguous
-rows. That layout is checked here by spying on the triangularization, not by
-timing. Whatever the memory layout of the caller's `x`, the working copy is
-the same, so coefficients are bit-equal (rss and r_squared are left out:
-they come from `x @ beta`, whose summation order BLAS may pick by layout);
-and the caller's arrays are never written.
+Given numpy arrays, `fit` copies [x | y] into one C-contiguous (4, n) array,
+row k holding column k, so that every Householder reflection reads and
+updates contiguous rows. That layout is checked here by spying on the
+triangularization, not by timing. Whatever the memory layout of the caller's
+`x`, the working copy is the same, so coefficients are bit-equal (rss and
+r_squared are left out: they come from BLAS dot products, whose summation
+order may depend on layout). Given lists or tuples, `fit` reduces four column
+lists in pure Python, so rows given as lists or as tuples give bit-equal
+results. Neither path writes the caller's inputs.
 """
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ def _design(n: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _coefficients(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
+def _coefficients(x, y) -> tuple[float, ...]:
     fitted = fit(x, y, CONFIG)
     return fitted.intercept, fitted.coef_demand, fitted.coef_supply
 
@@ -37,14 +39,27 @@ def test_fit_triangularizes_a_contiguous_column_major_copy(monkeypatch):
     seen = []
     triangularize = model._householder_triangularize
 
-    def spy(a, n_cols):
-        seen.append((a.shape, a.flags.c_contiguous, a.dtype, n_cols, a[:3].T.tolist() == x.tolist(),
-                     a[3].tolist() == y.tolist()))
-        triangularize(a, n_cols)
+    def spy(a):
+        seen.append((a.shape, a.flags.c_contiguous, a.dtype, a[:3].T.tolist() == x.tolist(), a[3].tolist() == y.tolist()))
+        triangularize(a)
 
     monkeypatch.setattr(model, "_householder_triangularize", spy)
     fit(x, y, CONFIG)
-    assert seen == [((4, N), True, np.float64, 3, True, True)]
+    assert seen == [((4, N), True, np.float64, True, True)]
+
+
+def test_lists_are_triangularized_as_four_column_lists(monkeypatch):
+    x, y = _design(40)
+    seen = []
+    triangularize = model._householder_triangularize
+
+    def spy(a):
+        seen.append(([type(column) for column in a], a[:3] == x.T.tolist(), a[3] == y.tolist()))
+        triangularize(a)
+
+    monkeypatch.setattr(model, "_householder_triangularize", spy)
+    fit(x.tolist(), y.tolist(), CONFIG)
+    assert seen == [([list] * 4, True, True)]
 
 
 def test_memory_layout_of_x_does_not_change_the_fit():
@@ -65,9 +80,27 @@ def test_memory_layout_of_x_does_not_change_the_fit():
         assert _coefficients(x_layout, np.delete(y, 7)) == expected, name
 
 
+@pytest.mark.parametrize("n", [3, 4, 300])
+def test_list_and_tuple_rows_give_bit_equal_fits(n):
+    x, y = _design(n)
+    as_lists = fit(x.tolist(), y.tolist(), CONFIG)
+    as_tuples = fit(tuple(map(tuple, x.tolist())), tuple(y.tolist()), CONFIG)
+    assert as_tuples == as_lists
+
+
 @pytest.mark.parametrize("n", [3, 4, N])
 def test_fit_leaves_its_inputs_unchanged(n):
     x, y = _design(n)
     x_before, y_before = x.copy(), y.copy()
     fit(x, y, CONFIG)
     assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+
+
+@pytest.mark.parametrize("n", [3, 4, 300])
+def test_fit_leaves_its_list_inputs_unchanged(n):
+    x, y = _design(n)
+    rows, targets = x.tolist(), y.tolist()
+    inner = [id(row) for row in rows]
+    fit(rows, targets, CONFIG)
+    assert rows == x.tolist() and targets == y.tolist()
+    assert [id(row) for row in rows] == inner

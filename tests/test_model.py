@@ -58,7 +58,7 @@ class TestFit:
         values = [(float(d), float(s)) for d, s in rng.normal(0.0, 0.5, size=(10, 2))]
         pairs = _pairs_from_law(values, 0.3, 1.0, -0.5, noise=noise)
         model = fit(*design(pairs), CONFIG)
-        x = design(pairs)[0]
+        x = np.array(design(pairs)[0])
         y = np.array([target for _, target in pairs])
         oracle = coordinate_descent(x, y, tol=1e-12)
         assert abs(model.intercept - oracle[0]) <= 1e-6
@@ -71,7 +71,7 @@ class TestFit:
             n = int(rng.integers(4, 21))
             pairs = _random_pairs(rng, n)
             model = fit(*design(pairs), CONFIG)
-            x = design(pairs)[0]
+            x = np.array(design(pairs)[0])
             y = np.array([target for _, target in pairs])
             oracle = coordinate_descent(x, y)
             beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
@@ -82,7 +82,7 @@ class TestFit:
         for _ in range(50):
             pairs = _random_pairs(rng, int(rng.integers(4, 30)))
             model = fit(*design(pairs), CONFIG)
-            x = design(pairs)[0]
+            x = np.array(design(pairs)[0])
             y = np.array([target for _, target in pairs])
             beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
             residual = y - x @ beta
@@ -124,7 +124,7 @@ class TestFit:
         rng = np.random.default_rng(31)
         pairs = _random_pairs(rng, 12)
         model = fit(*design(pairs), CONFIG)
-        x = design(pairs)[0]
+        x = np.array(design(pairs)[0])
         y = np.array([target for _, target in pairs])
         beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
         for j in range(3):
@@ -171,7 +171,9 @@ class TestFit:
         assert excinfo.value.condition_estimate == float("inf")
 
 
-def _outcome(x, y):
+def _outcome(x, y, representation="array"):
+    if representation == "list":
+        x, y = x.tolist(), y.tolist()
     try:
         model = fit(x, y, CONFIG)
     except RankDeficientDesign as error:
@@ -184,16 +186,17 @@ class TestScaleInvariance:
 
     A column norm in [6.7e153, 1.3e154] is finite, but the squared norm of an
     unscaled Householder vector overflows there, which used to skip that
-    reflection silently.
+    reflection silently. These checks pass numpy arrays.
     """
 
     SCALE = 2.0**-200
+    REPRESENTATION = "array"
 
     def test_column_norm_near_the_overflow_edge(self):
         demand = [5e153, -5e153, 5e153, -5e153, 1.0, 2.0]
         x = np.column_stack([np.ones(6), demand, [0.3, 0.1, 0.4, 0.1, 0.5, 0.9]])
         y = np.array([0.1, 0.25, 0.3, 0.45, 0.5, 0.6])
-        assert _outcome(x, y) == _outcome(x * self.SCALE, y * self.SCALE)
+        assert _outcome(x, y, self.REPRESENTATION) == _outcome(x * self.SCALE, y * self.SCALE, self.REPRESENTATION)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_designs(self, seed):
@@ -204,20 +207,26 @@ class TestScaleInvariance:
             demand *= 2.0 ** rng.uniform(505.0, 511.9) / np.linalg.norm(demand)
         x = np.column_stack([np.ones(n), demand, rng.normal(size=n)])
         y = rng.normal(size=n)
-        assert _outcome(x, y) == _outcome(x * self.SCALE, y * self.SCALE)
+        assert _outcome(x, y, self.REPRESENTATION) == _outcome(x * self.SCALE, y * self.SCALE, self.REPRESENTATION)
+
+
+class TestScaleInvarianceOfLists(TestScaleInvariance):
+    """The same checks on the same values as lists, which `fit` reduces in pure Python."""
+
+    REPRESENTATION = "list"
 
 
 class TestDesign:
     def test_columns_are_intercept_demand_supply(self):
         pairs = _pairs_from_law(BASE_VALUES[:3], 0.5, 2.0, -3.0)
         x, y = design(pairs)
-        assert x.tolist() == [[1.0, row.demand, row.supply] for row, _ in pairs]
-        assert y.tolist() == [target for _, target in pairs]
+        assert x == [[1.0, row.demand, row.supply] for row, _ in pairs]
+        assert y == [target for _, target in pairs]
+        assert {type(value) for value in [*y, *(value for row in x for value in row)]} == {float}
+        assert type(x) is type(y) is list and {type(row) for row in x} == {list}
 
-    def test_empty_pairs_give_empty_arrays(self):
-        x, y = design([])
-        assert x.shape == (0, 3)
-        assert y.shape == (0,)
+    def test_empty_pairs_give_empty_lists(self):
+        assert design([]) == ([], [])
 
     def test_fit_on_no_rows_is_too_few_observations(self):
         with pytest.raises(TooFewObservations, match="got 0"):

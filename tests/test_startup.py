@@ -1,6 +1,7 @@
-"""Start-up: importing one module loads no other stage, every command but
-`fit` and `evaluate`, the two that run least squares, runs without loading numpy,
-only `evaluate` loads `statistics`, and the heap is frozen at exit.
+"""Start-up: importing one module loads no other stage, no quick-start command
+loads numpy (`fit` solves lists in pure Python, and so does `evaluate` up to
+`evaluate.NUMPY_ROWS` rows), only `evaluate` loads `statistics`, and the heap
+is frozen at exit.
 
 The test process has numpy loaded already, so every check runs in a fresh
 interpreter with PYTHONPATH pointing at the source tree.
@@ -11,6 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from workforecast import evaluate
+from workforecast.cli import cli
 
 from helpers import quickstart_args
 
@@ -68,11 +73,30 @@ def test_commands_without_arithmetic_never_load_numpy(quickstart, command):
     assert _python("-c", RUN_COMMAND, *quickstart_args(command, quickstart)) == "False False"
 
 
-def test_fit_loads_numpy(quickstart):
-    """Positive control: the check sees numpy when a command does load it; fit loads no statistics."""
-    assert _python("-c", RUN_COMMAND, *quickstart_args("fit", quickstart)) == "True False"
+@pytest.mark.parametrize("command, statistics", [("fit", False), ("evaluate", True)])
+def test_least_squares_on_the_quick_start_loads_no_numpy(quickstart, command, statistics):
+    """`fit` and `evaluate` solve the quick-start's 14 rows, and its 13-row folds, in pure Python.
+
+    Only `evaluate` loads statistics, to summarize its errors.
+    """
+    assert _python("-c", RUN_COMMAND, *quickstart_args(command, quickstart)) == f"False {statistics}"
 
 
-def test_evaluate_loads_numpy_and_statistics(quickstart):
-    """Positive control for statistics: `evaluate` summarizes its errors with it."""
-    assert _python("-c", RUN_COMMAND, *quickstart_args("evaluate", quickstart)) == "True True"
+@pytest.fixture(scope="module")
+def panel(tmp_path_factory):
+    """`features.csv` and `performance.csv` of a synth panel with more rows than `evaluate.NUMPY_ROWS`."""
+    root = tmp_path_factory.mktemp("panel")
+    regions = evaluate.NUMPY_ROWS // 19 + 1  # 19 feature rows per region over 2001-2020
+    stats = [arg for name in ("employment", "unemployment", "population") for arg in (f"--{name}", str(root / f"{name}.csv"))]
+    for args in (["synth", "--out", str(root), "--regions", str(regions), "--years", "2001:2020", "--noise-sd", "0.02"],
+                 ["features", *stats, "--out", str(root / "features.csv")]):
+        result = CliRunner().invoke(cli, args, env={"WF_NO_COLOR": "1"}, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    return root
+
+
+def test_evaluate_loads_numpy_and_statistics(panel, tmp_path):
+    """Positive control: above `evaluate.NUMPY_ROWS` rows the refits run on numpy arrays, and the check sees it."""
+    args = ["evaluate", "--features", str(panel / "features.csv"), "--performance", str(panel / "performance.csv"),
+            "--out", str(tmp_path / "report.json")]
+    assert _python("-c", RUN_COMMAND, *args) == "True True"

@@ -20,8 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
 # deletes code lowers this ceiling to the count it lands at.
 SRC_LINE_CEILING = 1856
 
-# The modules that run least squares; tests/test_startup.py checks at run time
-# that the commands which do not reach them load no numpy.
+# The modules that run least squares, and import numpy for the arrays of a long
+# leave-one-out run only; tests/test_startup.py checks at run time that no
+# quick-start command loads it.
 NUMPY_IMPORTERS = {"model.py", "evaluate.py"}
 
 

@@ -127,6 +127,28 @@ class TestGenerate:
         with pytest.raises(InvalidConfig, match=rf"^{field} must be within \[-1, 1\]"):
             generate(SynthConfig(shock_year=2012, **{field: shift}))
 
+    @pytest.mark.parametrize("years", [(2018, 2011), (2015, 2015)])
+    def test_a_year_range_needs_two_years(self, years):
+        """One rule for an empty range and a single year; each had its own message."""
+        with pytest.raises(InvalidConfig, match=rf"^year range {years[0]}..{years[1]} has fewer than the two years "
+                                                r"needed to difference employment$"):
+            _validate(SynthConfig(years=years))
+
+    @pytest.mark.parametrize("n_regions, years, valid", [
+        (500_000, (2011, 2012), True),
+        (1, (1, 1_000_000), True),
+        (1, (1, 1_000_001), False),
+        (250_001, (2011, 2014), False),
+    ])
+    def test_a_panel_holds_at_most_a_million_region_years(self, n_regions, years, valid):
+        """Checked before anything is generated, so the largest valid configurations are only validated here."""
+        config = SynthConfig(n_regions=n_regions, years=years)
+        if valid:
+            _validate(config)
+        else:
+            with pytest.raises(InvalidConfig, match=r"are more than 1,000,000 region-years$"):
+                _validate(config)
+
     @pytest.mark.parametrize("field", ["demand_shift", "supply_shift"])
     @pytest.mark.parametrize("shift", [1.0, -1.0])
     def test_shift_of_the_whole_working_age_population_is_valid(self, field, shift):
