@@ -1,9 +1,9 @@
 """Leave-one-out cross-validation against the historical-mean benchmark.
 
 Each fold refits the model on the other n-1 points and predicts the held-out
-point. The design rows are built once per dataset, as lists that `fit` solves
-in pure Python or, above `NUMPY_ROWS` rows, where the n refits cost more than
-importing numpy, as arrays; fold i drops row i and makes one `fit` call.
+point. One training set of n-1 design rows is built per dataset, as lists that
+`fit` solves in pure Python or, above `NUMPY_ROWS` rows, where the n refits cost
+more than importing numpy, as arrays; fold i puts row i-1 back where row i was.
 
 The benchmark predicts the held-out point as the arithmetic mean of the
 training fold's performance values ("trainfold-mean", the default) or of
@@ -146,15 +146,6 @@ def _mae_std(errors: list[float]) -> tuple[float, float]:
     return statistics.fmean(errors) * 100.0, statistics.stdev(errors) * 100.0 if len(errors) > 1 else 0.0
 
 
-def _prior_years_means(data: list[tuple[FeatureRow, float]]) -> dict[int, float | None]:
-    """Mean performance of strictly earlier years, per distinct year; None when there are none."""
-    means: dict[int, float | None] = {}
-    for year in {row.year for row, _ in data}:
-        earlier = [target for row, target in data if row.year < year]
-        means[year] = math.fsum(earlier) / len(earlier) if earlier else None
-    return means
-
-
 def loocv(
     dataset: list[tuple[FeatureRow, float]],
     config: FeatureConfig,
@@ -168,19 +159,24 @@ def loocv(
         raise TooFewObservations(f"leave-one-out needs at least 4 data points, got {n}")
     data = sorted(dataset, key=lambda pair: (pair[0].region_id, pair[0].year))
     x, y = design(data)
-    if arrays := n > NUMPY_ROWS:
+    train_x, train_y = x[1:], y[1:]  # one training set for every fold
+    if n > NUMPY_ROWS:
         import numpy as np
-        x, y = np.array(x), np.array(y)
+        x, y, train_x, train_y = np.array(x), np.array(y), np.array(train_x), np.array(train_y)
     total: list[float] = []  # each pass appends the rounded remainder, so the list sums exactly to the targets
     while rest := math.fsum([*(target for _, target in data), *(-p for p in total)]):
         total.append(rest)
-    prior_means = _prior_years_means(data) if benchmark_mode == "prior-years-mean" else {}
+    prior_means: dict[int, float | None] = {}  # per year, the mean of strictly earlier years' targets, or None
+    if benchmark_mode == "prior-years-mean":
+        for year in {row.year for row, _ in data}:
+            earlier = [target for row, target in data if row.year < year]
+            prior_means[year] = math.fsum(earlier) / len(earlier) if earlier else None
 
     folds = []
     for i, (row, actual) in enumerate(data):
-        train = (np.delete(x, i, 0), np.delete(y, i)) if arrays else (x[:i] + x[i + 1:], y[:i] + y[i + 1:])
+        train_x[i - 1], train_y[i - 1] = x[i - 1], y[i - 1]  # slot i - 1 held row i; fold 0 rewrites the last row
         try:
-            model = fit(*train, config)
+            model = fit(train_x, train_y, config)
         except RankDeficientDesign as err:
             raise RankDeficientFold(
                 f"training fold for ({shown(row.region_id)}, {row.year}) is rank deficient: {err}",

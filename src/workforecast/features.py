@@ -118,18 +118,6 @@ def write_features_csv(rows: list[FeatureRow], config: FeatureConfig, path: str 
     ))
 
 
-def _parse_config(stamp: list[str], name: str, lineno: int) -> FeatureConfig:
-    normalized_s, lag_s, lo_s, hi_s = stamp
-    if normalized_s not in ("0", "1"):
-        raise MalformedRow(f"column 'normalized' must be 0 or 1, got {normalized_s!r}", file=name, line=lineno)
-    lag = _parse_natural(lag_s, "lag", name, lineno)
-    lo = _parse_natural(lo_s, "age_lo", name, lineno)
-    hi = _parse_natural(hi_s, "age_hi", name, lineno)
-    if lo > hi:
-        raise MalformedRow(f"working age [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
-    return FeatureConfig(normalize=normalized_s == "1", lag=lag, working_age=(lo, hi))
-
-
 def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig]:
     """Read feature rows and the configuration they were built under.
 
@@ -143,7 +131,15 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
     for lineno, (region, year_s, demand_s, supply_s, *stamp) in _read_rows(path, FEATURES_HEADER):
         year = _parse_natural(year_s, "year", name, lineno)
         if config is None:
-            config, first_stamp, first_line = _parse_config(stamp, name, lineno), stamp, lineno
+            normalized_s, lag_s, lo_s, hi_s = first_stamp = stamp
+            if normalized_s not in ("0", "1"):
+                raise MalformedRow(f"column 'normalized' must be 0 or 1, got {normalized_s!r}", file=name, line=lineno)
+            lag = _parse_natural(lag_s, "lag", name, lineno)
+            lo = _parse_natural(lo_s, "age_lo", name, lineno)
+            hi = _parse_natural(hi_s, "age_hi", name, lineno)
+            if lo > hi:
+                raise MalformedRow(f"working age [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
+            config, first_line = FeatureConfig(normalize=normalized_s == "1", lag=lag, working_age=(lo, hi)), lineno
         elif stamp != first_stamp:
             raise FeatureConfigMismatch(
                 f"configuration {','.join(FEATURES_HEADER[4:])} is {','.join(stamp)!r} here "

@@ -19,6 +19,9 @@ interpolated, because the demand proxy differences adjacent years.
 
 Rows are streamed and checked as they are read, so of several faulty rows the
 first in file order is reported, be it a wrong column count or a bad field.
+`_read_rows` splits plain lines on commas and gives a file's first other line,
+and every line after it, to `csv.reader`; the rows, errors and line numbers are
+those that `csv.reader` alone gives.
 Whole-file checks (years, overlapping age bands or spells) come after. Records
 parsing keeps each distinct date, hours or region string once per call, pauses
 the GC, builds each spell once, as the `Spell` its record holds, and keeps no
@@ -37,6 +40,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -97,11 +101,16 @@ class ProgrammeRecord:
 def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Check the header, then yield (line_number, stripped fields) per data row as it is read.
 
-    Blank lines are skipped. A row with the wrong number of columns raises
-    only when reached, after the caller has checked every earlier row.
+    A data line is plain when it has the header's width and a field that is not empty, holds no `"`
+    and no space, is `isprintable()` and fits `csv.field_size_limit()`. Plain lines are split on
+    commas, which gives what `csv.reader` and `strip` give, as `isprintable()` is False for NUL and
+    for all that `strip` removes but the space; one `csv.reader` reads from the first other line to
+    the end. Blank lines are skipped. A row with the wrong number of columns raises only when
+    reached, after the caller has checked every earlier row.
     """
     name = str(path)
-    width = len(header)
+    width, limit = len(header), csv.field_size_limit()
+    line_num = 0  # the lines before `reader`'s first: none before the header's
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -111,17 +120,26 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int,
             got = tuple(field.strip() for field in first)
             if got != header:
                 raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=1)
-            for row in reader:
+            for line_num, line in enumerate(fh, reader.line_num + 1):  # plain lines, up to the first that is not
+                text = line.rstrip("\r\n")
+                fields = text.split(",")
+                if len(fields) != width or not any(fields) or '"' in text or " " in text or len(text) > limit \
+                        or not text.isprintable():
+                    line_num, reader = line_num - 1, csv.reader(chain([line], fh))
+                    break
+                yield line_num, fields
+            for row in reader:  # if no line needed `csv`, this is the header's reader, at the end of the file
                 fields = list(map(str.strip, row))
                 if not any(fields):
                     continue  # tolerate blank lines
                 if len(fields) != width:
-                    raise MalformedRow(f"expected {width} columns, got {len(fields)}", file=name, line=reader.line_num)
-                yield reader.line_num, fields  # the line the row ends on, past any quoted line break
+                    raise MalformedRow(f"expected {width} columns, got {len(fields)}",
+                                       file=name, line=line_num + reader.line_num)
+                yield line_num + reader.line_num, fields  # the line the row ends on, past any quoted line break
         except UnicodeDecodeError as err:
             raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
         except csv.Error as err:  # a field longer than csv.field_size_limit(), named by the line it fails on
-            raise MalformedRow(f"not a readable CSV row ({err})", file=name, line=reader.line_num) from None
+            raise MalformedRow(f"not a readable CSV row ({err})", file=name, line=line_num + reader.line_num) from None
 
 
 @contextmanager
@@ -222,31 +240,6 @@ def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str,
     return out
 
 
-def _collect_population(path: str | Path) -> dict[str, dict[int, dict[AgeBand, int]]]:
-    """Collect region -> year -> {band: persons} from population.csv, each year's bands ascending and disjoint."""
-    name = str(path)
-    rows: dict[tuple[str, int], list[tuple[int, int, int, int]]] = {}  # (lo, hi, line, persons) per row
-    for lineno, (region, year_s, lo_s, hi_s, persons_s) in _read_rows(path, POPULATION_HEADER):
-        year = _parse_natural(year_s, "year", name, lineno)
-        lo = _parse_natural(lo_s, "age_lo", name, lineno)
-        hi = _parse_natural(hi_s, "age_hi", name, lineno)
-        if lo > hi:
-            raise MalformedRow(f"age band [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
-        persons = _parse_natural(persons_s, "persons", name, lineno, count=True)
-        rows.setdefault((region, year), []).append((lo, hi, lineno, persons))
-    out: dict[str, dict[int, dict[AgeBand, int]]] = {}
-    for region, year in sorted(rows):  # after the last row, so a row error wins; every year, not only common ones
-        bands = sorted(rows[region, year])  # a repeated band sorts by line, so the later row comes second
-        for (a_lo, a_hi, _, _), (b_lo, b_hi, line, _) in zip(bands, bands[1:]):
-            if b_lo <= a_hi:
-                raise OverlappingAgeBands(
-                    f"region {region!r} year {year}: band [{b_lo}, {b_hi}] overlaps band [{a_lo}, {a_hi}]",
-                    file=name, line=line, region=region, year=year,
-                )
-        out.setdefault(region, {})[year] = {(lo, hi): persons for lo, hi, _, persons in bands}
-    return out
-
-
 def parse_regional_series(
     employment_file: str | Path,
     unemployment_file: str | Path,
@@ -259,7 +252,26 @@ def parse_regional_series(
     """
     employment = _collect_year_counts(employment_file, EMPLOYMENT_HEADER)
     unemployed = _collect_year_counts(unemployment_file, UNEMPLOYMENT_HEADER)
-    population = _collect_population(population_file)
+    name = str(population_file)
+    band_rows: dict[tuple[str, int], list[tuple[int, int, int, int]]] = {}  # (lo, hi, line, persons) per row
+    for lineno, (region, year_s, lo_s, hi_s, persons_s) in _read_rows(population_file, POPULATION_HEADER):
+        year = _parse_natural(year_s, "year", name, lineno)
+        lo = _parse_natural(lo_s, "age_lo", name, lineno)
+        hi = _parse_natural(hi_s, "age_hi", name, lineno)
+        if lo > hi:
+            raise MalformedRow(f"age band [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
+        persons = _parse_natural(persons_s, "persons", name, lineno, count=True)
+        band_rows.setdefault((region, year), []).append((lo, hi, lineno, persons))
+    population: dict[str, dict[int, dict[AgeBand, int]]] = {}
+    for region, year in sorted(band_rows):  # after the last row, so a row error wins; every year, not only common ones
+        bands = sorted(band_rows[region, year])  # a repeated band sorts by line, so the later row comes second
+        for (a_lo, a_hi, _, _), (b_lo, b_hi, line, _) in zip(bands, bands[1:]):
+            if b_lo <= a_hi:
+                raise OverlappingAgeBands(
+                    f"region {region!r} year {year}: band [{b_lo}, {b_hi}] overlaps band [{a_lo}, {a_hi}]",
+                    file=name, line=line, region=region, year=year,
+                )
+        population.setdefault(region, {})[year] = {(lo, hi): persons for lo, hi, _, persons in bands}
 
     out: dict[str, RegionalSeries] = {}
     for region in sorted(set(employment) | set(unemployed) | set(population)):

@@ -1,8 +1,8 @@
 """Unregularized two-predictor linear model with a hand-rolled QR solver.
 
 `design` turns (feature row, target) pairs into the rows [1, demand, supply]
-and the targets once, as lists of floats; a caller that refits on many subsets
-(leave-one-out) slices rows out of them instead of rebuilding them. Coefficients
+and the targets once, as lists of floats; leave-one-out copies them once into a
+training set and writes one row back into it per fold, rebuilding none. Coefficients
 minimize the plain sum of squared residuals; there is no penalty term and
 predictions are never clamped (clamping is a presentation concern, applied
 downstream if at all). The solve goes through a Householder QR factorization of

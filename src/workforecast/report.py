@@ -64,15 +64,6 @@ def _rebase(value: float, base: float, mode: str, label: str, base_year: int | N
     return rebased
 
 
-def _default_population_baseline_year(series_by_region: dict[str, RegionalSeries]) -> int:
-    """Earliest year covered by every region."""
-    years = [set(series.years) for series in series_by_region.values()]
-    common = set.intersection(*years) if years else set()
-    if not common:
-        raise MissingBaselineYear("no year is shared by all regions; pass an explicit baseline year")
-    return min(common)
-
-
 def emit_figure_data(
     series_by_region: dict[str, RegionalSeries],
     feature_rows: list[FeatureRow],
@@ -100,12 +91,17 @@ def emit_figure_data(
         for year in series.years
     ]
 
-    pop_year = baseline_year if baseline_year is not None else _default_population_baseline_year(series_by_region)
+    if baseline_year is None:
+        years = [set(series.years) for series in series_by_region.values()]
+        common = set.intersection(*years) if years else set()
+        if not common:
+            raise MissingBaselineYear("no year is shared by all regions; pass an explicit baseline year")
+        baseline_year = min(common)
     population_rows = []
     for region, series in series_by_region.items():
         totals = {year: float(sum(series.population[year].values())) for year in series.years}
-        base = baseline(totals, pop_year, population_mode, label=region)
-        population_rows.extend([region, year, repr(_rebase(total, base, population_mode, region, pop_year))]
+        base = baseline(totals, baseline_year, population_mode, label=region)
+        population_rows.extend([region, year, repr(_rebase(total, base, population_mode, region, baseline_year))]
                                for year, total in totals.items())
 
     performance: dict[str, dict[int, float]] = {}

@@ -11,7 +11,9 @@ oracle is the solver `model.fit` replaced, copied verbatim under new names:
 it triangularizes a row-major [x | y] with one `np.outer` update per
 reflection. The records oracle is the two-pass parser that
 `ingest.parse_programme_records` replaced: it reads and checks the structure
-of the whole file before any row check. `unbaseline` is the inverse of
+of the whole file before any row check. The row reader reference is the
+`ingest._read_rows` that passed every line through `csv.reader`, copied
+verbatim under a new name. `unbaseline` is the inverse of
 `report._rebase`, computed from the base `report.baseline` returns.
 `reintegrated` is not an oracle: it asks `perf.aggregate_performance`, the
 rule's one caller, for its verdict on a single record.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import statistics
+from collections.abc import Iterator
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -293,6 +296,40 @@ def loocv_refit_oracle(
             subset = [(row, target) for row, target in dataset if row.region_id == region]
             folds.extend(_refit_folds(subset, config, benchmark_mode, solver))
     return summarize(folds, config, benchmark_mode, scope)
+
+
+# ---------------------------------------------------------------------------
+# row reader reference (every line through csv.reader)
+# ---------------------------------------------------------------------------
+
+def read_rows_reference(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Check the header, then yield (line_number, stripped fields) per data row as it is read.
+
+    Blank lines are skipped. A row with the wrong number of columns raises
+    only when reached, after the caller has checked every earlier row.
+    """
+    name = str(path)
+    width = len(header)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise MalformedRow("missing header row", file=name, line=1)
+            got = tuple(field.strip() for field in first)
+            if got != header:
+                raise MalformedRow(f"expected header {','.join(header)}, got {','.join(got)!r}", file=name, line=1)
+            for row in reader:
+                fields = list(map(str.strip, row))
+                if not any(fields):
+                    continue  # tolerate blank lines
+                if len(fields) != width:
+                    raise MalformedRow(f"expected {width} columns, got {len(fields)}", file=name, line=reader.line_num)
+                yield reader.line_num, fields  # the line the row ends on, past any quoted line break
+        except UnicodeDecodeError as err:
+            raise MalformedRow(f"not valid UTF-8 text ({err.reason})", file=name) from None
+        except csv.Error as err:  # a field longer than csv.field_size_limit(), named by the line it fails on
+            raise MalformedRow(f"not a readable CSV row ({err})", file=name, line=reader.line_num) from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ replaced, and allows 1e-13 on every fold's prediction.
 These panels are small, so `loocv` refits lists, which `fit` solves in pure
 Python. The checks run again with the `arrays` fixture, which sets
 `evaluate.NUMPY_ROWS` to 0 so that `loocv` refits numpy arrays, as it does
-for larger datasets; the refit oracle then fits arrays too.
+for larger datasets; the refit oracle then fits arrays too. A spy on `fit`
+checks that every fold refits the same training buffer, holding the data
+without the fold's row.
 """
 from collections import Counter
 
@@ -20,7 +22,7 @@ import workforecast.evaluate as evaluate_mod
 from workforecast.errors import RankDeficientFold
 from workforecast.evaluate import loocv, loocv_per_region
 from workforecast.features import FeatureConfig, FeatureRow
-from workforecast.model import fit
+from workforecast.model import design, fit
 
 from helpers import feature_rows, householder_fit_oracle, loocv_refit_oracle
 
@@ -191,3 +193,24 @@ def test_loocv_refits_arrays_only_above_the_crossover(monkeypatch, extra, kind):
     monkeypatch.setattr(evaluate_mod, "fit", spy)
     loocv(dataset, CONFIG)
     assert kinds == {(kind, kind)}
+
+
+@pytest.mark.parametrize("numpy_rows", [evaluate_mod.NUMPY_ROWS, 0], ids=["lists", "arrays"])
+def test_every_fold_refits_one_buffer_holding_the_data_minus_its_row(monkeypatch, numpy_rows):
+    """`loocv` builds one (n-1)-row training set and writes one row back into it per fold, copying none."""
+    monkeypatch.setattr(evaluate_mod, "NUMPY_ROWS", numpy_rows)
+    panel = PANELS[5]
+    x, y = design(sorted(panel, key=lambda pair: (pair[0].region_id, pair[0].year)))
+    seen = []
+    real_fit = evaluate_mod.fit
+
+    def spy(train_x, train_y, config):
+        seen.append((train_x, train_y, [list(map(float, row)) for row in train_x], list(map(float, train_y))))
+        return real_fit(train_x, train_y, config)
+
+    monkeypatch.setattr(evaluate_mod, "fit", spy)
+    loocv(panel, CONFIG)
+    assert all(train_x is seen[0][0] and train_y is seen[0][1] for train_x, train_y, _, _ in seen)
+    assert [(rows, targets) for _, _, rows, targets in seen] == [
+        (x[:i] + x[i + 1:], y[:i] + y[i + 1:]) for i in range(len(panel))
+    ]
