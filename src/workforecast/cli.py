@@ -272,7 +272,6 @@ def figures_cmd(employment_file, unemployment_file, population_file, features, p
     paths = report_mod.emit_figure_data(
         series,
         feature_rows,
-        config,
         performance_rows,
         eval_report,
         out,

@@ -79,10 +79,6 @@ class FeatureConfigMismatch(DataError):
 
 # --- evaluation --------------------------------------------------------------
 
-class EmptyFolds(DataError):
-    pass
-
-
 class RankDeficientFold(DataError):
     """A cross-validation training fold has a rank-deficient design."""
 

@@ -29,7 +29,6 @@ from pathlib import Path
 
 from workforecast import jsonio
 from workforecast.errors import (
-    EmptyFolds,
     InvalidConfig,
     RankDeficientDesign,
     RankDeficientFold,
@@ -114,14 +113,12 @@ def by_region(dataset: list[tuple[FeatureRow, float]], run: Callable[[list], obj
 def summarize(folds: list[FoldResult], config: FeatureConfig, benchmark_mode: str, scope: str) -> EvalReport:
     """The report on `folds`: each side's MAE and std, in percentage points, and the relative inaccuracy.
 
-    Benchmark metrics cover only folds that have a benchmark prediction and
-    are None when no fold does. A single fold has no sample spread, so its
-    std is reported as 0. The relative inaccuracy is 100 * (mae_benchmark /
-    mae_model - 1), None when there is no benchmark MAE or mae_model is only
-    rounding: at most n * eps * max |actual| in percentage points (n folds, eps = 2**-52).
+    Callers give it at least one fold: `loocv` and `by_region` raise `TooFewObservations` first.
+    Benchmark metrics cover only folds that have a benchmark prediction and are None when no
+    fold does. A single fold has no sample spread, so its std is reported as 0. The relative
+    inaccuracy is 100 * (mae_benchmark / mae_model - 1), None when there is no benchmark MAE or
+    mae_model is only rounding: at most n * eps * max |actual| in percentage points (n folds, eps = 2**-52).
     """
-    if not folds:
-        raise EmptyFolds("no folds to summarize")
     mae_model, std_model = _mae_std([fold.abs_err_model for fold in folds])
     benchmark_errors = [fold.abs_err_benchmark for fold in folds if fold.abs_err_benchmark is not None]
     mae_benchmark, std_benchmark = _mae_std(benchmark_errors) if benchmark_errors else (None, None)
@@ -183,7 +180,7 @@ def loocv(
                 region=row.region_id,
                 year=row.year,
             ) from err
-        pred_model = predict(model, row, config)
+        pred_model = predict(model, row)
         if benchmark_mode == "trainfold-mean":
             pred_benchmark = math.fsum(total + [-actual]) / (n - 1)
         else:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from workforecast.errors import FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
+from workforecast.errors import RankDeficientDesign, TooFewObservations
 from workforecast.features import FeatureConfig, FeatureRow
 
 
@@ -115,11 +115,7 @@ def fit(x: list | tuple | np.ndarray, y: list | tuple | np.ndarray, config: Feat
     return ModelFit(*beta, n, rss, r_squared, config)
 
 
-def predict(model: ModelFit, row: FeatureRow, config: FeatureConfig) -> float:
-    """Raw linear prediction; not clamped to [0, 1]."""
-    if config != model.feature_config:
-        raise FeatureConfigMismatch(
-            f"row was built under {config} but the model was fitted under {model.feature_config}"
-        )
+def predict(model: ModelFit, row: FeatureRow) -> float:
+    """Raw linear prediction for a row built under the model's feature configuration; not clamped to [0, 1]."""
     return model.intercept + model.coef_demand * row.demand + model.coef_supply * row.supply
 

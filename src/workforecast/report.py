@@ -17,7 +17,7 @@ from typing import Mapping
 
 from workforecast.errors import InvalidConfig, MissingBaselineYear, ZeroBaseline
 from workforecast.evaluate import EvalReport
-from workforecast.features import FeatureConfig, FeatureRow
+from workforecast.features import FeatureRow
 from workforecast.ingest import RegionalSeries, _write_rows
 from workforecast.perf import PerformanceRow
 
@@ -67,7 +67,6 @@ def _rebase(value: float, base: float, mode: str, label: str, base_year: int | N
 def emit_figure_data(
     series_by_region: dict[str, RegionalSeries],
     feature_rows: list[FeatureRow],
-    feature_config: FeatureConfig,
     performance_rows: list[PerformanceRow],
     eval_report: EvalReport,
     out_dir: str | Path,
@@ -77,12 +76,12 @@ def emit_figure_data(
 ) -> dict[str, Path]:
     """Write the four plot-data CSVs into out_dir and return their paths.
 
-    Population is baselined at `baseline_year` (default: the earliest year
-    shared by all regions). The evaluation chart is baselined per region by
-    the performance of the region's first entry year. Both go through
-    `baseline`, and every figure's rows are built before the first file is
-    written, so a call that raises leaves out_dir as it was. Rows follow the
-    order of the inputs, which their parsers and `evaluate` give sorted.
+    Population is baselined at `baseline_year` (default: the earliest year shared by all regions).
+    The evaluation chart is baselined per region by the performance of the region's first entry
+    year. Both go through `baseline`, and every figure's rows are built before the first file is
+    written, so a call that raises leaves out_dir as it was. Rows follow the order of the inputs,
+    which their parsers and `evaluate` give sorted. The demand chart's `# normalized=` line reads
+    `eval_report.feature_config`, which the caller has checked is the one `feature_rows` were built under.
     """
     demand_rows = [[row.region_id, row.year, repr(row.demand)] for row in feature_rows]
     unemployment_rows = [
@@ -123,7 +122,7 @@ def emit_figure_data(
     out.mkdir(parents=True, exist_ok=True)
     paths = {key: out / name for key, name in FIGURE_FILENAMES.items()}
     _write_rows(paths["demand"], ("region", "year", "value"), demand_rows,
-                comment=f"normalized={int(feature_config.normalize)}")
+                comment=f"normalized={int(eval_report.feature_config.normalize)}")
     _write_rows(paths["unemployment"], ("region", "year", "value"), unemployment_rows)
     _write_rows(paths["population"], ("region", "year", population_mode), population_rows)
     _write_rows(paths["eval"], ("region", "year", "actual_baselined", "model_baselined", "benchmark_baselined"),

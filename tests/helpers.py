@@ -257,7 +257,7 @@ def _refit_folds(
                 region=row.region_id,
                 year=row.year,
             ) from err
-        pred_model = predict(model, row, config)
+        pred_model = predict(model, row)
         if benchmark_mode == "trainfold-mean":
             pred_benchmark = statistics.fmean(target for _, target in train)
         else:

@@ -783,6 +783,26 @@ class TestConditionEstimateOverflow:
         assert not out.exists()
 
 
+class TestSumOfSquaresOverflow:
+    """A demand column alternating ±7e153: each square is finite, but the column's sum of squares overflows."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_exits_one_without_a_model(self, tmp_path):
+        (tmp_path / "features.csv").write_text("region,year,demand,supply,normalized,lag,age_lo,age_hi\n" + "".join(
+            f"R1,{2012 + i},{'-' * (i % 2)}7e153,0.0{i + 1},1,0,16,64\n" for i in range(6)
+        ), encoding="utf-8")
+        (tmp_path / "performance.csv").write_text("region,entry_year,n_entrants,n_success,performance\n" + "".join(
+            f"R1,{2012 + i},10,{success},0.{success}00000\n" for i, success in enumerate((5, 4, 6, 3, 5, 7))
+        ), encoding="utf-8")
+        model = tmp_path / "model.json"
+        result = _invoke(["fit", "--features", str(tmp_path / "features.csv"),
+                          "--performance", str(tmp_path / "performance.csv"), "--model", str(model)])
+        assert result.exit_code == 1
+        assert result.stderr == ("ERROR RankDeficientDesign: design matrix is rank deficient: its QR factorization "
+                                 "overflows (condition estimate inf)\n")
+        assert not model.exists()
+
+
 class TestEmptyJoin:
     """A lag past the last performance year leaves no (region, year) in both files."""
 

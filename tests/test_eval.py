@@ -3,7 +3,7 @@ import statistics
 
 import pytest
 
-from workforecast.errors import EmptyFolds, InvalidConfig, RankDeficientFold, TooFewObservations
+from workforecast.errors import InvalidConfig, RankDeficientFold, TooFewObservations
 from workforecast.evaluate import (
     FoldResult,
     build_dataset,
@@ -149,6 +149,15 @@ class TestLoocvPerRegion:
         assert str(excinfo.value) == "region 'tiny': leave-one-out needs at least 4 data points, got 3"
         assert excinfo.value.region == "tiny"
 
+    @pytest.mark.parametrize("run, message", [
+        (loocv, "leave-one-out needs at least 4 data points, got 0"),
+        (loocv_per_region, "per-region runs need at least 1 data point, got 0"),
+    ], ids=["pooled", "per-region"])
+    def test_an_empty_dataset_is_too_few_observations_before_any_summary(self, run, message):
+        with pytest.raises(TooFewObservations) as excinfo:
+            run([], LAW_FEATURE_CONFIG)
+        assert str(excinfo.value) == message
+
 
 class TestMetrics:
     @staticmethod
@@ -176,10 +185,6 @@ class TestMetrics:
         spreads = (report.mae_model_pct, report.mae_benchmark_pct, report.std_model_pct, report.std_benchmark_pct)
         assert spreads == (0.0, 0.0, 0.0, 0.0)
         assert report.relative_inaccuracy_pct is None
-
-    def test_empty_folds(self):
-        with pytest.raises(EmptyFolds):
-            self._summary([])
 
     def test_single_fold_has_zero_spread(self):
         report = self._summary([_fold(0.02, 0.03)])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from workforecast import jsonio
-from workforecast.errors import FeatureConfigMismatch, RankDeficientDesign, TooFewObservations
+from workforecast.errors import RankDeficientDesign, TooFewObservations
 from workforecast.features import FeatureConfig, FeatureRow
-from workforecast.model import ModelFit, design, fit, predict
+from workforecast.model import ModelFit, _householder_triangularize, design, fit, predict
 
 from helpers import coordinate_descent, feature_rows
 
@@ -107,8 +107,8 @@ class TestFit:
                 mapped_pairs.append((FeatureRow(row.region_id, row.year, demand, supply), target))
             mapped_model = fit(*design(mapped_pairs), CONFIG)
             for (row, _), (mapped_row, _) in zip(pairs, mapped_pairs):
-                assert predict(mapped_model, mapped_row, CONFIG) == pytest.approx(
-                    predict(model, row, CONFIG), abs=1e-8
+                assert predict(mapped_model, mapped_row) == pytest.approx(
+                    predict(model, row), abs=1e-8
                 )
 
     def test_prediction_plus_residual_reproduces_target(self):
@@ -116,7 +116,7 @@ class TestFit:
         pairs = _random_pairs(rng, 15)
         model = fit(*design(pairs), CONFIG)
         for row, target in pairs:
-            prediction = predict(model, row, CONFIG)
+            prediction = predict(model, row)
             residual = target - prediction
             assert prediction + residual == pytest.approx(target, abs=1e-10)
 
@@ -159,6 +159,24 @@ class TestFit:
         with pytest.raises(RankDeficientDesign) as excinfo:
             fit(*design(pairs), CONFIG)
         assert excinfo.value.condition_estimate == float("inf")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_column_whose_sum_of_squares_overflows_is_rank_deficient_in_lists_and_arrays(self):
+        """±7e153 squares to a finite 4.9e307, but six of them sum past the float range.
+
+        The list path's `math.fsum` raises OverflowError on that sum (a square of 1e200 is already inf,
+        which `fsum` adds without raising); numpy's dot product overflows to inf. Both give the same error.
+        """
+        values = [(7e153 * (-1) ** i, supply) for i, (_, supply) in enumerate(BASE_VALUES[:6])]
+        x, y = design([(row, 0.5) for row in feature_rows(values)])
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            _householder_triangularize([*map(list, zip(*x)), list(y)])
+        for xs, ys in [(x, y), (np.array(x), np.array(y))]:
+            with pytest.raises(RankDeficientDesign) as excinfo:
+                fit(xs, ys, CONFIG)
+            assert str(excinfo.value) == ("design matrix is rank deficient: its QR factorization overflows "
+                                          "(condition estimate inf)")
+            assert excinfo.value.condition_estimate == float("inf")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_condition_estimate_past_the_float_range_is_inf_without_warnings(self):
@@ -237,23 +255,17 @@ class TestPredict:
     def test_arithmetic(self):
         model = ModelFit(0.5, 2.0, -3.0, 5, 0.0, 1.0, CONFIG)
         row = FeatureRow("R1", 2015, 0.1, 0.1)
-        assert predict(model, row, CONFIG) == pytest.approx(0.4, abs=1e-12)
+        assert predict(model, row) == pytest.approx(0.4, abs=1e-12)
 
     def test_zero_coefficients_return_intercept(self):
         model = ModelFit(0.37, 0.0, 0.0, 5, 0.0, 1.0, CONFIG)
-        assert predict(model, FeatureRow("R1", 2015, 12.0, -4.0), CONFIG) == 0.37
+        assert predict(model, FeatureRow("R1", 2015, 12.0, -4.0)) == 0.37
 
     def test_exact_fit_interpolates_training_rows(self):
         pairs = _pairs_from_law(BASE_VALUES, 0.5, 2.0, -3.0)
         model = fit(*design(pairs), CONFIG)
         for row, target in pairs:
-            assert predict(model, row, CONFIG) == pytest.approx(target, abs=1e-12)
-
-    def test_feature_config_mismatch(self):
-        model = ModelFit(0.5, 2.0, -3.0, 5, 0.0, 1.0, CONFIG)
-        other = FeatureConfig(normalize=False)
-        with pytest.raises(FeatureConfigMismatch):
-            predict(model, FeatureRow("R1", 2015, 0.1, 0.1), other)
+            assert predict(model, row) == pytest.approx(target, abs=1e-12)
 
 
 class TestModelJson:

@@ -5,24 +5,23 @@ import pytest
 from helpers import unbaseline
 from workforecast.errors import InvalidConfig, MissingBaselineYear, ZeroBaseline
 from workforecast.evaluate import build_dataset, loocv
-from workforecast.features import build_features
+from workforecast.features import FeatureConfig, build_features
 from workforecast.ingest import RegionalSeries
 from workforecast.report import FIGURE_FILENAMES, _rebase, baseline, emit_figure_data
 from workforecast.synth import LAW_FEATURE_CONFIG, SynthConfig, generate
 
 
-def _pipeline_outputs(seed=3, years=(2011, 2018)):
-    config = SynthConfig(seed=seed, years=years, noise_sd=0.01)
-    result = generate(config)
-    rows = build_features(result.series_by_region, LAW_FEATURE_CONFIG)
-    report = loocv(build_dataset(rows, result.performance), LAW_FEATURE_CONFIG)
+def _pipeline_outputs(seed=3, years=(2011, 2018), feature_config=LAW_FEATURE_CONFIG):
+    result = generate(SynthConfig(seed=seed, years=years, noise_sd=0.01))
+    rows = build_features(result.series_by_region, feature_config)
+    report = loocv(build_dataset(rows, result.performance), feature_config)
     return result, rows, report
 
 
-def _emit(tmp_path, seed=3, years=(2011, 2018), **kwargs):
-    result, rows, report = _pipeline_outputs(seed=seed, years=years)
+def _emit(tmp_path, seed=3, years=(2011, 2018), feature_config=LAW_FEATURE_CONFIG, **kwargs):
+    result, rows, report = _pipeline_outputs(seed=seed, years=years, feature_config=feature_config)
     paths = emit_figure_data(
-        result.series_by_region, rows, LAW_FEATURE_CONFIG, result.performance, report, tmp_path, **kwargs
+        result.series_by_region, rows, result.performance, report, tmp_path, **kwargs
     )
     return result, rows, report, paths
 
@@ -84,6 +83,11 @@ class TestEmitFigureData:
         assert lines[1] == "region,year,value"
         assert len(lines) == 2 + 16
 
+    def test_demand_comment_records_the_reports_feature_configuration(self, tmp_path):
+        _, _, report, paths = _emit(tmp_path, feature_config=FeatureConfig(normalize=False))
+        assert report.feature_config == FeatureConfig(normalize=False)
+        assert paths["demand"].read_text(encoding="utf-8").splitlines()[0] == "# normalized=0"
+
     def test_eval_file_has_one_row_per_fold(self, tmp_path):
         _, _, report, paths = _emit(tmp_path)
         lines = paths["eval"].read_text(encoding="utf-8").splitlines()
@@ -116,7 +120,7 @@ class TestEmitFigureData:
             for region, series in result.series_by_region.items()
         }
         paths = emit_figure_data(
-            flat, rows, LAW_FEATURE_CONFIG, result.performance, report, tmp_path
+            flat, rows, result.performance, report, tmp_path
         )
         lines = paths["population"].read_text(encoding="utf-8").splitlines()
         assert lines[0] == "region,year,ratio"
@@ -149,7 +153,7 @@ class TestEmitFigureData:
             benchmark_mode="prior-years-mean",
         )
         paths = emit_figure_data(
-            result.series_by_region, rows, LAW_FEATURE_CONFIG, result.performance, report, tmp_path
+            result.series_by_region, rows, result.performance, report, tmp_path
         )
         lines = paths["eval"].read_text(encoding="utf-8").splitlines()[1:]
         first_year = min(fold.year for fold in report.folds)
@@ -160,7 +164,7 @@ class TestEmitFigureData:
         result, rows, report = _pipeline_outputs()
         with pytest.raises(MissingBaselineYear):
             emit_figure_data(
-                result.series_by_region, rows, LAW_FEATURE_CONFIG, result.performance, report,
+                result.series_by_region, rows, result.performance, report,
                 tmp_path, baseline_year=1999,
             )
 
@@ -168,7 +172,7 @@ class TestEmitFigureData:
         result, rows, report = _pipeline_outputs()
         with pytest.raises(InvalidConfig):
             emit_figure_data(
-                result.series_by_region, rows, LAW_FEATURE_CONFIG, result.performance, report,
+                result.series_by_region, rows, result.performance, report,
                 tmp_path, performance_mode="log",
             )
 
@@ -191,7 +195,7 @@ class TestEmitFigureData:
             kwargs = {"baseline_year": 1999}
         out = tmp_path / "figs"
         with pytest.raises(error) as excinfo:
-            emit_figure_data(result.series_by_region, rows, LAW_FEATURE_CONFIG, performance, report, out, **kwargs)
+            emit_figure_data(result.series_by_region, rows, performance, report, out, **kwargs)
         assert str(excinfo.value) == message
         assert excinfo.value.region == region
         assert not out.exists()
