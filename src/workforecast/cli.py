@@ -41,6 +41,7 @@ from workforecast.errors import DataError, FeatureConfigMismatch, shown
 from workforecast.features import FeatureConfig
 
 atexit.register(gc.freeze)  # shutdown's collections then skip the heap, which reference counting frees anyway
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: threads would split, and change, fit's sums
 
 
 class _PipelineGroup(click.Group):

@@ -41,8 +41,8 @@ from workforecast.perf import PerformanceRow
 
 BENCHMARK_MODES = ("trainfold-mean", "prior-years-mean")
 
-# Rows above which `loocv` refits numpy arrays. Medians of 11 fresh processes (2-CPU Xeon, Python 3.11.7, numpy
-# 2.4.6): lists took 128 ms at 220 rows and 156 ms at 240; arrays, numpy's import included, 138 and 148 ms.
+# Rows above which `loocv` refits numpy arrays. Medians of 21 fresh processes (2-CPU Xeon, Python 3.11.7,
+# numpy 2.4.6, one BLAS thread) at 200, 220 and 240 rows: lists 141, 155, 167 ms; arrays (importing numpy) 149, 149, 154.
 NUMPY_ROWS = 230
 
 STD_DEFINITION = "sample (n-1) standard deviation of the absolute errors"

@@ -177,11 +177,12 @@ def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[list],
 def _parse_natural(text: str, column: str, file: str, line: int, count: bool = False, bounded: bool = True) -> int:
     """A non-negative integer of at most 324 digits: a year, an age, the lag or (`count`) a head-count.
 
-    The digits are counted before `int()` reads them; 324 hold 2**1074, the
-    largest denominator of a float's `as_integer_ratio`. A negative head-count
-    is a `NegativeCount`; a `bounded` one must be at most 2**53, up to which
-    every integer is exactly a float.
+    The digits are counted before `int()` reads them; 324 hold 2**1074, the largest denominator of a
+    float's `as_integer_ratio`. A negative head-count is a `NegativeCount`; a `bounded` one must be at
+    most 2**53, up to which every integer is exactly a float. At most 15 ASCII digits skip the regex.
     """
+    if len(text) <= 15 and text.isascii() and text.isdigit():  # 0-9 only, below 10**15: no check below can fire
+        return int(text)
     match = _INT_RE.fullmatch(text)
     negative = match is not None and match[1] == "-" and match[2].strip("0") != ""
     if match is None or (negative and not count):

@@ -1,17 +1,17 @@
 """Unregularized two-predictor linear model with a hand-rolled QR solver.
 
-`design` turns (feature row, target) pairs into the rows [1, demand, supply]
-and the targets once, as lists of floats; leave-one-out copies them once into a
-training set and writes one row back into it per fold, rebuilding none. Coefficients
-minimize the plain sum of squared residuals; there is no penalty term and
-predictions are never clamped (clamping is a presentation concern, applied
-downstream if at all). The solve goes through a Householder QR factorization of
-one column-major copy of [x | y], which is numerically stabler than the normal
-equations. Rank deficiency is a hard error: with folds this small, a silent
-minimum-norm fallback would make cross-validation results depend on
-implementation details. `fit` reduces lists in pure Python, as a fit of a few
-hundred rows takes less time than importing numpy, and numpy arrays with numpy,
-imported then: only `evaluate.loocv` passes arrays, above a crossover in rows.
+`design` turns (feature row, target) pairs into the rows [1, demand, supply] and the targets once,
+as lists of floats; leave-one-out copies them once into a training set and writes one row back into
+it per fold, rebuilding none. Coefficients minimize the plain sum of squared residuals; there is no
+penalty term and predictions are never clamped (clamping is a presentation concern, applied
+downstream if at all). The solve goes through a Householder QR factorization of one column-major
+copy of [x | y], which is numerically stabler than the normal equations. Rank deficiency is a hard
+error: with folds this small, a silent minimum-norm fallback would make cross-validation results
+depend on implementation details. `fit` reduces lists in pure Python, as a fit of a few hundred rows
+takes less time than importing numpy, and numpy arrays with numpy, imported then: only
+`evaluate.loocv` passes arrays, above a crossover in rows. A refit on arrays is bound by call
+overhead, not arithmetic, so its scalars are Python floats and R is read in one call. The CLI runs
+BLAS on one thread, so a long fit's dot products, and so its bits, do not depend on the CPU count.
 """
 from __future__ import annotations
 
@@ -37,22 +37,21 @@ class ModelFit:
 def _householder_triangularize(a: np.ndarray | list[list[float]]) -> None:
     """Reduce the first three columns of [x | y], n >= 3 rows, to upper-triangular form in place.
 
-    `a` holds the matrix column-major (row k of `a` is column k), so every
-    reflection reads and updates contiguous rows of a numpy array, or whole
-    lists of floats, whose inner products are `math.fsum`s (which raise past
-    the float range). As LAPACK's dlarfg does, each reflector is scaled to
-    v[0] = 1, so every |v[k]| <= 1 and v.v lies in [1, n] whatever the
-    column's scale, and column j's diagonal entry is set from the column's
-    norm; the entries below it keep their old values and are not part of the result.
+    `a` holds the matrix column-major (row k of `a` is column k), so every reflection reads and
+    updates contiguous rows of a numpy array, each column's head and pivot read as Python floats,
+    or whole lists of floats, whose inner products are `math.fsum`s (which raise past the float
+    range). As LAPACK's dlarfg does, each reflector is scaled to v[0] = 1, so every |v[k]| <= 1 and
+    v.v lies in [1, n] whatever the column's scale, and column j's diagonal entry is set from the
+    column's norm; the entries below it keep their old values and are not part of the result.
     """
     lists = isinstance(a, list)
     for j in range(3):
-        col = a[j][j:]
+        col = a[j][j:] if lists else a[j, j:]
+        head = col[0] if lists else col.item(0)  # its sign keeps the pivot head ± norm away from cancellation
         norm = math.sqrt(math.fsum(map(mul, col, col)) if lists else col.dot(col))
         if norm == 0.0:
             continue
-        # sign keeps the pivot col[0] ± norm away from cancellation
-        pivot = col[0] + (norm if col[0] >= 0.0 else -norm)
+        pivot = head + (norm if head >= 0.0 else -norm)
         v = [value / pivot for value in col] if lists else col / pivot
         v[0] = 1.0
         if lists:
@@ -60,10 +59,11 @@ def _householder_triangularize(a: np.ndarray | list[list[float]]) -> None:
             for rest in a[j + 1:]:
                 c = scale * math.fsum(map(mul, rest[j:], v))
                 rest[j:] = [value - c * w for value, w in zip(rest[j:], v)]
+            a[j][j] = -norm if head >= 0.0 else norm
         else:
             rest = a[j + 1:, j:]
             rest -= ((2.0 / v.dot(v)) * (rest @ v))[:, None] * v
-        a[j][j] = -norm if col[0] >= 0.0 else norm
+            a[j, j] = -norm if head >= 0.0 else norm
 
 
 def design(pairs: list[tuple[FeatureRow, float]]) -> tuple[list[list[float]], list[float]]:
@@ -91,14 +91,16 @@ def fit(x: list | tuple | np.ndarray, y: list | tuple | np.ndarray, config: Feat
             rss, tss = math.fsum(map(mul, work[3][3:], work[3][3:])), math.fsum((t - mean) ** 2 for t in y)
         except (OverflowError, ValueError):  # a sum, or a square, past the float range
             rss = math.inf
+        r = [list(map(float, column[:3])) for column in work]  # R is r[:3] transposed; r[3] is the top of Q^T y
     else:
         import numpy as np
-        work = np.array([*x.T, y], dtype=float)  # [x | y] column-major and C-contiguous: row k is column k
+        work = np.empty((4, n))  # [x | y] column-major and C-contiguous: row k is column k
+        work[:3], work[3] = x.T, y
         with np.errstate(over="ignore", invalid="ignore"):
             _householder_triangularize(work)
-            tail, centered = work[3, 3:], y - y.mean()  # tail: the part of Q^T y that the columns do not reach
+            tail, centered = work[3, 3:], y - float(np.add.reduce(y)) / n  # tail: the part of Q^T y the columns miss
             rss, tss = float(tail @ tail), float(centered @ centered)
-    r = [list(map(float, column[:3])) for column in work]  # R is r[:3] transposed; r[3] is the top of Q^T y
+        r = work[:, :3].tolist()
     finite = all(map(math.isfinite, [*r[0], *r[1], *r[2], *r[3], rss]))
     diag = [abs(r[i][i]) if finite else 0.0 for i in range(3)]  # values too large to square: no column is resolvable
     tolerance = max(n, 3) * math.ulp(1.0) * max(diag)

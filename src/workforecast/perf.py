@@ -39,11 +39,9 @@ class PerformanceRow:
 def add_months(day: date, months: int) -> date:
     """Shift a date by whole calendar months, clamping to the target month's last day; cached."""
     import calendar  # on first use, so the CLI start-up does not load it
-    month_index = day.month - 1 + months
-    year = day.year + month_index // 12
-    month = month_index % 12 + 1
-    last_day = calendar.monthrange(year, month)[1]
-    return date(year, month, min(day.day, last_day))
+    year, month = divmod(day.year * 12 + day.month - 1 + months, 12)  # month counts from 0
+    last_day = calendar.monthrange(year, month + 1)[1]
+    return date(year, month + 1, min(day.day, last_day))
 
 
 def _covers_window(record: ProgrammeRecord, min_hours: float, window_months: int) -> bool:
@@ -64,10 +62,8 @@ def _covers_window(record: ProgrammeRecord, min_hours: float, window_months: int
         ) from None
     day = record.entry_date
     for start, end, per_week in record.spells:  # sorted, non-overlapping by construction
-        if per_week < min_hours:
-            continue  # days covered only by a low-hours spell stay uncovered
-        if end < day:
-            continue
+        if per_week < min_hours or end < day:
+            continue  # days covered only by a low-hours spell stay uncovered; a spell ended before `day` adds none
         if start > day:
             return False
         if end >= window_end:  # tested before the day after end, which may not exist

@@ -13,14 +13,19 @@ reflection. The records oracle is the two-pass parser that
 `ingest.parse_programme_records` replaced: it reads and checks the structure
 of the whole file before any row check. The row reader reference is the
 `ingest._read_rows` that passed every line through `csv.reader`, copied
-verbatim under a new name. `unbaseline` is the inverse of
-`report._rebase`, computed from the base `report.baseline` returns.
+verbatim under a new name. `fit_arrays_reference` is `model.fit`'s numpy
+branch as it was before a refit read its scalars as Python floats, frozen
+under a new name, and `parse_natural_reference` is `ingest._parse_natural`
+before its plain-digit fast path: the regex rule alone. `unbaseline` is the
+inverse of `report._rebase`, computed from the base `report.baseline` returns.
 `reintegrated` is not an oracle: it asks `perf.aggregate_performance`, the
 rule's one caller, for its verdict on a single record.
 """
 from __future__ import annotations
 
 import csv
+import math
+import re
 import statistics
 from collections.abc import Iterator
 from datetime import date, timedelta
@@ -31,7 +36,7 @@ from click.testing import CliRunner
 
 from workforecast.cli import cli
 from workforecast.errors import (
-    MalformedRow, OverlappingSpells, RankDeficientDesign, RankDeficientFold, TooFewObservations,
+    MalformedRow, NegativeCount, OverlappingSpells, RankDeficientDesign, RankDeficientFold, TooFewObservations,
 )
 from workforecast.evaluate import EvalReport, FoldResult, summarize
 from workforecast.features import FeatureConfig, FeatureRow
@@ -235,6 +240,80 @@ def householder_fit_oracle(x, y, config: FeatureConfig) -> ModelFit:
         r_squared=r_squared,
         feature_config=config,
     )
+
+
+# ---------------------------------------------------------------------------
+# array solver reference (`model.fit` on numpy arrays, frozen)
+# ---------------------------------------------------------------------------
+
+def _triangularize_arrays_reference(a: np.ndarray) -> None:
+    """The numpy branch of `model._householder_triangularize`, as it was: `a` is a C-contiguous (4, n) array."""
+    for j in range(3):
+        col = a[j][j:]
+        norm = math.sqrt(col.dot(col))
+        if norm == 0.0:
+            continue
+        # sign keeps the pivot col[0] ± norm away from cancellation
+        pivot = col[0] + (norm if col[0] >= 0.0 else -norm)
+        v = col / pivot
+        v[0] = 1.0
+        rest = a[j + 1:, j:]
+        rest -= ((2.0 / v.dot(v)) * (rest @ v))[:, None] * v
+        a[j][j] = -norm if col[0] >= 0.0 else norm
+
+
+def fit_arrays_reference(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
+    """`model.fit` given numpy arrays, as it was; every field and error text should be bit-equal to its."""
+    n = len(y)
+    if n < 3:
+        raise TooFewObservations(f"need at least 3 observations to fit 3 parameters, got {n}")
+
+    work = np.array([*x.T, y], dtype=float)  # [x | y] column-major and C-contiguous: row k is column k
+    with np.errstate(over="ignore", invalid="ignore"):
+        _triangularize_arrays_reference(work)
+        tail, centered = work[3, 3:], y - y.mean()  # tail: the part of Q^T y that the columns do not reach
+        rss, tss = float(tail @ tail), float(centered @ centered)
+    r = [list(map(float, column[:3])) for column in work]  # R is r[:3] transposed; r[3] is the top of Q^T y
+    finite = all(map(math.isfinite, [*r[0], *r[1], *r[2], *r[3], rss]))
+    diag = [abs(r[i][i]) if finite else 0.0 for i in range(3)]  # values too large to square: no column is resolvable
+    tolerance = max(n, 3) * math.ulp(1.0) * max(diag)
+    collinear = tuple(name for name, d in zip(("intercept", "demand", "supply"), diag) if d <= tolerance)
+    condition = max(diag) / min(diag) if min(diag) > 0.0 else float("inf")
+    if collinear:
+        reason = f"column(s) {', '.join(collinear)} are collinear with the rest" if finite else "its QR factorization overflows"
+        raise RankDeficientDesign(f"design matrix is rank deficient: {reason} (condition estimate {condition:.3g})",
+                                  columns=collinear, condition_estimate=condition)
+    beta = [0.0, 0.0, 0.0]  # back substitution
+    for i in (2, 1, 0):
+        beta[i] = (r[3][i] - sum(r[k][i] * beta[k] for k in range(i + 1, 3))) / r[i][i]
+    r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
+    return ModelFit(*beta, n, rss, r_squared, config)
+
+
+# ---------------------------------------------------------------------------
+# natural-number reference (the regex rule of `ingest._parse_natural`)
+# ---------------------------------------------------------------------------
+
+_INT_RE = re.compile(r"([+-]?)([0-9]+)")
+_MAX_DIGITS = 324
+
+
+def parse_natural_reference(text: str, column: str, file: str, line: int, count: bool = False,
+                            bounded: bool = True) -> int:
+    """`ingest._parse_natural` without its plain-digit fast path: every text goes through the regex."""
+    match = _INT_RE.fullmatch(text)
+    negative = match is not None and match[1] == "-" and match[2].strip("0") != ""
+    if match is None or (negative and not count):
+        kind = ("an integer head-count" if count else
+                "a calendar year" if column.endswith("year") else "a non-negative integer")
+        raise MalformedRow(f"column {column!r} must be {kind}, got {text!r}", file=file, line=line)
+    if negative:
+        raise NegativeCount(f"column {column!r} is negative ({text})", file=file, line=line)
+    bounded = count and bounded
+    if len(match[2]) > _MAX_DIGITS or (bounded and int(text) > 2**53):
+        limit = "2**53" if bounded else f"{_MAX_DIGITS} digits long"
+        raise MalformedRow(f"column {column!r} must be at most {limit}, got {text!r}", file=file, line=line)
+    return int(text)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Reports are compared with dataclass equality, so every fold's predictions,
 errors and the summary metrics must be bit-equal to the oracle's. That oracle
-refits through `model.fit` itself, so it cannot see a change in the solver;
-a second check refits through `householder_fit_oracle`, the solver `fit`
-replaced, and allows 1e-13 on every fold's prediction.
+refits through `model.fit` itself, so it cannot see a change in the solver
+(`tests/test_fit_reference.py` can, bit for bit, on arrays); a second check
+refits through `householder_fit_oracle`, the solver `fit` replaced, and
+allows 1e-13 on every fold's prediction.
 
 These panels are small, so `loocv` refits lists, which `fit` solves in pure
 Python. The checks run again with the `arrays` fixture, which sets

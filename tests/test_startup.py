@@ -1,7 +1,8 @@
 """Start-up: importing one module loads no other stage, no quick-start command
 loads numpy (`fit` solves lists in pure Python, and so does `evaluate` up to
-`evaluate.NUMPY_ROWS` rows), only `evaluate` loads `statistics`, and the heap
-is frozen at exit.
+`evaluate.NUMPY_ROWS` rows), only `evaluate` loads `statistics`, the heap
+is frozen at exit, and numpy's BLAS runs on one thread unless the user set
+`OPENBLAS_NUM_THREADS`, so a long fit's bits do not depend on the CPU count.
 
 The test process has numpy loaded already, so every check runs in a fresh
 interpreter with PYTHONPATH pointing at the source tree.
@@ -28,8 +29,12 @@ RUN_COMMAND = (
 )
 
 
-def _python(*argv: str) -> str:
+def _python(*argv: str, blas_threads: str | None = None) -> str:
+    """The stdout of a fresh interpreter, with `OPENBLAS_NUM_THREADS` set to `blas_threads` or unset."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "WF_NO_COLOR": "1"}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
@@ -100,3 +105,27 @@ def test_evaluate_loads_numpy_and_statistics(panel, tmp_path):
     args = ["evaluate", "--features", str(panel / "features.csv"), "--performance", str(panel / "performance.csv"),
             "--out", str(tmp_path / "report.json")]
     assert _python("-c", RUN_COMMAND, *args) == "True True"
+
+
+@pytest.mark.parametrize("threads, expected", [(None, "1"), ("3", "3")])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(threads, expected):
+    """Set on import, before numpy loads; a value the user set is kept."""
+    code = "import os, workforecast.cli, numpy\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    assert _python("-c", code, blas_threads=threads) == expected
+
+
+def test_a_fit_long_enough_for_blas_threads_gives_the_bits_of_one_thread():
+    """Above about 10,000 rows OpenBLAS would split `fit`'s dot products across threads, changing their sums."""
+    fit_code = (
+        "import numpy as np\n"
+        "from workforecast.features import FeatureConfig\n"
+        "from workforecast.model import fit\n"
+        "rng = np.random.default_rng(5)\n"
+        "x = np.ones((11_599, 3))\n"
+        "x[:, 1:] = rng.normal(0.0, 0.3, size=(11_599, 2))\n"
+        "y = 0.4 + 1.2 * x[:, 1] - 0.8 * x[:, 2] + rng.normal(0.0, 0.02, size=11_599)\n"
+        "fitted = fit(x, y, FeatureConfig())\n"
+        "print(*(value.hex() for value in (fitted.intercept, fitted.coef_demand, fitted.coef_supply, fitted.rss)))\n"
+    )
+    through_the_cli = _python("-c", "import workforecast.cli\n" + fit_code)
+    assert through_the_cli == _python("-c", fit_code, blas_threads="1")
