@@ -29,6 +29,8 @@ import sys
 
 import click
 
+_collecting = gc.isenabled()  # after click, whose import leaves cyclic garbage that the freeze below would keep
+gc.disable()  # the pipeline's modules import with the collector paused: their heap lives until exit
 from workforecast import evaluate as evaluate_mod
 from workforecast import features as features_mod
 from workforecast import ingest as ingest_mod
@@ -40,6 +42,9 @@ from workforecast import synth as synth_mod
 from workforecast.errors import DataError, FeatureConfigMismatch, shown
 from workforecast.features import FeatureConfig
 
+gc.freeze()  # so no collection walks that heap, nor catches up on it as the collector resumes
+if _collecting:
+    gc.enable()
 atexit.register(gc.freeze)  # shutdown's collections then skip the heap, which reference counting frees anyway
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: threads would split, and change, fit's sums
 
@@ -98,10 +103,6 @@ def cli() -> None:
     """Forecast workforce-reintegration programme success rates."""
 
 
-# ---------------------------------------------------------------------------
-# validate
-# ---------------------------------------------------------------------------
-
 @cli.command("validate")
 @_stat_file_options
 @click.option("--records", "records_file", default=None, help="records.csv path (optional).")
@@ -115,10 +116,6 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
         records = ingest_mod.parse_programme_records(records_file)
         click.echo(f"OK records: {len(records)} people", err=True)
 
-
-# ---------------------------------------------------------------------------
-# features
-# ---------------------------------------------------------------------------
 
 @cli.command("features")
 @_stat_file_options
@@ -138,10 +135,6 @@ def features_cmd(employment_file, unemployment_file, population_file, normalize,
     click.echo(f"wrote {len(rows)} feature rows to {shown(out)}", err=True)
 
 
-# ---------------------------------------------------------------------------
-# performance
-# ---------------------------------------------------------------------------
-
 @cli.command("performance")
 @click.option("--records", "records_file", required=True, help="records.csv path.")
 @click.option("--min-hours", type=float, default=perf_mod.DEFAULT_MIN_HOURS, show_default=True,
@@ -156,10 +149,6 @@ def performance_cmd(records_file, min_hours, window_months, out) -> None:
     perf_mod.write_performance_csv(rows, out)
     click.echo(f"wrote {len(rows)} performance rows to {shown(out)}", err=True)
 
-
-# ---------------------------------------------------------------------------
-# fit
-# ---------------------------------------------------------------------------
 
 @cli.command("fit")
 @_dataset_options
@@ -185,10 +174,6 @@ def fit_cmd(features, performance, per_region, model) -> None:
     click.echo(summary, err=True)
 
 
-# ---------------------------------------------------------------------------
-# evaluate
-# ---------------------------------------------------------------------------
-
 @cli.command("evaluate")
 @_dataset_options
 @click.option("--benchmark", "benchmark_mode", type=click.Choice(evaluate_mod.BENCHMARK_MODES),
@@ -209,10 +194,6 @@ def evaluate_cmd(features, performance, benchmark_mode, per_region, out) -> None
     click.echo(f"{len(result.folds)} folds: MAE model {result.mae_model_pct:.4g}% vs benchmark {benchmark_text}",
                err=True)
 
-
-# ---------------------------------------------------------------------------
-# synth
-# ---------------------------------------------------------------------------
 
 @cli.command("synth")
 @click.option("--out", required=True, help="Output directory for the generated files.")
@@ -242,10 +223,6 @@ def synth_cmd(out, **params) -> None:
         err=True,
     )
 
-
-# ---------------------------------------------------------------------------
-# figures
-# ---------------------------------------------------------------------------
 
 @cli.command("figures")
 @_stat_file_options

@@ -16,9 +16,10 @@ each the rounded remainder of those before, plus the negated held-out target,
 so each fold costs O(1); the prior-years mean is computed once per year.
 
 Errors are summarized as mean absolute error and the sample (n-1) standard
-deviation of the absolute errors, both in percentage points. The relative
-inaccuracy of the benchmark is computed from the unrounded MAEs and only
-rounded for display.
+deviation of the absolute errors, both in percentage points: the floats that
+`statistics.fmean` and 3.11's `statistics.stdev` return, computed with `math`
+and integers so that `statistics` is never loaded. The relative inaccuracy of
+the benchmark is computed from the unrounded MAEs and only rounded for display.
 """
 from __future__ import annotations
 
@@ -138,9 +139,22 @@ def summarize(folds: list[FoldResult], config: FeatureConfig, benchmark_mode: st
 
 
 def _mae_std(errors: list[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (0 for one error) of absolute errors, in percentage points."""
-    import statistics  # here, so that only `evaluate` loads it (with fractions and decimal)
-    return statistics.fmean(errors) * 100.0, statistics.stdev(errors) * 100.0 if len(errors) > 1 else 0.0
+    """Mean and sample standard deviation (0 for one error) of absolute errors, in percentage points.
+
+    The mean is `math.fsum(errors) / n`, as `statistics.fmean` computes it. The std is the float 3.11's
+    `statistics.stdev` returns: the exact variance is a ratio of integers, the integer root of it, scaled
+    to 55 bits or more, is rounded to odd, and one division of integers rounds that correctly to a float.
+    """
+    n = len(errors)
+    ratios = [error.as_integer_ratio() for error in errors]
+    scale = max(denominator for _, denominator in ratios)  # powers of two: each denominator divides the largest
+    ints = [numerator * (scale // denominator) for numerator, denominator in ratios]  # each error times `scale`
+    top = n * sum(i * i for i in ints) - sum(ints) ** 2  # the variance is top / bottom; top is 0 for one error
+    bottom = max(n * (n - 1), 1) * scale * scale
+    shift = max(0, (bottom.bit_length() - top.bit_length() + 110) // 2)  # top * 4**shift / bottom >= 2**108
+    root = math.isqrt((top << 2 * shift) // bottom)
+    root |= root * root * bottom != top << 2 * shift  # round to odd, so that rounding to 53 bits is correct
+    return math.fsum(errors) / n * 100.0, root / (1 << shift) * 100.0
 
 
 def loocv(

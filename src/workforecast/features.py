@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from workforecast.errors import (
     FeatureConfigMismatch,
@@ -35,8 +36,7 @@ class FeatureConfig:
     working_age: tuple[int, int] = (16, 64)
 
 
-@dataclass(frozen=True)
-class FeatureRow:
+class FeatureRow(NamedTuple):
     region_id: str
     year: int
     demand: float
@@ -153,5 +153,5 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
         rows.append(FeatureRow(region_id=region, year=year, demand=demand, supply=supply))
     if config is None:
         raise MalformedRow("no data rows, so no feature configuration", file=name)
-    rows.sort(key=lambda row: (row.region_id, row.year))
+    rows.sort()  # by (region, year), unique by `_claim_entry`
     return rows, config

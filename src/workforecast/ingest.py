@@ -67,8 +67,7 @@ _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-@dataclass
-class RegionalSeries:
+class RegionalSeries(NamedTuple):
     """Dense per-region panel of labour statistics over consecutive years; each year's bands ascend."""
 
     region_id: str

@@ -9,10 +9,10 @@ changing employer does not break the streak; a single uncovered day does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from workforecast.errors import InvalidConfig, MalformedRow
 from workforecast.ingest import ProgrammeRecord, _claim_entry, _parse_natural, _parse_number, _read_rows, _write_rows
@@ -24,8 +24,7 @@ _ONE_DAY = timedelta(days=1)  # built once: the rule steps past every covering s
 PERFORMANCE_HEADER = ("region", "entry_year", "n_entrants", "n_success", "performance")
 
 
-@dataclass(frozen=True)
-class PerformanceRow:
+class PerformanceRow(NamedTuple):
     """Success rate of one region's entrants for one entry year."""
 
     region_id: str
@@ -127,5 +126,5 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
             )
         _claim_entry(seen, region, year, name, lineno)
         rows.append(PerformanceRow(region, year, entrants, successes, performance))
-    rows.sort(key=lambda r: (r.region_id, r.entry_year))
+    rows.sort()  # by (region, entry year), unique by `_claim_entry`
     return rows

@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from workforecast import jsonio
 from workforecast.errors import InvalidConfig
@@ -52,8 +53,7 @@ class SynthConfig:
     supply_shift: float = 0.0  # unemployment level shift, likewise
 
 
-@dataclass(frozen=True)
-class SynthResult:
+class SynthResult(NamedTuple):
     series_by_region: dict[str, RegionalSeries]
     performance: list[PerformanceRow]
     n_clipped: int

@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 
 import pytest
@@ -9,6 +10,7 @@ from workforecast.evaluate import (
     build_dataset,
     load_report_json,
     loocv,
+    _mae_std,
     loocv_per_region,
     save_report_json,
     summarize,
@@ -223,3 +225,58 @@ class TestMetrics:
         assert (report.feature_config, report.benchmark_mode, report.scope) == (
             LAW_FEATURE_CONFIG, "prior-years-mean", "per-region")
         assert report.mae_benchmark_pct == pytest.approx(2.0, abs=1e-12)
+
+
+def _statistics_mae_std(errors):
+    """The oracle: the same summary from the standard library's `statistics.fmean` and `statistics.stdev`."""
+    return statistics.fmean(errors) * 100.0, statistics.stdev(errors) * 100.0 if len(errors) > 1 else 0.0
+
+
+def _seeded_errors(rng: random.Random) -> list[float]:
+    """Absolute errors of a random length and kind: ordinary, spread over many exponents, tied, subnormal."""
+    n = rng.choice([2, 3, 4, 13, rng.randint(2, 60), rng.randint(2, 1520) if rng.random() < 0.01 else 5])
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [abs(rng.gauss(0.0, 0.05)) for _ in range(n)]
+    if kind == 1:
+        return [abs(rng.gauss(0.0, 1.0)) * 10.0 ** rng.randint(-320, 300) for _ in range(n)]
+    if kind == 2:
+        return [rng.choice([0.1, 0.2, 0.3]) for _ in range(n)]
+    if kind == 3:
+        return [rng.randint(0, 2**20) * 5e-324 for _ in range(n)]
+    if kind == 4:
+        return [rng.random()] * n
+    return [rng.random() * 2.0 ** rng.randint(-1074, 1000) for _ in range(n)]
+
+
+class TestMaeStd:
+    """`_mae_std` returns the bits of `statistics.fmean` and 3.11's `statistics.stdev`, without loading them."""
+
+    def test_seeded_lists_give_the_bits_of_statistics(self):
+        rng = random.Random(20260)
+        mismatches = []
+        for _ in range(10_000):
+            errors = _seeded_errors(rng)
+            got, expected = _mae_std(errors), _statistics_mae_std(errors)
+            if [value.hex() for value in got] != [value.hex() for value in expected]:
+                mismatches.append(errors)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("errors", [
+        [0.02],
+        [5e-324],
+        [0.0, 0.0],
+        [0.1, 0.1, 0.1],
+        [0.1, 0.2, 0.2, 0.3],
+        [5e-324, 1e-323],
+        [2.0**-1074] * 3 + [2.0**-1073],
+        [2.2250738585072014e-308, 2.225073858507201e-308, 1e-310],
+        [1e300, 1e-300, 3.0],
+        [1e-300, 2e-300, 3e-300],
+        [1.7e308, 0.0],
+        [1e300] * 1520,
+        [0.0] * 1519 + [1.0],
+    ], ids=lambda errors: f"{len(errors)}x{errors[0]!r}")
+    def test_edge_cases_give_the_bits_of_statistics(self, errors):
+        """A single error, ties, constants, subnormals, values near 1e+-300 and near the largest float."""
+        assert [value.hex() for value in _mae_std(errors)] == [value.hex() for value in _statistics_mae_std(errors)]

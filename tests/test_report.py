@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from helpers import unbaseline
@@ -189,7 +187,7 @@ class TestEmitFigureData:
             performance = [row for row in performance if row.region_id != "R02"]
         elif case == "zero-first-performance":
             assert (performance[0].region_id, performance[0].entry_year) == ("R01", 2012)
-            performance = [replace(performance[0], n_success=0, performance=0.0), *performance[1:]]
+            performance = [performance[0]._replace(n_success=0, performance=0.0), *performance[1:]]
             kwargs = {"performance_mode": "ratio"}
         else:
             kwargs = {"baseline_year": 1999}

@@ -1,8 +1,11 @@
-"""Start-up: importing one module loads no other stage, no quick-start command
-loads numpy (`fit` solves lists in pure Python, and so does `evaluate` up to
-`evaluate.NUMPY_ROWS` rows), only `evaluate` loads `statistics`, the heap
-is frozen at exit, and numpy's BLAS runs on one thread unless the user set
-`OPENBLAS_NUM_THREADS`, so a long fit's bits do not depend on the CPU count.
+"""Start-up: importing one module loads no other stage, importing the CLI loads
+neither `json` nor `statistics`, no quick-start command loads numpy (`fit`
+solves lists in pure Python, and so does `evaluate` up to `evaluate.NUMPY_ROWS`
+rows), no command loads `statistics`, the pipeline's modules import with the
+collector paused and leave the caller's collector state as it was, the heap is
+frozen after the import and again at exit, and numpy's BLAS runs on one thread
+unless the user set `OPENBLAS_NUM_THREADS`, so a long fit's bits do not depend
+on the CPU count.
 
 The test process has numpy loaded already, so every check runs in a fresh
 interpreter with PYTHONPATH pointing at the source tree.
@@ -41,7 +44,8 @@ def _python(*argv: str, blas_threads: str | None = None) -> str:
 
 
 def test_importing_the_package_and_the_cli_loads_no_numpy():
-    """Nor calendar, which only the window rule needs, on first use, nor statistics, which only `evaluate` needs.
+    """Nor calendar, which only the window rule needs, on first use, nor json, which `jsonio` loads on first
+    use, nor statistics, which no command needs.
 
     locale is loaded: click's `version_option` calls gettext when the CLI module is imported.
     """
@@ -50,21 +54,58 @@ def test_importing_the_package_and_the_cli_loads_no_numpy():
         "import sys, workforecast.jsonio\n"
         "stage_loaded = 'workforecast.evaluate' in sys.modules\n"
         "import workforecast.cli\n"
-        "print('numpy' in sys.modules, stage_loaded, 'calendar' in sys.modules, 'statistics' in sys.modules)\n",
+        "print(*(name in sys.modules for name in ('numpy', 'calendar', 'json', 'statistics')), stage_loaded)\n",
     )
-    assert out == "False False False False"
+    assert out == "False False False False False"
+
+
+def test_a_json_file_loads_json():
+    """Positive control for the check above: `jsonio.save` imports json on first use."""
+    out = _python(
+        "-c",
+        "import sys, tempfile, workforecast.jsonio\n"
+        "loaded = 'json' in sys.modules\n"
+        "with tempfile.TemporaryDirectory() as root:\n"
+        "    workforecast.jsonio.save(root + '/out.json', {'a': 1})\n"
+        "print(loaded, 'json' in sys.modules)\n",
+    )
+    assert out == "False True"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_importing_the_cli_leaves_the_collector_as_it_found_it(enabled):
+    """The collector is paused while the pipeline's modules import, and enabled again only if it was.
+
+    A finder ahead of the import system's own sees the collector's state as `workforecast.evaluate` is looked up.
+    """
+    out = _python(
+        "-c",
+        "import gc, sys\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'workforecast.evaluate':\n"
+        "            print(gc.isenabled())\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        f"gc.enable() if {enabled} else gc.disable()\n"
+        "import workforecast.cli\n"
+        "print(gc.isenabled())\n",
+    )
+    assert out.split() == ["False", str(enabled)]
 
 
 def test_the_heap_is_frozen_at_exit():
-    """The CLI's exit hook, registered after this one, runs before it: so this one sees a frozen heap."""
+    """And after the import, which freezes what it built. The CLI's exit hook, registered after this one, runs
+    before it, so this one sees the objects made after the import frozen too."""
     out = _python(
         "-c",
         "import atexit, gc\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > after_import))\n"
         "import workforecast.cli\n"
-        "print(gc.get_freeze_count())\n",
+        "after_import = gc.get_freeze_count()\n"
+        "made_after_import = [[] for _ in range(1000)]\n"
+        "print(after_import > 0)\n",
     )
-    assert out.split() == ["0", "True"]
+    assert out.split() == ["True", "True"]
 
 
 def test_the_cli_module_runs_as_a_script():
@@ -78,11 +119,11 @@ def test_commands_without_arithmetic_never_load_numpy(quickstart, command):
     assert _python("-c", RUN_COMMAND, *quickstart_args(command, quickstart)) == "False False"
 
 
-@pytest.mark.parametrize("command, statistics", [("fit", False), ("evaluate", True)])
+@pytest.mark.parametrize("command, statistics", [("fit", False), ("evaluate", False)])
 def test_least_squares_on_the_quick_start_loads_no_numpy(quickstart, command, statistics):
     """`fit` and `evaluate` solve the quick-start's 14 rows, and its 13-row folds, in pure Python.
 
-    Only `evaluate` loads statistics, to summarize its errors.
+    Nor does `evaluate` load statistics: it summarizes its errors with `math` and integers.
     """
     assert _python("-c", RUN_COMMAND, *quickstart_args(command, quickstart)) == f"False {statistics}"
 
@@ -100,11 +141,14 @@ def panel(tmp_path_factory):
     return root
 
 
-def test_evaluate_loads_numpy_and_statistics(panel, tmp_path):
-    """Positive control: above `evaluate.NUMPY_ROWS` rows the refits run on numpy arrays, and the check sees it."""
+def test_evaluate_loads_numpy_but_not_statistics(panel, tmp_path):
+    """Positive control: above `evaluate.NUMPY_ROWS` rows the refits run on numpy arrays, and the check sees it.
+
+    statistics stays unloaded even on this path, which numpy's import does not bring in.
+    """
     args = ["evaluate", "--features", str(panel / "features.csv"), "--performance", str(panel / "performance.csv"),
             "--out", str(tmp_path / "report.json")]
-    assert _python("-c", RUN_COMMAND, *args) == "True True"
+    assert _python("-c", RUN_COMMAND, *args) == "True False"
 
 
 @pytest.mark.parametrize("threads, expected", [(None, "1"), ("3", "3")])
