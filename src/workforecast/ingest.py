@@ -22,11 +22,8 @@ first in file order is reported, be it a wrong column count or a bad field.
 `_read_rows` splits plain lines on commas and gives a file's first other line,
 and every line after it, to `csv.reader`; the rows, errors and line numbers are
 those that `csv.reader` alone gives.
-Whole-file checks (years, overlapping age bands or spells) come after. Records
-parsing keeps each distinct date, hours or region string once per call, pauses
-the GC, builds each spell once, as the `Spell` its record holds, and keeps no
-line number per spell: an overlap reads the file again to name its line. A parse
-that succeeds ends with `gc.freeze()`, so no later collection walks its heap.
+Whole-file checks (years, overlapping age bands or spells) come after;
+`parse_programme_records` says what a records parse holds per row and per person.
 Every output file of the pipeline, CSV or JSON, is written through `open_output`.
 """
 from __future__ import annotations
@@ -85,7 +82,7 @@ class Spell(NamedTuple):
     hours_per_week: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)  # not frozen: a frozen `__init__` sets each field through `object.__setattr__`
 class ProgrammeRecord:
     person_id: str
     region_id: str
@@ -333,12 +330,13 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     One row per spell; a person with no spells appears once with the three
     spell fields empty. Rows are checked as they are read, so the first
     faulty row in file order is the one reported. Spells are then sorted by
-    start date and must not overlap. Spells that start before the entry date
-    are allowed (their pre-entry portion is simply ignored downstream). Each
-    distinct date, hours or region string is kept once per call, GC paused.
-    Each row's `Spell` is built once; no line number is held per spell, so an
-    overlap's line is found by reading the file again (a pipe's is not). On
-    success, `gc.freeze()` freezes every tracked object, process-wide.
+    start date and must not overlap; a person with fewer than two is neither
+    sorted nor scanned. Spells that start before the entry date are allowed
+    (their pre-entry portion is simply ignored downstream). Each distinct date,
+    hours or region string is kept once per call, GC paused. Each row's `Spell`
+    is built once; no line number is held per spell, so an overlap's line is
+    found by reading the file again (a pipe's is not). On success, `gc.freeze()`
+    freezes every tracked object, process-wide: no later collection walks them.
     """
     # The parse builds a large heap with no reference cycles; on 3.11 the cyclic
     # collector would rescan it again and again as it grows, and free nothing.
@@ -387,22 +385,24 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
                 per_week = hours[hours_s] = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
             info.append(tuple.__new__(Spell, (start, end, per_week)))  # as `Spell._make`, minus a Python frame
         records = []
+        by_start = itemgetter(0, 1)  # by (start, end); equal spells keep their file order
         for person in sorted(people):
             info = people.pop(person)  # frees this person's list once the record exists
             spells = info[2:]
-            spells.sort(key=itemgetter(0, 1))  # by (start, end); equal spells keep their file order
-            for a, b in zip(spells, spells[1:]):
-                if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
-                    index = [spell is b for spell in info[2:]].index(True)  # b's place among the person's spells
-                    rows = _read_rows(records_file, RECORDS_HEADER) if os.path.isfile(records_file) else ()
-                    lines = [n for n, row in rows if row[0] == person and row[3]]
-                    raise OverlappingSpells(
-                        f"person {person!r} has overlapping spells "
-                        f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
-                        file=name,
-                        line=lines[index] if index < len(lines) else None,  # None for a pipe or a file changed since
-                        person_id=person,
-                    )
+            if len(spells) > 1:  # none or one: nothing to order, nothing to overlap
+                spells.sort(key=by_start)
+                for a, b in zip(spells, spells[1:]):
+                    if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
+                        index = [spell is b for spell in info[2:]].index(True)  # b's place among the person's spells
+                        rows = _read_rows(records_file, RECORDS_HEADER) if os.path.isfile(records_file) else ()
+                        lines = [n for n, row in rows if row[0] == person and row[3]]
+                        raise OverlappingSpells(
+                            f"person {person!r} has overlapping spells "
+                            f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
+                            file=name,
+                            line=lines[index] if index < len(lines) else None,  # None for a pipe or a changed file
+                            person_id=person,
+                        )
             records.append(ProgrammeRecord(person, info[0], info[1], tuple(spells)))
         gc.freeze()  # to the permanent generation: no later collection walks the heap just built
         return records

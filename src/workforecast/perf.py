@@ -5,17 +5,18 @@ closed window from the programme entry date to the same day N calendar months
 later (default 6) is covered by an employment spell of at least the minimum
 weekly hours (default 16). Back-to-back spells count as continuous, so
 changing employer does not break the streak; a single uncovered day does.
+`aggregate_performance` computes each distinct entry date's window end once per call.
 """
 from __future__ import annotations
 
 import math
 from datetime import date, timedelta
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 from workforecast.errors import InvalidConfig, MalformedRow
-from workforecast.ingest import ProgrammeRecord, _claim_entry, _parse_natural, _parse_number, _read_rows, _write_rows
+from workforecast.ingest import (ProgrammeRecord, Spell, _claim_entry, _parse_natural, _parse_number, _read_rows,
+                                 _write_rows)
 
 DEFAULT_MIN_HOURS = 16.0
 DEFAULT_WINDOW_MONTHS = 6
@@ -34,33 +35,22 @@ class PerformanceRow(NamedTuple):
     performance: float
 
 
-@lru_cache(maxsize=1 << 14)  # records share a few thousand entry dates; a raise is never cached
 def add_months(day: date, months: int) -> date:
-    """Shift a date by whole calendar months, clamping to the target month's last day; cached."""
+    """Shift a date by whole calendar months, clamping to the target month's last day."""
     import calendar  # on first use, so the CLI start-up does not load it
     year, month = divmod(day.year * 12 + day.month - 1 + months, 12)  # month counts from 0
     last_day = calendar.monthrange(year, month + 1)[1]
     return date(year, month + 1, min(day.day, last_day))
 
 
-def _covers_window(record: ProgrammeRecord, min_hours: float, window_months: int) -> bool:
-    """Return True when the whole post-entry window is covered by qualifying spells.
+def _covers_window(day: date, window_end: date, spells: tuple[Spell, ...], min_hours: float) -> bool:
+    """Return True when qualifying spells cover every day from entry `day` to `window_end`, both inclusive.
 
-    Both boundaries are inclusive ("at least" semantics): a spell at exactly
-    ``min_hours`` qualifies, and the window closes on the day exactly
-    ``window_months`` calendar months after entry. Pre-entry spell days count
-    only from the entry date onwards. The options are checked once per call
-    by `aggregate_performance`, the one caller.
+    A spell of exactly ``min_hours`` qualifies ("at least" semantics); pre-entry
+    spell days count only from the entry date onwards. `aggregate_performance`,
+    the one caller, checks the options once per call.
     """
-    try:
-        window_end = add_months(record.entry_date, window_months)
-    except (ValueError, OverflowError):  # the window ends after date.max
-        raise InvalidConfig(
-            f"person {record.person_id!r}: a {window_months}-month window from entry date "
-            f"{record.entry_date} ends after {date.max}"
-        ) from None
-    day = record.entry_date
-    for start, end, per_week in record.spells:  # sorted, non-overlapping by construction
+    for start, end, per_week in spells:  # sorted, non-overlapping by construction
         if per_week < min_hours or end < day:
             continue  # days covered only by a low-hours spell stay uncovered; a spell ended before `day` adds none
         if start > day:
@@ -82,10 +72,20 @@ def aggregate_performance(
     if window_months < 0:
         raise InvalidConfig(f"window_months must be non-negative, got {window_months}")
     counts: dict[tuple[str, int], list[int]] = {}
+    window_ends: dict[date, date] = {}  # one per distinct entry date, kept for this call as the parse keeps its dates
     for record in records:
-        cell = counts.setdefault((record.region_id, record.entry_date.year), [0, 0])
+        entry = record.entry_date
+        if entry not in window_ends:  # a record with no spells too: its window may end after date.max
+            try:
+                window_ends[entry] = add_months(entry, window_months)
+            except (ValueError, OverflowError):  # the window ends after date.max
+                raise InvalidConfig(
+                    f"person {record.person_id!r}: a {window_months}-month window from entry date "
+                    f"{entry} ends after {date.max}"
+                ) from None
+        cell = counts.setdefault((record.region_id, entry.year), [0, 0])
         cell[0] += 1
-        cell[1] += _covers_window(record, min_hours, window_months)  # a bool: True counts one success
+        cell[1] += _covers_window(entry, window_ends[entry], record.spells, min_hours)  # a bool: True adds one
     return [PerformanceRow(region, year, entrants, successes, successes / entrants)
             for (region, year), (entrants, successes) in sorted(counts.items())]
 

@@ -363,20 +363,21 @@ class TestPerformanceCommand:
     @pytest.mark.parametrize("entry, window", [("9999-10-01", "6"), ("2015-01-01", "100000"),
                                                ("2015-01-01", str(10**30))])
     def test_window_ending_after_the_last_date_exits_one(self, tmp_path, entry, window):
-        (tmp_path / "records.csv").write_text(
-            "person_id,region,entry_date,spell_start,spell_end,hours_per_week\n"
-            f"P1,R1,{entry},{entry},9999-12-31,20\n",
-            encoding="utf-8",
-        )
-        result = _invoke([
-            "performance",
-            "--records", str(tmp_path / "records.csv"),
-            "--window-months", window,
-            "--out", str(tmp_path / "performance.csv"),
-        ])
-        assert result.exit_code == 1
-        assert f"{window}-month window from entry date {entry}" in _single_error_line(result, "InvalidConfig")
-        assert not (tmp_path / "performance.csv").exists()
+        """With one spell or none: a person with no spells still has a window, which must end by 9999-12-31."""
+        for row in (f"P1,R1,{entry},{entry},9999-12-31,20", f"P1,R1,{entry},,,"):
+            (tmp_path / "records.csv").write_text(
+                f"person_id,region,entry_date,spell_start,spell_end,hours_per_week\n{row}\n",
+                encoding="utf-8",
+            )
+            result = _invoke([
+                "performance",
+                "--records", str(tmp_path / "records.csv"),
+                "--window-months", window,
+                "--out", str(tmp_path / "performance.csv"),
+            ])
+            assert result.exit_code == 1
+            assert f"{window}-month window from entry date {entry}" in _single_error_line(result, "InvalidConfig")
+            assert not (tmp_path / "performance.csv").exists()
 
     def test_per_region_fit_writes_model_map(self, tmp_path):
         data = tmp_path / "data"

@@ -84,8 +84,10 @@ class TestIsReintegrated:
         assert reintegrated(_record("9999-06-01", [("9999-06-01", "9999-12-31", 20.0)])) is True
 
     def test_window_ending_after_the_last_date_is_rejected(self):
-        with pytest.raises(InvalidConfig, match="6-month window from entry date 9999-07-01"):
-            reintegrated(_record("9999-07-01", [("9999-07-01", "9999-12-31", 20.0)]))
+        """A record with no spells cannot be reintegrated, but its window end is still computed and checked."""
+        for spells in ([("9999-07-01", "9999-12-31", 20.0)], []):
+            with pytest.raises(InvalidConfig, match="^person 'P1': a 6-month window from entry date 9999-07-01"):
+                reintegrated(_record("9999-07-01", spells))
 
     def test_the_first_person_past_the_last_date_is_named_whatever_is_cached(self):
         ok = _record("2015-01-01", [("2015-01-01", "2015-08-01", 20.0)], person="A")
@@ -182,7 +184,6 @@ class TestAggregatePerformance:
             return monthrange(year, month)
 
         monkeypatch.setattr(calendar, "monthrange", counting)
-        add_months.cache_clear()
         aggregate_performance(records)
         assert sum(calls.values()) == len(entry_dates) < len(records)
 
@@ -197,17 +198,27 @@ class TestAggregatePerformance:
             aggregate_performance([past_date_max], window_months=-1)
 
     def test_a_list_counts_what_each_record_counts_alone(self):
+        """Each (region, entry year) cell counts the day-by-day oracle's verdicts on its records, one at a time."""
         rng = np.random.default_rng(21)
-        records = [random_programme_record(rng, person_id=f"P{i}") for i in range(50)]
-        rows = aggregate_performance(records, min_hours=10.0, window_months=3)
-        expected = sum(reintegrated(record, min_hours=10.0, window_months=3) for record in records)
-        assert sum(row.n_success for row in rows) == expected
-        assert all(type(row.n_success) is int and type(row.n_entrants) is int for row in rows)
+        records = [random_programme_record(rng, person_id=f"P{i}", region_id=f"R{i % 2}") for i in range(300)]
+        assert {len(record.spells) for record in records} == {0, 1, 2, 3, 4, 5}
+        for window_months in (0, 3, 6):
+            for min_hours in (0.0, 16.0):
+                expected: dict[tuple[str, int], list[int]] = {}
+                for record in records:
+                    cell = expected.setdefault((record.region_id, record.entry_date.year), [0, 0])
+                    cell[0] += 1
+                    cell[1] += reintegration_oracle(record, min_hours=min_hours, window_months=window_months)
+                rows = aggregate_performance(records, min_hours=min_hours, window_months=window_months)
+                got = {(row.region_id, row.entry_year): [row.n_entrants, row.n_success] for row in rows}
+                assert got == expected and list(got) == sorted(expected)
+                assert 0 < sum(row.n_success for row in rows) < len(records)  # both verdicts occur
+                assert all(type(row.n_success) is int and type(row.n_entrants) is int for row in rows)
 
-    def test_the_window_length_is_part_of_the_cached_key(self):
+    def test_the_window_length_is_part_of_each_calls_key(self):
+        """Window ends are kept per call, so a call with another window length never reuses them."""
         rng = np.random.default_rng(11)
         records = [random_programme_record(rng, person_id=f"P{i}") for i in range(300)]
-        add_months.cache_clear()
         for months in (6, 3, 6):
             expected = sum(reintegration_oracle(record, window_months=months) for record in records)
             rows = aggregate_performance(records, window_months=months)

@@ -50,6 +50,23 @@ def records_csv(tmp_path_factory):
     return _write_records(tmp_path_factory.mktemp("records") / "records.csv", PEOPLE)
 
 
+@pytest.fixture(scope="module")
+def more_records_csv(tmp_path_factory):
+    return _write_records(tmp_path_factory.mktemp("records") / "records.csv", MORE_PEOPLE)
+
+
+def _traced_parse(path):
+    """Parse `path` under tracemalloc: the records, the bytes still held after the parse, and the peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        records = parse_programme_records(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return records, retained, peak
+
+
 @pytest.fixture
 def gc_state():
     """Put the collector back as the test found it, whatever the test set."""
@@ -169,30 +186,26 @@ def test_a_second_call_parses_again(records_csv, monkeypatch):
 
 
 def test_the_parse_never_holds_the_file_twice(records_csv):
-    gc.collect()
-    tracemalloc.start()
-    try:
-        records = parse_programme_records(records_csv)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    records, retained, peak = _traced_parse(records_csv)
     assert len(records) == PEOPLE
     assert peak / retained <= 1.6  # 1.41 with the hand-over; 1.74 when all spell tuples outlive the parse
 
 
-def test_the_parse_holds_each_spell_once(tmp_path):
+def test_the_parse_holds_each_spell_once(more_records_csv):
     """1.23 when each row's `Spell` is the one its record keeps; 1.45 when every row is first held as a
     (start, end, hours, line) tuple and rebuilt after the last row (1.13 against 1.49 at 20,000 people)."""
-    path = _write_records(tmp_path / "records.csv", MORE_PEOPLE)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        records = parse_programme_records(path)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    records, retained, peak = _traced_parse(more_records_csv)
     assert len(records) == MORE_PEOPLE
     assert peak / retained <= 1.3
+
+
+def test_the_records_retain_few_bytes_per_person(more_records_csv):
+    """364.9 B per person with `ProgrammeRecord` a slots dataclass; 380.9 B were it a `NamedTuple`, whose
+    tuple header and per-field properties cost 16 B more per record (Python 3.11). The bound guards the
+    `performance` command's peak memory, which holds every record at once."""
+    records, retained, _ = _traced_parse(more_records_csv)
+    assert len(records) == MORE_PEOPLE
+    assert retained / len(records) <= 372
 
 
 def test_records_of_one_region_share_one_region_string(records_csv):
