@@ -18,7 +18,7 @@ Diagnostics go to stderr with a machine-parsable `ERROR <code>: <message>`
 prefix; data goes to files only. Set WF_NO_COLOR to disable styling. Every
 JSON output embeds a `run_config` stamp: `subcommand`, then every option under
 its parameter name in declaration order, then (fit and evaluate) the resolved
-`feature_config` read from features.csv.
+`feature_config` read from features.csv, which is model.json's one record of it.
 """
 from __future__ import annotations
 
@@ -160,11 +160,11 @@ def fit_cmd(features, performance, per_region, model) -> None:
     performance_rows = perf_mod.read_performance_csv(performance)
     dataset = evaluate_mod.build_dataset(feature_rows, performance_rows)
     if per_region:
-        models = evaluate_mod.by_region(dataset, lambda pairs: model_mod.fit(*model_mod.design(pairs), config))
-        payload = {"scope": "per-region", "feature_config": config, "models": models}
+        models = evaluate_mod.by_region(dataset, lambda pairs: model_mod.fit(*model_mod.design(pairs)))
+        payload = {"scope": "per-region", "models": models}
         summary = f"fitted {len(models)} per-region models on {len(dataset)} rows"
     else:
-        payload = model_mod.fit(*model_mod.design(dataset), config)
+        payload = model_mod.fit(*model_mod.design(dataset))
         summary = (
             f"fitted on {payload.n_obs} rows: intercept={payload.intercept:.6g} "
             f"demand={payload.coef_demand:.6g} supply={payload.coef_supply:.6g} "

@@ -187,7 +187,7 @@ def loocv(
     for i, (row, actual) in enumerate(data):
         train_x[i - 1], train_y[i - 1] = x[i - 1], y[i - 1]  # slot i - 1 held row i; fold 0 rewrites the last row
         try:
-            model = fit(train_x, train_y, config)
+            model = fit(train_x, train_y)
         except RankDeficientDesign as err:
             raise RankDeficientFold(
                 f"training fold for ({shown(row.region_id)}, {row.year}) is rank deficient: {err}",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from workforecast.errors import RankDeficientDesign, TooFewObservations
-from workforecast.features import FeatureConfig, FeatureRow
+from workforecast.features import FeatureRow
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class ModelFit:
     n_obs: int
     rss: float
     r_squared: float
-    feature_config: FeatureConfig
 
 
 def _householder_triangularize(a: np.ndarray | list[list[float]]) -> None:
@@ -71,7 +70,7 @@ def design(pairs: list[tuple[FeatureRow, float]]) -> tuple[list[list[float]], li
     return [[1.0, row.demand, row.supply] for row, _ in pairs], [target for _, target in pairs]
 
 
-def fit(x: list | tuple | np.ndarray, y: list | tuple | np.ndarray, config: FeatureConfig) -> ModelFit:
+def fit(x: list | tuple | np.ndarray, y: list | tuple | np.ndarray) -> ModelFit:
     """Least-squares fit of y on the columns of x, as built by `design` (lists or tuples) or as numpy arrays.
 
     Requires at least 3 observations (one per parameter) and a full-rank
@@ -114,10 +113,10 @@ def fit(x: list | tuple | np.ndarray, y: list | tuple | np.ndarray, config: Feat
     for i in (2, 1, 0):
         beta[i] = (r[3][i] - sum(r[k][i] * beta[k] for k in range(i + 1, 3))) / r[i][i]
     r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
-    return ModelFit(*beta, n, rss, r_squared, config)
+    return ModelFit(*beta, n, rss, r_squared)
 
 
 def predict(model: ModelFit, row: FeatureRow) -> float:
-    """Raw linear prediction for a row built under the model's feature configuration; not clamped to [0, 1]."""
+    """Raw linear prediction for a feature row built as the training rows were; not clamped to [0, 1]."""
     return model.intercept + model.coef_demand * row.demand + model.coef_supply * row.supply
 

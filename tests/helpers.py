@@ -189,7 +189,7 @@ def _back_substitute_oracle(r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return beta
 
 
-def householder_fit_oracle(x, y, config: FeatureConfig) -> ModelFit:
+def householder_fit_oracle(x, y) -> ModelFit:
     """Least-squares fit of y on the columns of x, as built by `design` (arrays, or the lists it returns).
 
     Requires at least 3 observations (one per parameter) and a full-rank
@@ -238,7 +238,6 @@ def householder_fit_oracle(x, y, config: FeatureConfig) -> ModelFit:
         n_obs=n,
         rss=rss,
         r_squared=r_squared,
-        feature_config=config,
     )
 
 
@@ -262,7 +261,7 @@ def _triangularize_arrays_reference(a: np.ndarray) -> None:
         a[j][j] = -norm if col[0] >= 0.0 else norm
 
 
-def fit_arrays_reference(x: np.ndarray, y: np.ndarray, config: FeatureConfig) -> ModelFit:
+def fit_arrays_reference(x: np.ndarray, y: np.ndarray) -> ModelFit:
     """`model.fit` given numpy arrays, as it was; every field and error text should be bit-equal to its."""
     n = len(y)
     if n < 3:
@@ -287,7 +286,7 @@ def fit_arrays_reference(x: np.ndarray, y: np.ndarray, config: FeatureConfig) ->
     for i in (2, 1, 0):
         beta[i] = (r[3][i] - sum(r[k][i] * beta[k] for k in range(i + 1, 3))) / r[i][i]
     r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
-    return ModelFit(*beta, n, rss, r_squared, config)
+    return ModelFit(*beta, n, rss, r_squared)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def parse_natural_reference(text: str, column: str, file: str, line: int, count:
 # ---------------------------------------------------------------------------
 
 def _refit_folds(
-    dataset: list[tuple[FeatureRow, float]], config: FeatureConfig, benchmark_mode: str, solver
+    dataset: list[tuple[FeatureRow, float]], benchmark_mode: str, solver
 ) -> list[FoldResult]:
     data = sorted(dataset, key=lambda pair: (pair[0].region_id, pair[0].year))
 
@@ -329,7 +328,7 @@ def _refit_folds(
     for i, (row, actual) in enumerate(data):
         train = data[:i] + data[i + 1:]
         try:
-            model = solver(*design(train), config)
+            model = solver(*design(train))
         except RankDeficientDesign as err:
             raise RankDeficientFold(
                 f"training fold for ({row.region_id}, {row.year}) is rank deficient: {err}",
@@ -368,12 +367,12 @@ def loocv_refit_oracle(
     `solver` fits each training fold; it defaults to `model.fit`.
     """
     if scope == "pooled":
-        folds = _refit_folds(dataset, config, benchmark_mode, solver)
+        folds = _refit_folds(dataset, benchmark_mode, solver)
     else:
         folds = []
         for region in sorted({row.region_id for row, _ in dataset}):
             subset = [(row, target) for row, target in dataset if row.region_id == region]
-            folds.extend(_refit_folds(subset, config, benchmark_mode, solver))
+            folds.extend(_refit_folds(subset, benchmark_mode, solver))
     return summarize(folds, config, benchmark_mode, scope)
 
 

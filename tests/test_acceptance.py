@@ -63,7 +63,6 @@ def test_criterion_1_relative_inaccuracy_arithmetic():
 def test_criterion_2_ols_matches_coordinate_descent_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(20_240)
-    config = FeatureConfig()
     worst_coef_gap = 0.0
     worst_orthogonality = 0.0
     for _ in range(200):
@@ -75,7 +74,7 @@ def test_criterion_2_ols_matches_coordinate_descent_oracle():
             (FeatureRow("R1", 2011 + i, float(demand[i]), float(supply[i])), float(targets[i]))
             for i in range(n)
         ]
-        model = fit(*design(pairs), config)
+        model = fit(*design(pairs))
         x = np.array(design(pairs)[0])
         y = np.array([target for _, target in pairs])
         oracle = coordinate_descent(x, y, tol=1e-12)
@@ -100,7 +99,7 @@ def test_criterion_3_noiseless_exact_recovery():
         result = generate(config)
         assert result.n_clipped == 0
         dataset = build_dataset(build_features(result.series_by_region, LAW_FEATURE_CONFIG), result.performance)
-        model = fit(*design(dataset), LAW_FEATURE_CONFIG)
+        model = fit(*design(dataset))
         worst_coefficient = max(
             worst_coefficient,
             abs(model.intercept - config.true_intercept),

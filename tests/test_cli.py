@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,10 @@ from click.testing import CliRunner
 from workforecast import __version__, jsonio
 from workforecast.cli import cli
 from workforecast.errors import MalformedJson
-from workforecast.model import ModelFit
+from workforecast.evaluate import build_dataset
+from workforecast.features import read_features_csv
+from workforecast.model import ModelFit, design, fit
+from workforecast.perf import read_performance_csv
 
 from helpers import quickstart_args, quickstart_inputs
 
@@ -644,10 +648,12 @@ class TestFeatureConfigFromFile:
         assert _invoke(_fit_args(tmp_path, tmp_path / "model.json")).exit_code == 0
         assert _invoke(_evaluate_args(tmp_path, tmp_path / "report.json")).exit_code == 0
         expected = {"normalize": True, "lag": 1, "working_age": [18, 66]}
-        for name in ("model.json", "report.json"):
-            payload = json.loads((tmp_path / name).read_text(encoding="utf-8"))
-            assert payload["feature_config"] == expected
-            assert payload["run_config"]["feature_config"] == expected
+        model = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        assert "feature_config" not in model
+        assert model["run_config"]["feature_config"] == expected
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["feature_config"] == expected
+        assert report["run_config"]["feature_config"] == expected
 
     @pytest.mark.parametrize("command", ["fit", "evaluate", "figures"])
     @pytest.mark.parametrize("flag", [["--normalize"], ["--no-normalize"], ["--lag", "1"], ["--working-age", "18:66"]],
@@ -682,6 +688,43 @@ class TestFeatureConfigFromFile:
         assert result.exit_code == 1
         line = _single_error_line(result, "FeatureConfigMismatch")
         assert str(report) in line and str(tmp_path / "features.csv") in line
+
+
+class TestModelJsonFromTheCli:
+    """`fit` records the feature configuration once, in `run_config`, beside models that read back exactly."""
+
+    @pytest.fixture
+    def models(self, tmp_path):
+        assert _invoke(["synth", "--out", str(tmp_path / "data"), "--seed", "7", "--regions", "3"]).exit_code == 0
+        assert _invoke(_features_args(tmp_path, tmp_path / "features.csv", "--lag", "1")).exit_code == 0
+        pooled, per_region = tmp_path / "model.json", tmp_path / "model_per_region.json"
+        assert _invoke(_fit_args(tmp_path, pooled)).exit_code == 0
+        assert _invoke([*_fit_args(tmp_path, per_region), "--per-region"]).exit_code == 0
+        feature_rows, _ = read_features_csv(tmp_path / "features.csv")
+        dataset = build_dataset(feature_rows, read_performance_csv(tmp_path / "data" / "performance.csv"))
+        return pooled, per_region, dataset
+
+    def test_the_feature_configuration_is_recorded_once_under_run_config(self, models):
+        pooled, per_region, _ = models
+        for path in (pooled, per_region):
+            text = path.read_text(encoding="utf-8")
+            payload = json.loads(text)
+            assert "feature_config" not in payload
+            assert text.count('"normalize"') == 1
+            assert payload["run_config"]["feature_config"] == {"normalize": True, "lag": 1, "working_age": [16, 64]}
+        field_names = [field.name for field in fields(ModelFit)]
+        models_by_region = json.loads(per_region.read_text(encoding="utf-8"))["models"]
+        assert len(models_by_region) == 3
+        assert all(list(entry) == field_names for entry in models_by_region.values())
+
+    def test_models_read_back_equal_to_an_in_process_fit(self, models):
+        pooled, per_region, dataset = models
+        assert jsonio.load(pooled, ModelFit) == fit(*design(dataset))
+        models_by_region = json.loads(per_region.read_text(encoding="utf-8"))["models"]
+        assert sorted(models_by_region) == sorted({row.region_id for row, _ in dataset})
+        for region, entry in models_by_region.items():
+            rows = [(row, target) for row, target in dataset if row.region_id == region]
+            assert jsonio._codec(ModelFit)(entry) == fit(*design(rows))
 
 
 class TestOverflowingFeatures:

@@ -23,12 +23,10 @@ import numpy as np
 import pytest
 
 from workforecast.errors import RankDeficientDesign, TooFewObservations
-from workforecast.features import FeatureConfig
 from workforecast.model import design, fit
 
 from helpers import feature_rows, householder_fit_oracle
 
-CONFIG = FeatureConfig()
 KINDS = ("plain", "near-collinear", "constant-target", "square", "extreme-features")
 SEEDS = range(250)
 REPRESENTATIONS = {"array": lambda x, y: (x, y), "list": lambda x, y: (x.tolist(), y.tolist())}
@@ -62,9 +60,9 @@ def _random_design(seed: int) -> tuple[str, np.ndarray, np.ndarray]:
 
 def _assert_same_error(x, y, representation: str = "array") -> None:
     with pytest.raises((RankDeficientDesign, TooFewObservations)) as expected:
-        householder_fit_oracle(x, y, CONFIG)
+        householder_fit_oracle(x, y)
     with pytest.raises(type(expected.value)) as got:
-        fit(*REPRESENTATIONS[representation](x, y), CONFIG)
+        fit(*REPRESENTATIONS[representation](x, y))
     assert getattr(got.value, "columns", None) == getattr(expected.value, "columns", None)
 
 
@@ -81,11 +79,11 @@ def test_fit_on_lists_agrees_with_the_row_major_solver(seed):
 def _assert_agrees(seed: int, representation: str) -> None:
     kind, x, y = _random_design(seed)
     try:
-        expected = householder_fit_oracle(x, y, CONFIG)
+        expected = householder_fit_oracle(x, y)
     except RankDeficientDesign:
         _assert_same_error(x, y, representation)
         return
-    got = fit(*REPRESENTATIONS[representation](x, y), CONFIG)
+    got = fit(*REPRESENTATIONS[representation](x, y))
 
     col_norms, y_norm = np.linalg.norm(x, axis=0), float(np.linalg.norm(y))
     kappa = np.linalg.cond(x / col_norms)
@@ -110,7 +108,7 @@ def test_the_designs_cover_every_kind():
         kind, x, y = _random_design(seed)
         sizes.append(len(y))
         try:
-            householder_fit_oracle(x, y, CONFIG)
+            householder_fit_oracle(x, y)
             fitted[kind] += 1
         except RankDeficientDesign:
             pass
@@ -164,12 +162,12 @@ def _assert_every_fold_agrees(name: str, representation: str) -> None:
     for i in range(len(y)):
         fold_x, fold_y = np.delete(x, i, 0), np.delete(y, i)
         try:
-            expected = householder_fit_oracle(fold_x, fold_y, CONFIG)
+            expected = householder_fit_oracle(fold_x, fold_y)
         except RankDeficientDesign:
             _assert_same_error(fold_x, fold_y, representation)
             raised += 1
             continue
-        got = fit(*REPRESENTATIONS[representation](fold_x, fold_y), CONFIG)
+        got = fit(*REPRESENTATIONS[representation](fold_x, fold_y))
         assert got.intercept == pytest.approx(expected.intercept, rel=1e-12, abs=1e-12)
         assert got.coef_demand == pytest.approx(expected.coef_demand, rel=1e-12, abs=1e-12)
         assert got.coef_supply == pytest.approx(expected.coef_supply, rel=1e-12, abs=1e-12)

@@ -15,19 +15,17 @@ import numpy as np
 import pytest
 
 from workforecast.errors import DataError
-from workforecast.features import FeatureConfig
 from workforecast.model import design, fit
 
 from helpers import fit_arrays_reference
 from test_loocv_oracle import PANELS
 
-CONFIG = FeatureConfig()
 N = 1_519
 
 
 def _outcome(solver, x, y):
     try:
-        fitted = solver(x, y, CONFIG)
+        fitted = solver(x, y)
     except DataError as err:
         return type(err), str(err), err.context
     values = [getattr(fitted, field.name) for field in fields(fitted)]

@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from workforecast import model
-from workforecast.features import FeatureConfig
 from workforecast.model import fit
 
-CONFIG = FeatureConfig()
 N = 1_519
 
 
@@ -30,7 +28,7 @@ def _design(n: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coefficients(x, y) -> tuple[float, ...]:
-    fitted = fit(x, y, CONFIG)
+    fitted = fit(x, y)
     return fitted.intercept, fitted.coef_demand, fitted.coef_supply
 
 
@@ -44,7 +42,7 @@ def test_fit_triangularizes_a_contiguous_column_major_copy(monkeypatch):
         triangularize(a)
 
     monkeypatch.setattr(model, "_householder_triangularize", spy)
-    fit(x, y, CONFIG)
+    fit(x, y)
     assert seen == [((4, N), True, np.float64, True, True)]
 
 
@@ -58,7 +56,7 @@ def test_lists_are_triangularized_as_four_column_lists(monkeypatch):
         triangularize(a)
 
     monkeypatch.setattr(model, "_householder_triangularize", spy)
-    fit(x.tolist(), y.tolist(), CONFIG)
+    fit(x.tolist(), y.tolist())
     assert seen == [([list] * 4, True, True)]
 
 
@@ -83,8 +81,8 @@ def test_memory_layout_of_x_does_not_change_the_fit():
 @pytest.mark.parametrize("n", [3, 4, 300])
 def test_list_and_tuple_rows_give_bit_equal_fits(n):
     x, y = _design(n)
-    as_lists = fit(x.tolist(), y.tolist(), CONFIG)
-    as_tuples = fit(tuple(map(tuple, x.tolist())), tuple(y.tolist()), CONFIG)
+    as_lists = fit(x.tolist(), y.tolist())
+    as_tuples = fit(tuple(map(tuple, x.tolist())), tuple(y.tolist()))
     assert as_tuples == as_lists
 
 
@@ -92,7 +90,7 @@ def test_list_and_tuple_rows_give_bit_equal_fits(n):
 def test_fit_leaves_its_inputs_unchanged(n):
     x, y = _design(n)
     x_before, y_before = x.copy(), y.copy()
-    fit(x, y, CONFIG)
+    fit(x, y)
     assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
 
 
@@ -101,6 +99,6 @@ def test_fit_leaves_its_list_inputs_unchanged(n):
     x, y = _design(n)
     rows, targets = x.tolist(), y.tolist()
     inner = [id(row) for row in rows]
-    fit(rows, targets, CONFIG)
+    fit(rows, targets)
     assert rows == x.tolist() and targets == y.tolist()
     assert [id(row) for row in rows] == inner

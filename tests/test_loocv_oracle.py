@@ -47,8 +47,8 @@ def _random_panel(rng: np.random.Generator) -> list[tuple[FeatureRow, float]]:
 PANELS = [_random_panel(np.random.default_rng(seed)) for seed in range(24)]
 
 
-def _fit_arrays(x, y, config):
-    return fit(np.array(x).reshape(-1, 3), np.array(y), config)
+def _fit_arrays(x, y):
+    return fit(np.array(x).reshape(-1, 3), np.array(y))
 
 
 @pytest.fixture
@@ -187,9 +187,9 @@ def test_loocv_refits_arrays_only_above_the_crossover(monkeypatch, extra, kind):
     kinds = set()
     real_fit = evaluate_mod.fit
 
-    def spy(x, y, config):
+    def spy(x, y):
         kinds.add((type(x), type(y)))
-        return real_fit(x, y, config)
+        return real_fit(x, y)
 
     monkeypatch.setattr(evaluate_mod, "fit", spy)
     loocv(dataset, CONFIG)
@@ -205,9 +205,9 @@ def test_every_fold_refits_one_buffer_holding_the_data_minus_its_row(monkeypatch
     seen = []
     real_fit = evaluate_mod.fit
 
-    def spy(train_x, train_y, config):
+    def spy(train_x, train_y):
         seen.append((train_x, train_y, [list(map(float, row)) for row in train_x], list(map(float, train_y))))
-        return real_fit(train_x, train_y, config)
+        return real_fit(train_x, train_y)
 
     monkeypatch.setattr(evaluate_mod, "fit", spy)
     loocv(panel, CONFIG)

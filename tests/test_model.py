@@ -3,12 +3,10 @@ import pytest
 
 from workforecast import jsonio
 from workforecast.errors import RankDeficientDesign, TooFewObservations
-from workforecast.features import FeatureConfig, FeatureRow
+from workforecast.features import FeatureRow
 from workforecast.model import ModelFit, _householder_triangularize, design, fit, predict
 
 from helpers import coordinate_descent, feature_rows
-
-CONFIG = FeatureConfig()
 
 
 def _pairs_from_law(values, intercept, coef_demand, coef_supply, noise=None):
@@ -37,7 +35,7 @@ BASE_VALUES = [
 class TestFit:
     def test_recovers_exact_linear_data(self):
         pairs = _pairs_from_law(BASE_VALUES, 0.5, 2.0, -3.0)
-        model = fit(*design(pairs), CONFIG)
+        model = fit(*design(pairs))
         assert model.intercept == pytest.approx(0.5, abs=1e-9)
         assert model.coef_demand == pytest.approx(2.0, abs=1e-9)
         assert model.coef_supply == pytest.approx(-3.0, abs=1e-9)
@@ -46,7 +44,7 @@ class TestFit:
 
     def test_constant_target(self):
         pairs = [(row, 0.4) for row in feature_rows(BASE_VALUES)]
-        model = fit(*design(pairs), CONFIG)
+        model = fit(*design(pairs))
         assert model.intercept == pytest.approx(0.4, abs=1e-9)
         assert model.coef_demand == pytest.approx(0.0, abs=1e-9)
         assert model.coef_supply == pytest.approx(0.0, abs=1e-9)
@@ -57,7 +55,7 @@ class TestFit:
         noise = rng.normal(0.0, 0.01, size=10)
         values = [(float(d), float(s)) for d, s in rng.normal(0.0, 0.5, size=(10, 2))]
         pairs = _pairs_from_law(values, 0.3, 1.0, -0.5, noise=noise)
-        model = fit(*design(pairs), CONFIG)
+        model = fit(*design(pairs))
         x = np.array(design(pairs)[0])
         y = np.array([target for _, target in pairs])
         oracle = coordinate_descent(x, y, tol=1e-12)
@@ -70,7 +68,7 @@ class TestFit:
         for _ in range(30):
             n = int(rng.integers(4, 21))
             pairs = _random_pairs(rng, n)
-            model = fit(*design(pairs), CONFIG)
+            model = fit(*design(pairs))
             x = np.array(design(pairs)[0])
             y = np.array([target for _, target in pairs])
             oracle = coordinate_descent(x, y)
@@ -81,7 +79,7 @@ class TestFit:
         rng = np.random.default_rng(8)
         for _ in range(50):
             pairs = _random_pairs(rng, int(rng.integers(4, 30)))
-            model = fit(*design(pairs), CONFIG)
+            model = fit(*design(pairs))
             x = np.array(design(pairs)[0])
             y = np.array([target for _, target in pairs])
             beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
@@ -94,7 +92,7 @@ class TestFit:
     def test_affine_feature_rescaling_keeps_predictions(self):
         rng = np.random.default_rng(17)
         pairs = _random_pairs(rng, 12)
-        model = fit(*design(pairs), CONFIG)
+        model = fit(*design(pairs))
         transforms = [
             lambda d, s: (2.5 * d - 0.3, s),
             lambda d, s: (d, -0.5 * s + 1.0),
@@ -105,7 +103,7 @@ class TestFit:
             for row, target in pairs:
                 demand, supply = transform(row.demand, row.supply)
                 mapped_pairs.append((FeatureRow(row.region_id, row.year, demand, supply), target))
-            mapped_model = fit(*design(mapped_pairs), CONFIG)
+            mapped_model = fit(*design(mapped_pairs))
             for (row, _), (mapped_row, _) in zip(pairs, mapped_pairs):
                 assert predict(mapped_model, mapped_row) == pytest.approx(
                     predict(model, row), abs=1e-8
@@ -114,7 +112,7 @@ class TestFit:
     def test_prediction_plus_residual_reproduces_target(self):
         rng = np.random.default_rng(29)
         pairs = _random_pairs(rng, 15)
-        model = fit(*design(pairs), CONFIG)
+        model = fit(*design(pairs))
         for row, target in pairs:
             prediction = predict(model, row)
             residual = target - prediction
@@ -123,7 +121,7 @@ class TestFit:
     def test_perturbing_coefficients_does_not_reduce_rss(self):
         rng = np.random.default_rng(31)
         pairs = _random_pairs(rng, 12)
-        model = fit(*design(pairs), CONFIG)
+        model = fit(*design(pairs))
         x = np.array(design(pairs)[0])
         y = np.array([target for _, target in pairs])
         beta = np.array([model.intercept, model.coef_demand, model.coef_supply])
@@ -137,13 +135,13 @@ class TestFit:
     def test_too_few_observations(self):
         pairs = _pairs_from_law(BASE_VALUES[:2], 0.5, 2.0, -3.0)
         with pytest.raises(TooFewObservations):
-            fit(*design(pairs), CONFIG)
+            fit(*design(pairs))
 
     def test_constant_demand_is_rank_deficient(self):
         values = [(0.5, s) for s in (0.01, 0.05, 0.09, 0.12)]
         pairs = _pairs_from_law(values, 0.5, 2.0, -3.0)
         with pytest.raises(RankDeficientDesign) as excinfo:
-            fit(*design(pairs), CONFIG)
+            fit(*design(pairs))
         assert "demand" in excinfo.value.columns
         assert excinfo.value.condition_estimate > 1e12
 
@@ -151,13 +149,13 @@ class TestFit:
         values = [(v, v) for v in (0.01, 0.05, 0.09, 0.12)]
         pairs = _pairs_from_law(values, 0.5, 2.0, -3.0)
         with pytest.raises(RankDeficientDesign):
-            fit(*design(pairs), CONFIG)
+            fit(*design(pairs))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_design_is_rank_deficient_without_warnings(self):
         pairs = [(row, 0.5) for row in feature_rows([(1e200, 0.05), *BASE_VALUES[1:4]])]
         with pytest.raises(RankDeficientDesign) as excinfo:
-            fit(*design(pairs), CONFIG)
+            fit(*design(pairs))
         assert excinfo.value.condition_estimate == float("inf")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -173,7 +171,7 @@ class TestFit:
             _householder_triangularize([*map(list, zip(*x)), list(y)])
         for xs, ys in [(x, y), (np.array(x), np.array(y))]:
             with pytest.raises(RankDeficientDesign) as excinfo:
-                fit(xs, ys, CONFIG)
+                fit(xs, ys)
             assert str(excinfo.value) == ("design matrix is rank deficient: its QR factorization overflows "
                                           "(condition estimate inf)")
             assert excinfo.value.condition_estimate == float("inf")
@@ -184,7 +182,7 @@ class TestFit:
         values = [(1e-300, 1e10), (2e-300, 3e10), (3e-300, 2e10), (5e-300, 7e10)]
         pairs = [(row, target) for row, target in zip(feature_rows(values), (0.5, 0.4, 0.6, 0.3))]
         with pytest.raises(RankDeficientDesign) as excinfo:
-            fit(*design(pairs), CONFIG)
+            fit(*design(pairs))
         assert excinfo.value.columns == ("demand",)
         assert excinfo.value.condition_estimate == float("inf")
 
@@ -193,7 +191,7 @@ def _outcome(x, y, representation="array"):
     if representation == "list":
         x, y = x.tolist(), y.tolist()
     try:
-        model = fit(x, y, CONFIG)
+        model = fit(x, y)
     except RankDeficientDesign as error:
         return error.columns, error.condition_estimate
     return model.intercept, model.coef_demand, model.coef_supply
@@ -248,22 +246,22 @@ class TestDesign:
 
     def test_fit_on_no_rows_is_too_few_observations(self):
         with pytest.raises(TooFewObservations, match="got 0"):
-            fit(*design([]), CONFIG)
+            fit(*design([]))
 
 
 class TestPredict:
     def test_arithmetic(self):
-        model = ModelFit(0.5, 2.0, -3.0, 5, 0.0, 1.0, CONFIG)
+        model = ModelFit(0.5, 2.0, -3.0, 5, 0.0, 1.0)
         row = FeatureRow("R1", 2015, 0.1, 0.1)
         assert predict(model, row) == pytest.approx(0.4, abs=1e-12)
 
     def test_zero_coefficients_return_intercept(self):
-        model = ModelFit(0.37, 0.0, 0.0, 5, 0.0, 1.0, CONFIG)
+        model = ModelFit(0.37, 0.0, 0.0, 5, 0.0, 1.0)
         assert predict(model, FeatureRow("R1", 2015, 12.0, -4.0)) == 0.37
 
     def test_exact_fit_interpolates_training_rows(self):
         pairs = _pairs_from_law(BASE_VALUES, 0.5, 2.0, -3.0)
-        model = fit(*design(pairs), CONFIG)
+        model = fit(*design(pairs))
         for row, target in pairs:
             assert predict(model, row) == pytest.approx(target, abs=1e-12)
 
@@ -271,7 +269,7 @@ class TestPredict:
 class TestModelJson:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(41)
-        model = fit(*design(_random_pairs(rng, 9)), FeatureConfig(normalize=True, lag=2, working_age=(18, 66)))
+        model = fit(*design(_random_pairs(rng, 9)))
         path = tmp_path / "model.json"
         jsonio.save(path, model)
         assert jsonio.load(path, ModelFit) == model
@@ -280,7 +278,7 @@ class TestModelJson:
         import json
 
         rng = np.random.default_rng(43)
-        model = fit(*design(_random_pairs(rng, 9)), CONFIG)
+        model = fit(*design(_random_pairs(rng, 9)))
         path = tmp_path / "model.json"
         jsonio.save(path, model, {"subcommand": "fit"})
         payload = json.loads(path.read_text(encoding="utf-8"))

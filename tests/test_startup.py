@@ -162,13 +162,12 @@ def test_a_fit_long_enough_for_blas_threads_gives_the_bits_of_one_thread():
     """Above about 10,000 rows OpenBLAS would split `fit`'s dot products across threads, changing their sums."""
     fit_code = (
         "import numpy as np\n"
-        "from workforecast.features import FeatureConfig\n"
         "from workforecast.model import fit\n"
         "rng = np.random.default_rng(5)\n"
         "x = np.ones((11_599, 3))\n"
         "x[:, 1:] = rng.normal(0.0, 0.3, size=(11_599, 2))\n"
         "y = 0.4 + 1.2 * x[:, 1] - 0.8 * x[:, 2] + rng.normal(0.0, 0.02, size=11_599)\n"
-        "fitted = fit(x, y, FeatureConfig())\n"
+        "fitted = fit(x, y)\n"
         "print(*(value.hex() for value in (fitted.intercept, fitted.coef_demand, fitted.coef_supply, fitted.rss)))\n"
     )
     through_the_cli = _python("-c", "import workforecast.cli\n" + fit_code)

@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
 
 # The line count of src/workforecast/*.py is a tracked number: a change that
 # deletes code lowers this ceiling to the count it lands at.
-SRC_LINE_CEILING = 1833
+SRC_LINE_CEILING = 1832
 
 # The modules that run least squares, and import numpy for the arrays of a long
 # leave-one-out run only; tests/test_startup.py checks at run time that no

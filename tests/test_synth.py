@@ -23,7 +23,7 @@ from workforecast.synth import (
 
 def _recover(result: SynthResult):
     rows = build_features(result.series_by_region, LAW_FEATURE_CONFIG)
-    return fit(*design(build_dataset(rows, result.performance)), LAW_FEATURE_CONFIG)
+    return fit(*design(build_dataset(rows, result.performance)))
 
 
 class TestGenerate:
