@@ -11,7 +11,8 @@ One executable, subcommand per pipeline stage, run in sequence by scripts:
 
 The feature configuration (--normalize/--no-normalize, --lag, --working-age)
 is chosen once, by `features`, and written into every row of features.csv;
-fit, evaluate and figures read it from there.
+fit, evaluate and figures read it from there. Each command executes only the
+layers it uses: `_layer` binds each module unexecuted, to run at its first attribute access.
 
 Exit codes: 0 success, 1 validation error (bad data), 2 usage error.
 Diagnostics go to stderr with a machine-parsable `ERROR <code>: <message>`
@@ -24,27 +25,37 @@ from __future__ import annotations
 
 import atexit
 import gc
+import importlib.util
 import os
 import sys
 
 import click
 
-_collecting = gc.isenabled()  # after click, whose import leaves cyclic garbage that the freeze below would keep
-gc.disable()  # the pipeline's modules import with the collector paused: their heap lives until exit
-from workforecast import evaluate as evaluate_mod
-from workforecast import features as features_mod
-from workforecast import ingest as ingest_mod
-from workforecast import __version__, jsonio
-from workforecast import model as model_mod
-from workforecast import perf as perf_mod
-from workforecast import report as report_mod
-from workforecast import synth as synth_mod
-from workforecast.errors import DataError, FeatureConfigMismatch, shown
-from workforecast.features import FeatureConfig
+import workforecast
 
-gc.freeze()  # so no collection walks that heap, nor catches up on it as the collector resumes
-if _collecting:
-    gc.enable()
+
+def _layer(name):
+    """`workforecast.<name>` as imported already, or else a module that executes at its first attribute access."""
+    qualified = f"workforecast.{name}"
+    if qualified not in sys.modules:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(workforecast, name, module)
+    return sys.modules[qualified]
+
+
+errors_mod = _layer("errors")
+evaluate_mod = _layer("evaluate")
+features_mod = _layer("features")
+ingest_mod = _layer("ingest")
+jsonio = _layer("jsonio")
+model_mod = _layer("model")
+perf_mod = _layer("perf")
+report_mod = _layer("report")
+synth_mod = _layer("synth")
+gc.freeze()  # click's and the standard library's heap lives until exit: no collection need walk it
 atexit.register(gc.freeze)  # shutdown's collections then skip the heap, which reference counting frees anyway
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: threads would split, and change, fit's sums
 
@@ -55,7 +66,7 @@ class _PipelineGroup(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (DataError, OSError) as err:
+        except (errors_mod.DataError, OSError) as err:
             line = f"ERROR {type(err).__name__}: {err}"
             click.secho(line, err=True, fg="red", color=False if os.environ.get("WF_NO_COLOR") else None)
             sys.exit(1)
@@ -98,7 +109,7 @@ def _dataset_options(fn):
 
 
 @click.group(cls=_PipelineGroup, context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(__version__)
+@click.version_option(workforecast.__version__)
 def cli() -> None:
     """Forecast workforce-reintegration programme success rates."""
 
@@ -111,7 +122,7 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
     for region in series:
         years = series[region].years
-        click.echo(f"OK {shown(region)}: years {years[0]}-{years[-1]} ({len(years)})", err=True)
+        click.echo(f"OK {errors_mod.shown(region)}: years {years[0]}-{years[-1]} ({len(years)})", err=True)
     if records_file is not None:
         records = ingest_mod.parse_programme_records(records_file)
         click.echo(f"OK records: {len(records)} people", err=True)
@@ -128,18 +139,18 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
 @click.option("--out", required=True, help="Output features.csv path.")
 def features_cmd(employment_file, unemployment_file, population_file, normalize, lag, working_age, out) -> None:
     """Build demand/supply feature rows from the statistical files."""
-    config = FeatureConfig(normalize=normalize, lag=lag, working_age=working_age)
+    config = features_mod.FeatureConfig(normalize=normalize, lag=lag, working_age=working_age)
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
     rows = features_mod.build_features(series, config)
     features_mod.write_features_csv(rows, config, out)
-    click.echo(f"wrote {len(rows)} feature rows to {shown(out)}", err=True)
+    click.echo(f"wrote {len(rows)} feature rows to {errors_mod.shown(out)}", err=True)
 
 
 @cli.command("performance")
 @click.option("--records", "records_file", required=True, help="records.csv path.")
-@click.option("--min-hours", type=float, default=perf_mod.DEFAULT_MIN_HOURS, show_default=True,
+@click.option("--min-hours", type=float, default=workforecast.DEFAULT_MIN_HOURS, show_default=True,
               help="Minimum weekly hours for a spell to qualify.")
-@click.option("--window-months", type=click.IntRange(min=0), default=perf_mod.DEFAULT_WINDOW_MONTHS,
+@click.option("--window-months", type=click.IntRange(min=0), default=workforecast.DEFAULT_WINDOW_MONTHS,
               show_default=True, help="Calendar months of continuous employment required.")
 @click.option("--out", required=True, help="Output performance.csv path.")
 def performance_cmd(records_file, min_hours, window_months, out) -> None:
@@ -147,7 +158,7 @@ def performance_cmd(records_file, min_hours, window_months, out) -> None:
     records = ingest_mod.parse_programme_records(records_file)
     rows = perf_mod.aggregate_performance(records, min_hours=min_hours, window_months=window_months)
     perf_mod.write_performance_csv(rows, out)
-    click.echo(f"wrote {len(rows)} performance rows to {shown(out)}", err=True)
+    click.echo(f"wrote {len(rows)} performance rows to {errors_mod.shown(out)}", err=True)
 
 
 @cli.command("fit")
@@ -176,7 +187,7 @@ def fit_cmd(features, performance, per_region, model) -> None:
 
 @cli.command("evaluate")
 @_dataset_options
-@click.option("--benchmark", "benchmark_mode", type=click.Choice(evaluate_mod.BENCHMARK_MODES),
+@click.option("--benchmark", "benchmark_mode", type=click.Choice(workforecast.BENCHMARK_MODES),
               default="trainfold-mean", show_default=True, help="Benchmark prediction mode.")
 @click.option("--per-region", is_flag=True, default=False, help="Cross-validate within each region.")
 @click.option("--out", required=True, help="Output report.json path.")
@@ -185,10 +196,8 @@ def evaluate_cmd(features, performance, benchmark_mode, per_region, out) -> None
     feature_rows, config = features_mod.read_features_csv(features)
     performance_rows = perf_mod.read_performance_csv(performance)
     dataset = evaluate_mod.build_dataset(feature_rows, performance_rows)
-    if per_region:
-        result = evaluate_mod.loocv_per_region(dataset, config, benchmark_mode)
-    else:
-        result = evaluate_mod.loocv(dataset, config, benchmark_mode)
+    run = evaluate_mod.loocv_per_region if per_region else evaluate_mod.loocv
+    result = run(dataset, config, benchmark_mode)
     evaluate_mod.save_report_json(result, out, run_config=_run_config(feature_config=config))
     benchmark_text = "n/a" if result.mae_benchmark_pct is None else f"{result.mae_benchmark_pct:.4g}%"
     click.echo(f"{len(result.folds)} folds: MAE model {result.mae_model_pct:.4g}% vs benchmark {benchmark_text}",
@@ -219,7 +228,7 @@ def synth_cmd(out, **params) -> None:
     paths = synth_mod.write_outputs(result, config, out, run_config=_run_config())
     click.echo(
         f"generated {len(result.series_by_region)} regions, {len(result.performance)} "
-        f"performance rows ({result.n_clipped} clipped) in {shown(paths['truth'].parent)}",
+        f"performance rows ({result.n_clipped} clipped) in {errors_mod.shown(paths['truth'].parent)}",
         err=True,
     )
 
@@ -230,34 +239,25 @@ def synth_cmd(out, **params) -> None:
 @click.option("--report", "report_file", required=True, help="report.json path from `evaluate`.")
 @click.option("--baseline-year", type=int, default=None,
               help="Population baseline year (default: earliest year shared by all regions).")
-@click.option("--population-baseline", type=click.Choice(report_mod.BASELINE_MODES),
+@click.option("--population-baseline", "population_mode", type=click.Choice(workforecast.BASELINE_MODES),
               default="ratio", show_default=True, help="Baseline mode for population growth.")
-@click.option("--performance-baseline", type=click.Choice(report_mod.BASELINE_MODES),
+@click.option("--performance-baseline", "performance_mode", type=click.Choice(workforecast.BASELINE_MODES),
               default="difference", show_default=True, help="Baseline mode for the evaluation chart.")
 @click.option("--out", required=True, help="Output directory for the plot-data CSVs.")
-def figures_cmd(employment_file, unemployment_file, population_file, features, performance,
-                report_file, baseline_year, population_baseline, performance_baseline, out) -> None:
+def figures_cmd(employment_file, unemployment_file, population_file, features, performance, report_file, out,
+                **baselines) -> None:
     """Emit the four plot-data CSV files."""
     series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
     feature_rows, config = features_mod.read_features_csv(features)
     performance_rows = perf_mod.read_performance_csv(performance)
     eval_report = evaluate_mod.load_report_json(report_file)
     if eval_report.feature_config != config:
-        raise FeatureConfigMismatch(
-            f"report was built under {eval_report.feature_config} but {shown(features)} under {config}",
+        raise errors_mod.FeatureConfigMismatch(
+            f"report was built under {eval_report.feature_config} but {errors_mod.shown(features)} under {config}",
             file=str(report_file),
         )
-    paths = report_mod.emit_figure_data(
-        series,
-        feature_rows,
-        performance_rows,
-        eval_report,
-        out,
-        baseline_year=baseline_year,
-        population_mode=population_baseline,
-        performance_mode=performance_baseline,
-    )
-    click.echo(f"wrote {len(paths)} figure files to {shown(out)}", err=True)
+    paths = report_mod.emit_figure_data(series, feature_rows, performance_rows, eval_report, out, **baselines)
+    click.echo(f"wrote {len(paths)} figure files to {errors_mod.shown(out)}", err=True)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from workforecast import jsonio
+from workforecast import BENCHMARK_MODES, jsonio
 from workforecast.errors import (
     InvalidConfig,
     RankDeficientDesign,
@@ -39,8 +39,6 @@ from workforecast.errors import (
 from workforecast.features import FeatureConfig, FeatureRow
 from workforecast.model import design, fit, predict
 from workforecast.perf import PerformanceRow
-
-BENCHMARK_MODES = ("trainfold-mean", "prior-years-mean")
 
 # Rows above which `loocv` refits numpy arrays. Medians of 21 fresh processes (2-CPU Xeon, Python 3.11.7,
 # numpy 2.4.6, one BLAS thread) at 200, 220 and 240 rows: lists 141, 155, 167 ms; arrays (importing numpy) 149, 149, 154.

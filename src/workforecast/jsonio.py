@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
@@ -28,7 +29,6 @@ T = TypeVar("T")
 
 def save(path: str | Path, value: Any, run_config: dict | None = None) -> None:
     """Write `value` plus an optional `run_config` stamp; on NaN or inf `path` keeps its old bytes."""
-    import json  # on first use: `features`, `performance` and `validate` write no JSON
     payload = value
     if run_config is not None:
         payload = {**(value if isinstance(value, dict) else _fields(value)), "run_config": run_config}
@@ -42,7 +42,6 @@ def save(path: str | Path, value: Any, run_config: dict | None = None) -> None:
 
 def load(path: str | Path, cls: type[T]) -> T:
     """Read a file written by `save` back into an instance of the dataclass `cls`."""
-    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)

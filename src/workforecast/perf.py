@@ -14,12 +14,11 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import NamedTuple
 
+from workforecast import DEFAULT_MIN_HOURS, DEFAULT_WINDOW_MONTHS
 from workforecast.errors import InvalidConfig, MalformedRow
 from workforecast.ingest import (ProgrammeRecord, Spell, _claim_entry, _parse_natural, _parse_number, _read_rows,
                                  _write_rows)
 
-DEFAULT_MIN_HOURS = 16.0
-DEFAULT_WINDOW_MONTHS = 6
 _ONE_DAY = timedelta(days=1)  # built once: the rule steps past every covering spell's end
 
 PERFORMANCE_HEADER = ("region", "entry_year", "n_entrants", "n_success", "performance")

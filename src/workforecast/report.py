@@ -15,13 +15,12 @@ import math
 from pathlib import Path
 from typing import Mapping
 
+from workforecast import BASELINE_MODES
 from workforecast.errors import InvalidConfig, MissingBaselineYear, ZeroBaseline
 from workforecast.evaluate import EvalReport
 from workforecast.features import FeatureRow
 from workforecast.ingest import RegionalSeries, _write_rows
 from workforecast.perf import PerformanceRow
-
-BASELINE_MODES = ("difference", "ratio")
 
 FIGURE_FILENAMES = {
     "demand": "fig1_demand.csv",

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from workforecast import __version__, jsonio
+import workforecast
+from workforecast import __version__, evaluate, jsonio, perf, report
 from workforecast.cli import cli
 from workforecast.errors import MalformedJson
 from workforecast.evaluate import build_dataset
@@ -873,6 +874,45 @@ class TestVersion:
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
         project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
         assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == __version__
+
+
+class TestOptionVocabulary:
+    """The choices and defaults the help lists are the package root's, which the layers import and check against."""
+
+    def _help(self, command: str) -> str:
+        result = _invoke([command, "--help"])
+        assert result.exit_code == 0
+        return " ".join(result.output.split())  # unwrapped
+
+    def test_the_layers_read_the_package_root_vocabulary(self):
+        assert evaluate.BENCHMARK_MODES is workforecast.BENCHMARK_MODES
+        assert report.BASELINE_MODES is workforecast.BASELINE_MODES
+        assert perf.aggregate_performance.__defaults__ == (workforecast.DEFAULT_MIN_HOURS,
+                                                           workforecast.DEFAULT_WINDOW_MONTHS)
+
+    @pytest.mark.parametrize("command, option, modes", [
+        ("evaluate", "--benchmark", workforecast.BENCHMARK_MODES),
+        ("figures", "--population-baseline", workforecast.BASELINE_MODES),
+        ("figures", "--performance-baseline", workforecast.BASELINE_MODES),
+    ])
+    def test_a_choice_lists_exactly_the_modes(self, command, option, modes):
+        assert re.search(rf"{option} \[([^]]*)\]", self._help(command)).group(1).split("|") == list(modes)
+
+    @pytest.mark.parametrize("option, default", [
+        ("--min-hours FLOAT", workforecast.DEFAULT_MIN_HOURS),
+        ("--window-months INTEGER RANGE", workforecast.DEFAULT_WINDOW_MONTHS),
+    ])
+    def test_performance_lists_the_defaults(self, option, default):
+        assert re.search(rf"{option} [^[]*\[default: ([^];]*)", self._help("performance")).group(1) == str(default)
+
+    @pytest.mark.parametrize("command, option, message", [
+        ("evaluate", "--benchmark", "'bogus' is not one of 'trainfold-mean', 'prior-years-mean'."),
+        ("figures", "--population-baseline", "'bogus' is not one of 'difference', 'ratio'."),
+    ])
+    def test_an_unknown_mode_is_a_usage_error(self, quickstart, command, option, message):
+        result = _invoke([*quickstart_args(command, quickstart), option, "bogus"])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"\nError: Invalid value for '{option}': {message}\n")
 
 
 def _stamp_cases(quickstart: Path, out: Path) -> dict:

@@ -1,11 +1,10 @@
-"""Start-up: importing one module loads no other stage, importing the CLI loads
-neither `json` nor `statistics`, no quick-start command loads numpy (`fit`
-solves lists in pure Python, and so does `evaluate` up to `evaluate.NUMPY_ROWS`
-rows), no command loads `statistics`, the pipeline's modules import with the
-collector paused and leave the caller's collector state as it was, the heap is
-frozen after the import and again at exit, and numpy's BLAS runs on one thread
-unless the user set `OPENBLAS_NUM_THREADS`, so a long fit's bits do not depend
-on the CPU count.
+"""Start-up: importing the CLI executes no module of the package but its `__init__`, and each command
+executes only the layers it uses; importing the CLI loads none of numpy, calendar, json or statistics,
+no quick-start command loads numpy (`fit` solves lists in pure Python, and so does `evaluate` up to
+`evaluate.NUMPY_ROWS` rows), no command loads `statistics`, only commands that read or write JSON load
+`json`, importing the CLI leaves the caller's collector state as it was, the heap is frozen after the
+import and again at exit, and numpy's BLAS runs on one thread unless the user set
+`OPENBLAS_NUM_THREADS`, so a long fit's bits do not depend on the CPU count.
 
 The test process has numpy loaded already, so every check runs in a fresh
 interpreter with PYTHONPATH pointing at the source tree.
@@ -13,23 +12,28 @@ interpreter with PYTHONPATH pointing at the source tree.
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from workforecast import evaluate
+import workforecast.cli
+from workforecast import errors, evaluate, ingest
 from workforecast.cli import cli
 
 from helpers import quickstart_args
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-RUN_COMMAND = (
-    "import sys\n"
-    "from workforecast.cli import cli\n"
-    "cli.main(sys.argv[1:], standalone_mode=False)\n"
-    "print('numpy' in sys.modules, 'statistics' in sys.modules)\n"
-)
+RUN = "import sys, types\nfrom workforecast.cli import cli\ncli.main(sys.argv[1:], standalone_mode=False)\n"
+RUN_COMMAND = RUN + "print('numpy' in sys.modules, 'statistics' in sys.modules)\n"
+RUN_JSON = RUN + "print('json' in sys.modules)\n"
+# The package modules a process has executed, by short name and without `cli`: a module bound by the CLI
+# but not yet executed is an instance of a subclass of `types.ModuleType`.
+EXECUTED = ("print(*sorted(name.split('.')[1] for name, module in sys.modules.items() if name.startswith('workforecast.')"
+            " and name != 'workforecast.cli' and type(module) is types.ModuleType))\n")
+LAYERS = {"errors_mod": "errors", "evaluate_mod": "evaluate", "features_mod": "features", "ingest_mod": "ingest",
+          "jsonio": "jsonio", "model_mod": "model", "perf_mod": "perf", "report_mod": "report", "synth_mod": "synth"}
 
 
 def _python(*argv: str, blas_threads: str | None = None) -> str:
@@ -44,53 +48,109 @@ def _python(*argv: str, blas_threads: str | None = None) -> str:
 
 
 def test_importing_the_package_and_the_cli_loads_no_numpy():
-    """Nor calendar, which only the window rule needs, on first use, nor json, which `jsonio` loads on first
-    use, nor statistics, which no command needs.
+    """Nor calendar, which only the window rule needs, on first use, nor json, which only `jsonio` imports, nor
+    statistics, which no command needs.
 
     locale is loaded: click's `version_option` calls gettext when the CLI module is imported.
     """
     out = _python(
         "-c",
-        "import sys, workforecast.jsonio\n"
-        "stage_loaded = 'workforecast.evaluate' in sys.modules\n"
+        "import sys\n"
         "import workforecast.cli\n"
-        "print(*(name in sys.modules for name in ('numpy', 'calendar', 'json', 'statistics')), stage_loaded)\n",
+        "print(*(name in sys.modules for name in ('numpy', 'calendar', 'json', 'statistics')))\n",
     )
-    assert out == "False False False False False"
+    assert out == "False False False False"
 
 
-def test_a_json_file_loads_json():
-    """Positive control for the check above: `jsonio.save` imports json on first use."""
-    out = _python(
-        "-c",
-        "import sys, tempfile, workforecast.jsonio\n"
-        "loaded = 'json' in sys.modules\n"
-        "with tempfile.TemporaryDirectory() as root:\n"
-        "    workforecast.jsonio.save(root + '/out.json', {'a': 1})\n"
-        "print(loaded, 'json' in sys.modules)\n",
+def test_importing_the_cli_executes_no_module_of_the_package_but_its_init():
+    """Every layer is bound unexecuted; the option vocabulary the decorators read lives in the package root."""
+    out = _python("-c", "import sys, types\nimport workforecast.cli\n" + EXECUTED + "print('end')\n")
+    assert out == "end"
+
+
+COMMAND_LAYERS = {
+    "validate": "errors ingest",
+    "features": "errors features ingest",
+    "performance": "errors ingest perf",
+    "synth": "errors features ingest jsonio perf synth",
+    "fit": "errors evaluate features ingest jsonio model perf",
+    "evaluate": "errors evaluate features ingest jsonio model perf",
+    "figures": "errors evaluate features ingest jsonio model perf report",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_each_command_executes_exactly_its_layers(quickstart, command):
+    assert _python("-c", RUN + EXECUTED, *quickstart_args(command, quickstart)) == COMMAND_LAYERS[command]
+
+
+def test_the_cli_binds_each_layer_as_the_module_in_sys_modules():
+    """perfbench's tracer finds the layers as module objects among the CLI's attributes and swaps them for proxies.
+
+    In this process the layers were imported, and executed, before or after the CLI; either way each attribute
+    is the one module object of its name.
+    """
+    bound = {name: value for name, value in vars(workforecast.cli).items() if isinstance(value, types.ModuleType)}
+    assert {name: value.__name__ for name, value in bound.items() if name in LAYERS} == {
+        name: f"workforecast.{layer}" for name, layer in LAYERS.items()}
+    for name, layer in LAYERS.items():
+        assert bound[name] is sys.modules[f"workforecast.{layer}"]
+
+
+def test_a_layer_imported_before_or_after_the_cli_is_the_one_it_binds():
+    """A second module object would split classes and monkeypatches. Imported after the CLI, before any of its
+    attributes is read, a layer is also the package's attribute, as an import makes it."""
+    code = (
+        "import sys, types\n"
+        "import workforecast.model as model\n"
+        "import workforecast.cli as cli\n"
+        "import workforecast.synth\n"
+        "print(cli.model_mod is model, workforecast.synth is cli.synth_mod,\n"
+        "      all(isinstance(getattr(cli, name), types.ModuleType)\n"
+        "          and getattr(cli, name) is sys.modules['workforecast.' + layer] for name, layer in LAYERS.items()))\n"
     )
-    assert out == "False True"
+    assert _python("-c", f"LAYERS = {LAYERS!r}\n" + code) == "True True True"
+
+
+def test_a_monkeypatched_layer_reaches_the_command(quickstart, monkeypatch):
+    def refuse(*args):
+        raise errors.InvalidConfig("patched")
+
+    monkeypatch.setattr(ingest, "parse_regional_series", refuse)
+    result = CliRunner().invoke(cli, quickstart_args("features", quickstart), env={"WF_NO_COLOR": "1"})
+    assert (result.exit_code, result.output) == (1, "ERROR InvalidConfig: patched\n")
+
+
+def test_an_assignment_to_an_unexecuted_layer_survives_its_execution(quickstart):
+    code = (
+        "import sys\n"
+        "from workforecast.cli import cli, perf_mod\n"
+        "perf_mod.write_performance_csv = lambda rows, out: print('patched', type(rows).__name__)\n"
+        "cli.main(sys.argv[1:], standalone_mode=False)\n"
+    )
+    assert _python("-c", code, *quickstart_args("performance", quickstart)) == "patched list"
+
+
+def test_a_json_file_loads_json(quickstart):
+    """Positive control for the check below: `fit` writes model.json."""
+    assert _python("-c", RUN_JSON, *quickstart_args("fit", quickstart)) == "True"
+
+
+@pytest.mark.parametrize("command", ["features", "performance", "validate"])
+def test_commands_without_json_files_never_load_json(quickstart, command):
+    assert _python("-c", RUN_JSON, *quickstart_args(command, quickstart)) == "False"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_importing_the_cli_leaves_the_collector_as_it_found_it(enabled):
-    """The collector is paused while the pipeline's modules import, and enabled again only if it was.
-
-    A finder ahead of the import system's own sees the collector's state as `workforecast.evaluate` is looked up.
-    """
     out = _python(
         "-c",
-        "import gc, sys\n"
-        "class Spy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'workforecast.evaluate':\n"
-        "            print(gc.isenabled())\n"
-        "sys.meta_path.insert(0, Spy())\n"
+        "import gc\n"
         f"gc.enable() if {enabled} else gc.disable()\n"
         "import workforecast.cli\n"
         "print(gc.isenabled())\n",
     )
-    assert out.split() == ["False", str(enabled)]
+    assert out == str(enabled)
 
 
 def test_the_heap_is_frozen_at_exit():
