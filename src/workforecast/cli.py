@@ -95,17 +95,12 @@ def _range_callback(ctx, param, value: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _stat_file_options(fn):
-    fn = click.option("--population", "population_file", required=True, help="population.csv path.")(fn)
-    fn = click.option("--unemployment", "unemployment_file", required=True, help="unemployment.csv path.")(fn)
-    fn = click.option("--employment", "employment_file", required=True, help="employment.csv path.")(fn)
-    return fn
-
-
-def _dataset_options(fn):
-    fn = click.option("--performance", required=True, help="performance.csv path.")(fn)
-    fn = click.option("--features", required=True, help="features.csv path.")(fn)
-    return fn
+def _csv_options(*names: str):
+    def add(fn):
+        for name in reversed(names):
+            fn = click.option(f"--{name}", required=True, help=f"{name}.csv path.")(fn)
+        return fn
+    return add
 
 
 @click.group(cls=_PipelineGroup, context_settings={"help_option_names": ["-h", "--help"]})
@@ -115,11 +110,11 @@ def cli() -> None:
 
 
 @cli.command("validate")
-@_stat_file_options
+@_csv_options("employment", "unemployment", "population")
 @click.option("--records", "records_file", default=None, help="records.csv path (optional).")
-def validate_cmd(employment_file, unemployment_file, population_file, records_file) -> None:
+def validate_cmd(employment, unemployment, population, records_file) -> None:
     """Run ingestion checks only; no outputs."""
-    series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
+    series = ingest_mod.parse_regional_series(employment, unemployment, population)
     for region in series:
         years = series[region].years
         click.echo(f"OK {errors_mod.shown(region)}: years {years[0]}-{years[-1]} ({len(years)})", err=True)
@@ -129,7 +124,7 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
 
 
 @cli.command("features")
-@_stat_file_options
+@_csv_options("employment", "unemployment", "population")
 @click.option("--normalize/--no-normalize", "normalize", default=True, show_default=True,
               help="Divide demand by the working-age population.")
 @click.option("--lag", type=click.IntRange(min=0), default=0, show_default=True,
@@ -137,10 +132,10 @@ def validate_cmd(employment_file, unemployment_file, population_file, records_fi
 @click.option("--working-age", "working_age", default="16:64", show_default=True,
               callback=_range_callback, help="Working-age interval as LO:HI (inclusive).")
 @click.option("--out", required=True, help="Output features.csv path.")
-def features_cmd(employment_file, unemployment_file, population_file, normalize, lag, working_age, out) -> None:
+def features_cmd(employment, unemployment, population, normalize, lag, working_age, out) -> None:
     """Build demand/supply feature rows from the statistical files."""
     config = features_mod.FeatureConfig(normalize=normalize, lag=lag, working_age=working_age)
-    series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
+    series = ingest_mod.parse_regional_series(employment, unemployment, population)
     rows = features_mod.build_features(series, config)
     features_mod.write_features_csv(rows, config, out)
     click.echo(f"wrote {len(rows)} feature rows to {errors_mod.shown(out)}", err=True)
@@ -162,7 +157,7 @@ def performance_cmd(records_file, min_hours, window_months, out) -> None:
 
 
 @cli.command("fit")
-@_dataset_options
+@_csv_options("features", "performance")
 @click.option("--per-region", is_flag=True, default=False, help="Fit one model per region.")
 @click.option("--model", required=True, help="Output model.json path.")
 def fit_cmd(features, performance, per_region, model) -> None:
@@ -186,7 +181,7 @@ def fit_cmd(features, performance, per_region, model) -> None:
 
 
 @cli.command("evaluate")
-@_dataset_options
+@_csv_options("features", "performance")
 @click.option("--benchmark", "benchmark_mode", type=click.Choice(workforecast.BENCHMARK_MODES),
               default="trainfold-mean", show_default=True, help="Benchmark prediction mode.")
 @click.option("--per-region", is_flag=True, default=False, help="Cross-validate within each region.")
@@ -234,8 +229,7 @@ def synth_cmd(out, **params) -> None:
 
 
 @cli.command("figures")
-@_stat_file_options
-@_dataset_options
+@_csv_options("employment", "unemployment", "population", "features", "performance")
 @click.option("--report", "report_file", required=True, help="report.json path from `evaluate`.")
 @click.option("--baseline-year", type=int, default=None,
               help="Population baseline year (default: earliest year shared by all regions).")
@@ -244,10 +238,9 @@ def synth_cmd(out, **params) -> None:
 @click.option("--performance-baseline", "performance_mode", type=click.Choice(workforecast.BASELINE_MODES),
               default="difference", show_default=True, help="Baseline mode for the evaluation chart.")
 @click.option("--out", required=True, help="Output directory for the plot-data CSVs.")
-def figures_cmd(employment_file, unemployment_file, population_file, features, performance, report_file, out,
-                **baselines) -> None:
+def figures_cmd(employment, unemployment, population, features, performance, report_file, out, **baselines) -> None:
     """Emit the four plot-data CSV files."""
-    series = ingest_mod.parse_regional_series(employment_file, unemployment_file, population_file)
+    series = ingest_mod.parse_regional_series(employment, unemployment, population)
     feature_rows, config = features_mod.read_features_csv(features)
     performance_rows = perf_mod.read_performance_csv(performance)
     eval_report = evaluate_mod.load_report_json(report_file)

@@ -23,8 +23,7 @@ class DataError(Exception):
             message = f"{where}: {message}"
         super().__init__(message)
         self.context = dict(context)
-        for key, value in context.items():
-            setattr(self, key, value)
+        vars(self).update(context)
 
 
 # --- ingestion ---------------------------------------------------------------

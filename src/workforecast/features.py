@@ -82,8 +82,7 @@ def build_features(
     A labelled year may have at most 324 digits, so that it reads back.
     """
     rows = []
-    for region in sorted(series_by_region):
-        series = series_by_region[region]
+    for region, series in sorted(series_by_region.items()):
         if series.years[-1] + config.lag >= 10**_MAX_DIGITS:
             raise InvalidConfig(f"region {region!r}: lag {config.lag} labels year {series.years[-1]} "
                                 f"with a year of more than {_MAX_DIGITS} digits", region=region)

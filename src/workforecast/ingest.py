@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -82,7 +82,7 @@ class Spell(NamedTuple):
     hours_per_week: float
 
 
-@dataclass(slots=True)  # not frozen: a frozen `__init__` sets each field through `object.__setattr__`
+@dataclass(slots=True)  # not frozen: the parse sets `spells` late; a frozen `__init__` uses `object.__setattr__`
 class ProgrammeRecord:
     person_id: str
     region_id: str
@@ -226,12 +226,11 @@ def _claim_entry(seen: set[tuple[str, int]], region: str, year: int, file: str, 
 def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str, dict[int, int]]:
     """Collect region -> year -> count for employment.csv / unemployment.csv."""
     name = str(path)
-    column = header[2]
     out: dict[str, dict[int, int]] = {}
     seen: set[tuple[str, int]] = set()
     for lineno, (region, year_s, count_s) in _read_rows(path, header):
         year = _parse_natural(year_s, "year", name, lineno)
-        count = _parse_natural(count_s, column, name, lineno, count=True)
+        count = _parse_natural(count_s, header[2], name, lineno, count=True)
         _claim_entry(seen, region, year, name, lineno)
         out.setdefault(region, {})[year] = count
     return out
@@ -329,9 +328,12 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
 
     One row per spell; a person with no spells appears once with the three
     spell fields empty. Rows are checked as they are read, so the first
-    faulty row in file order is the one reported. Spells are then sorted by
-    start date and must not overlap; a person with fewer than two is neither
-    sorted nor scanned. Spells that start before the entry date are allowed
+    faulty row in file order is the one reported. A run is a stretch of rows
+    with the same person, region and entry-date strings: its first row checks
+    the person, and its spells join the record's when it ends. Spells are
+    sorted by start date and must not overlap; only a person whose spells come
+    out of order or touching, or in more than one run, is sorted and scanned,
+    after the last row. Spells that start before the entry date are allowed
     (their pre-entry portion is simply ignored downstream). Each distinct date,
     hours or region string is kept once per call, GC paused. Each row's `Spell`
     is built once; no line number is held per spell, so an overlap's line is
@@ -344,28 +346,34 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     gc.disable()
     try:
         name = str(records_file)
-        people: dict[str, list] = {}  # person -> [region, entry date, Spell, ...], spells in file order
+        people: dict[str, ProgrammeRecord] = {}  # a record's spells: a tuple, or a list while they await sorting
         dates: dict[str, date] = {}
         hours: dict[str, float] = {}
         regions: dict[str, str] = {}
+        run: list[Spell] = []  # the current run's spells, in file order
+        record = run_person = run_region = run_entry = None
         for lineno, (person, region, entry_s, start_s, end_s, hours_s) in _read_rows(records_file, RECORDS_HEADER):
-            if not person:
-                raise MalformedRow("empty person_id", file=name, line=lineno)
-            entry = dates.get(entry_s)
-            if entry is None:
-                entry = dates[entry_s] = _parse_date(entry_s, "entry_date", name, lineno)
-            info = people.get(person)
-            if info is None:
-                info = people[person] = [regions.setdefault(region, region), entry]
-            elif info[0] != region:
-                raise MalformedRow(
-                    f"person {person!r} has conflicting regions ({info[0]!r} vs {region!r})", file=name, line=lineno
-                )
-            elif info[1] != entry:
-                raise MalformedRow(
-                    f"person {person!r} has conflicting entry dates ({info[1].isoformat()} vs {entry.isoformat()})",
-                    file=name, line=lineno,
-                )
+            if person != run_person or entry_s != run_entry or region != run_region:  # a run's first row
+                if run:  # the run before has ended: a tuple's `+=` builds a new one, a list's extends it
+                    record.spells += tuple(run)
+                    run.clear()
+                if not person:
+                    raise MalformedRow("empty person_id", file=name, line=lineno)
+                entry = dates.get(entry_s)
+                if entry is None:
+                    entry = dates[entry_s] = _parse_date(entry_s, "entry_date", name, lineno)
+                record = people.get(person)
+                if record is None:
+                    record = people[person] = ProgrammeRecord(person, regions.setdefault(region, region), entry, ())
+                elif record.region_id != region:
+                    raise MalformedRow(f"person {person!r} has conflicting regions ({record.region_id!r} vs "
+                                       f"{region!r})", file=name, line=lineno)
+                elif record.entry_date != entry:
+                    raise MalformedRow(f"person {person!r} has conflicting entry dates ({record.entry_date.isoformat()}"
+                                       f" vs {entry.isoformat()})", file=name, line=lineno)
+                elif record.spells and type(record.spells) is tuple:  # spells in an earlier run
+                    record.spells = list(record.spells)
+                run_person, run_region, run_entry = person, region, entry_s
             if not (start_s and end_s and hours_s):
                 if start_s or end_s or hours_s:
                     raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
@@ -383,27 +391,28 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
             per_week = hours.get(hours_s)
             if per_week is None:
                 per_week = hours[hours_s] = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
-            info.append(tuple.__new__(Spell, (start, end, per_week)))  # as `Spell._make`, minus a Python frame
-        records = []
-        by_start = itemgetter(0, 1)  # by (start, end); equal spells keep their file order
-        for person in sorted(people):
-            info = people.pop(person)  # frees this person's list once the record exists
-            spells = info[2:]
-            if len(spells) > 1:  # none or one: nothing to order, nothing to overlap
-                spells.sort(key=by_start)
+            if run and start <= run[-1][1] and type(record.spells) is tuple:  # out of order, or sharing a day
+                record.spells = list(record.spells)
+            run.append(tuple.__new__(Spell, (start, end, per_week)))  # as `Spell._make`, minus a Python frame
+        if run:
+            record.spells += tuple(run)
+        records = sorted(people.values(), key=attrgetter("person_id"))
+        for record in records:
+            if type(record.spells) is list:  # out of order, touching or in more than one run
+                spells = sorted(record.spells, key=itemgetter(0, 1))  # equal (start, end) keep their file order
                 for a, b in zip(spells, spells[1:]):
                     if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
-                        index = [spell is b for spell in info[2:]].index(True)  # b's place among the person's spells
+                        index = [spell is b for spell in record.spells].index(True)  # b's place among the spells
                         rows = _read_rows(records_file, RECORDS_HEADER) if os.path.isfile(records_file) else ()
-                        lines = [n for n, row in rows if row[0] == person and row[3]]
+                        lines = [n for n, row in rows if row[0] == record.person_id and row[3]]
                         raise OverlappingSpells(
-                            f"person {person!r} has overlapping spells "
+                            f"person {record.person_id!r} has overlapping spells "
                             f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
                             file=name,
                             line=lines[index] if index < len(lines) else None,  # None for a pipe or a changed file
-                            person_id=person,
+                            person_id=record.person_id,
                         )
-            records.append(ProgrammeRecord(person, info[0], info[1], tuple(spells)))
+                record.spells = tuple(spells)
         gc.freeze()  # to the permanent generation: no later collection walks the heap just built
         return records
     finally:

@@ -133,7 +133,7 @@ OVERLAPS = {
 }
 
 
-def _overlap_file(tmp_path, rows):
+def _rows_file(tmp_path, rows):
     path = tmp_path / "records.csv"
     path.write_text("\n".join([",".join(RECORDS_HEADER), *rows]) + "\n", encoding="utf-8")
     return path
@@ -145,9 +145,49 @@ def _raised(parse, path):
     return type(excinfo.value), str(excinfo.value), excinfo.value.line
 
 
+# Valid files in which one person's rows come in more than one run, other people's rows between them.
+SPLIT_RUNS = {
+    "ascending": [
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+        "P2,R2,2015-01-01,2015-01-01,2015-06-30,20",
+        "P1,R1,2015-03-01,2015-06-01,2015-06-30,16",
+    ],
+    "later-run-starts-earlier": [
+        "P1,R1,2015-03-01,2015-06-01,2015-06-30,16",
+        "P1,R1,2015-03-01,2015-07-01,2015-12-31,30",
+        "P2,R2,2015-01-01,,,",
+        "",
+        "P1,R1,2015-03-01,2015-01-01,2015-05-31,20",
+    ],
+    "spell-less-run-first": [
+        "P1,R1,2015-03-01,,,",
+        "P2,R2,2015-01-01,2015-01-01,2015-06-30,20",
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+        "P1,R1,2015-03-01,2015-06-01,2015-06-30,16",
+    ],
+    "three-runs": [
+        "P1,R1,2015-03-01,2015-09-01,2015-09-30,20",
+        "P2,R2,2015-01-01,2015-01-01,2015-06-30,20",
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,20",
+        "P3,R1,2015-01-01,2015-01-01,2015-06-30,20",
+        "P1,R1,2015-03-01,2015-06-01,2015-06-30,16",
+        "P1,R1,2015-03-01,2015-07-01,2015-08-31,8",
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", SPLIT_RUNS.values(), ids=SPLIT_RUNS.keys())
+def test_a_person_split_over_runs_gives_the_oracle_record(tmp_path, rows):
+    path = _rows_file(tmp_path, rows)
+    records = parse_programme_records(path)
+    assert records == parse_records_oracle(path)
+    assert all(type(record.spells) is tuple for record in records)
+    assert len(records[0].spells) >= 2
+
+
 @pytest.mark.parametrize("line, rows", OVERLAPS.values(), ids=OVERLAPS.keys())
 def test_an_overlap_names_the_oracles_line(tmp_path, line, rows):
-    path = _overlap_file(tmp_path, rows)
+    path = _rows_file(tmp_path, rows)
     raised = _raised(parse_programme_records, path)
     assert (raised[0], raised[2]) == (OverlappingSpells, line)
     assert raised == _raised(parse_records_oracle, path)
@@ -156,9 +196,9 @@ def test_an_overlap_names_the_oracles_line(tmp_path, line, rows):
 @pytest.mark.parametrize("second_read", [[], ["P1,R1,2015-03-01,2015-03-01,2015-05-31,20"], ["P1,R1"]],
                          ids=["person-gone", "row-gone", "malformed"])
 def test_a_file_changed_before_the_second_read_still_gives_one_error(tmp_path, monkeypatch, second_read):
-    path = _overlap_file(tmp_path, OVERLAPS["identical-rows"][1])
+    path = _rows_file(tmp_path, OVERLAPS["identical-rows"][1])
     (tmp_path / "changed").mkdir()
-    changed = _overlap_file(tmp_path / "changed", second_read)
+    changed = _rows_file(tmp_path / "changed", second_read)
     read_rows = ingest._read_rows
     paths = []
 

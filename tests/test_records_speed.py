@@ -7,14 +7,17 @@ heap it builds. A parse that succeeds freezes that heap (`gc.freeze()`), so the
 first collections after it, in the stage that judges the records, do not walk
 it either. It builds each spell once, as the `Spell` its record keeps, and
 holds no line number per spell, so it never holds the whole file twice nor a
-second copy of any spell. All of this is checked here by what it does, not by
-timing, on seeded files of a few thousand rows. `conftest.py` unfreezes after
-every test, so no test's `gc.collect()` misses what an earlier one froze.
+second copy of any spell. Each spell is compared with the one before it in its
+run of rows, so a person whose spells come in one ascending run is never
+sorted. All of this is checked here by what it does, not by timing, on seeded
+files of a few thousand rows. `conftest.py` unfreezes after every test, so no
+test's `gc.collect()` misses what an earlier one froze.
 """
 import csv
 import gc
 import tracemalloc
 from collections import Counter
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -212,3 +215,59 @@ def test_records_of_one_region_share_one_region_string(records_csv):
     records = parse_programme_records(records_csv)
     assert len({record.region_id for record in records}) == 7
     assert len({id(record.region_id) for record in records}) == 7
+
+
+def _counting_sort_key(monkeypatch):
+    """Make the parse's `itemgetter` sort key record each spell it is called on; return that list."""
+    keyed = []
+
+    def sort_key(*items):
+        key = itemgetter(*items)
+
+        def counted(spell):
+            keyed.append(spell)
+            return key(spell)
+
+        return counted
+
+    monkeypatch.setattr(ingest, "itemgetter", sort_key)
+    return keyed
+
+
+def test_people_with_one_ascending_run_are_never_sorted(records_csv, monkeypatch):
+    keyed = _counting_sort_key(monkeypatch)
+    records = parse_programme_records(records_csv)
+    assert len(records) == PEOPLE
+    assert sum(len(record.spells) > 1 for record in records) > PEOPLE / 3
+    assert keyed == []
+
+
+def test_only_people_out_of_order_touching_or_in_two_runs_are_sorted(tmp_path, monkeypatch):
+    rows = [  # each person's hours tell their spells apart
+        "P1,R1,2015-03-01,2015-03-01,2015-05-31,11",  # ascending, one run: never sorted
+        "P1,R1,2015-03-01,2015-06-01,2015-06-30,11",
+        "P2,R1,2015-03-01,2015-06-01,2015-06-30,22",  # out of order
+        "P2,R1,2015-03-01,2015-03-01,2015-05-31,22",
+        "P3,R1,2015-03-01,2015-03-01,2015-05-31,33",  # in two runs, ascending
+        "P4,R1,2015-03-01,2015-03-01,2015-05-31,44",  # touching: end and start share a day, an overlap
+        "P4,R1,2015-03-01,2015-05-31,2015-06-30,44",
+        "P3,R1,2015-03-01,2015-06-01,2015-06-30,33",
+    ]
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([",".join(RECORDS_HEADER), *rows]) + "\n", encoding="utf-8")
+    keyed = _counting_sort_key(monkeypatch)
+    with pytest.raises(OverlappingSpells, match="person 'P4'"):
+        parse_programme_records(path)
+    assert sorted(spell.hours_per_week for spell in keyed) == [22.0, 22.0, 33.0, 33.0, 44.0, 44.0]
+
+
+def test_a_shuffled_file_parses_as_its_grouped_copy(more_records_csv, tmp_path):
+    """The parse is fastest when each person's rows come together; any other order gives the same records."""
+    with open(more_records_csv, encoding="utf-8", newline="") as fh:
+        header, *rows = fh.readlines()
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[i] for i in np.random.default_rng(9).permutation(len(rows))),
+                        encoding="utf-8")
+    grouped = parse_programme_records(more_records_csv)
+    assert len(grouped) == MORE_PEOPLE
+    assert parse_programme_records(shuffled) == grouped
