@@ -13,6 +13,7 @@ The feature configuration (--normalize/--no-normalize, --lag, --working-age)
 is chosen once, by `features`, and written into every row of features.csv;
 fit, evaluate and figures read it from there. Each command executes only the
 layers it uses: `_layer` binds each module unexecuted, to run at its first attribute access.
+Each command runs with the cyclic collector paused and freezes what it leaves alive; the import leaves it alone.
 
 Exit codes: 0 success, 1 validation error (bad data), 2 usage error.
 Diagnostics go to stderr with a machine-parsable `ERROR <code>: <message>`
@@ -55,7 +56,6 @@ model_mod = _layer("model")
 perf_mod = _layer("perf")
 report_mod = _layer("report")
 synth_mod = _layer("synth")
-gc.freeze()  # click's and the standard library's heap lives until exit: no collection need walk it
 atexit.register(gc.freeze)  # shutdown's collections then skip the heap, which reference counting frees anyway
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: threads would split, and change, fit's sums
 
@@ -64,12 +64,18 @@ class _PipelineGroup(click.Group):
     """Maps validation and I/O failures in any command to exit code 1 with a one-line diagnostic."""
 
     def invoke(self, ctx: click.Context):
+        enabled = gc.isenabled()
+        gc.disable()  # the pipeline builds no reference cycles: a collection would walk its heap and free nothing
         try:
             return super().invoke(ctx)
         except (errors_mod.DataError, OSError) as err:
             line = f"ERROR {type(err).__name__}: {err}"
             click.secho(line, err=True, fg="red", color=False if os.environ.get("WF_NO_COLOR") else None)
             sys.exit(1)
+        finally:
+            gc.freeze()  # else re-enabling would start one collection over everything the command allocated
+            if enabled:
+                gc.enable()
 
 
 def _run_config(**resolved) -> dict:

@@ -29,7 +29,6 @@ Every output file of the pipeline, CSV or JSON, is written through `open_output`
 from __future__ import annotations
 
 import csv
-import gc
 import math
 import os
 import re
@@ -335,86 +334,77 @@ def parse_programme_records(records_file: str | Path) -> list[ProgrammeRecord]:
     out of order or touching, or in more than one run, is sorted and scanned,
     after the last row. Spells that start before the entry date are allowed
     (their pre-entry portion is simply ignored downstream). Each distinct date,
-    hours or region string is kept once per call, GC paused. Each row's `Spell`
-    is built once; no line number is held per spell, so an overlap's line is
-    found by reading the file again (a pipe's is not). On success, `gc.freeze()`
-    freezes every tracked object, process-wide: no later collection walks them.
+    hours or region string is kept once per call. Each row's `Spell` is built
+    once; no line number is held per spell, so an overlap's line is found by
+    reading the file again (a pipe's is not). The cyclic collector is left as
+    found: the CLI pauses it around each command, this parse included.
     """
-    # The parse builds a large heap with no reference cycles; on 3.11 the cyclic
-    # collector would rescan it again and again as it grows, and free nothing.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        name = str(records_file)
-        people: dict[str, ProgrammeRecord] = {}  # a record's spells: a tuple, or a list while they await sorting
-        dates: dict[str, date] = {}
-        hours: dict[str, float] = {}
-        regions: dict[str, str] = {}
-        run: list[Spell] = []  # the current run's spells, in file order
-        record = run_person = run_region = run_entry = None
-        for lineno, (person, region, entry_s, start_s, end_s, hours_s) in _read_rows(records_file, RECORDS_HEADER):
-            if person != run_person or entry_s != run_entry or region != run_region:  # a run's first row
-                if run:  # the run before has ended: a tuple's `+=` builds a new one, a list's extends it
-                    record.spells += tuple(run)
-                    run.clear()
-                if not person:
-                    raise MalformedRow("empty person_id", file=name, line=lineno)
-                entry = dates.get(entry_s)
-                if entry is None:
-                    entry = dates[entry_s] = _parse_date(entry_s, "entry_date", name, lineno)
-                record = people.get(person)
-                if record is None:
-                    record = people[person] = ProgrammeRecord(person, regions.setdefault(region, region), entry, ())
-                elif record.region_id != region:
-                    raise MalformedRow(f"person {person!r} has conflicting regions ({record.region_id!r} vs "
-                                       f"{region!r})", file=name, line=lineno)
-                elif record.entry_date != entry:
-                    raise MalformedRow(f"person {person!r} has conflicting entry dates ({record.entry_date.isoformat()}"
-                                       f" vs {entry.isoformat()})", file=name, line=lineno)
-                elif record.spells and type(record.spells) is tuple:  # spells in an earlier run
-                    record.spells = list(record.spells)
-                run_person, run_region, run_entry = person, region, entry_s
-            if not (start_s and end_s and hours_s):
-                if start_s or end_s or hours_s:
-                    raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
-                continue
-            start = dates.get(start_s)
-            if start is None:
-                start = dates[start_s] = _parse_date(start_s, "spell_start", name, lineno)
-            end = dates.get(end_s)
-            if end is None:
-                end = dates[end_s] = _parse_date(end_s, "spell_end", name, lineno)
-            if start > end:
-                raise MalformedRow(
-                    f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
-                )
-            per_week = hours.get(hours_s)
-            if per_week is None:
-                per_week = hours[hours_s] = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
-            if run and start <= run[-1][1] and type(record.spells) is tuple:  # out of order, or sharing a day
+    name = str(records_file)
+    people: dict[str, ProgrammeRecord] = {}  # a record's spells: a tuple, or a list while they await sorting
+    dates: dict[str, date] = {}
+    hours: dict[str, float] = {}
+    regions: dict[str, str] = {}
+    run: list[Spell] = []  # the current run's spells, in file order
+    record = run_person = run_region = run_entry = None
+    for lineno, (person, region, entry_s, start_s, end_s, hours_s) in _read_rows(records_file, RECORDS_HEADER):
+        if person != run_person or entry_s != run_entry or region != run_region:  # a run's first row
+            if run:  # the run before has ended: a tuple's `+=` builds a new one, a list's extends it
+                record.spells += tuple(run)
+                run.clear()
+            if not person:
+                raise MalformedRow("empty person_id", file=name, line=lineno)
+            entry = dates.get(entry_s)
+            if entry is None:
+                entry = dates[entry_s] = _parse_date(entry_s, "entry_date", name, lineno)
+            record = people.get(person)
+            if record is None:
+                record = people[person] = ProgrammeRecord(person, regions.setdefault(region, region), entry, ())
+            elif record.region_id != region:
+                raise MalformedRow(f"person {person!r} has conflicting regions ({record.region_id!r} vs "
+                                   f"{region!r})", file=name, line=lineno)
+            elif record.entry_date != entry:
+                raise MalformedRow(f"person {person!r} has conflicting entry dates ({record.entry_date.isoformat()}"
+                                   f" vs {entry.isoformat()})", file=name, line=lineno)
+            elif record.spells and type(record.spells) is tuple:  # spells in an earlier run
                 record.spells = list(record.spells)
-            run.append(tuple.__new__(Spell, (start, end, per_week)))  # as `Spell._make`, minus a Python frame
-        if run:
-            record.spells += tuple(run)
-        records = sorted(people.values(), key=attrgetter("person_id"))
-        for record in records:
-            if type(record.spells) is list:  # out of order, touching or in more than one run
-                spells = sorted(record.spells, key=itemgetter(0, 1))  # equal (start, end) keep their file order
-                for a, b in zip(spells, spells[1:]):
-                    if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
-                        index = [spell is b for spell in record.spells].index(True)  # b's place among the spells
-                        rows = _read_rows(records_file, RECORDS_HEADER) if os.path.isfile(records_file) else ()
-                        lines = [n for n, row in rows if row[0] == record.person_id and row[3]]
-                        raise OverlappingSpells(
-                            f"person {record.person_id!r} has overlapping spells "
-                            f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
-                            file=name,
-                            line=lines[index] if index < len(lines) else None,  # None for a pipe or a changed file
-                            person_id=record.person_id,
-                        )
-                record.spells = tuple(spells)
-        gc.freeze()  # to the permanent generation: no later collection walks the heap just built
-        return records
-    finally:
-        if enabled:
-            gc.enable()
+            run_person, run_region, run_entry = person, region, entry_s
+        if not (start_s and end_s and hours_s):
+            if start_s or end_s or hours_s:
+                raise MalformedRow("spell fields must be all present or all empty", file=name, line=lineno)
+            continue
+        start = dates.get(start_s)
+        if start is None:
+            start = dates[start_s] = _parse_date(start_s, "spell_start", name, lineno)
+        end = dates.get(end_s)
+        if end is None:
+            end = dates[end_s] = _parse_date(end_s, "spell_end", name, lineno)
+        if start > end:
+            raise MalformedRow(
+                f"spell starts after it ends ({start.isoformat()} > {end.isoformat()})", file=name, line=lineno
+            )
+        per_week = hours.get(hours_s)
+        if per_week is None:
+            per_week = hours[hours_s] = _parse_number(hours_s, "hours_per_week", name, lineno, non_negative=True)
+        if run and start <= run[-1][1] and type(record.spells) is tuple:  # out of order, or sharing a day
+            record.spells = list(record.spells)
+        run.append(tuple.__new__(Spell, (start, end, per_week)))  # as `Spell._make`, minus a Python frame
+    if run:
+        record.spells += tuple(run)
+    records = sorted(people.values(), key=attrgetter("person_id"))
+    for record in records:
+        if type(record.spells) is list:  # out of order, touching or in more than one run
+            spells = sorted(record.spells, key=itemgetter(0, 1))  # equal (start, end) keep their file order
+            for a, b in zip(spells, spells[1:]):
+                if b[0] <= a[1]:  # inclusive end dates: sharing a day is an overlap
+                    index = [spell is b for spell in record.spells].index(True)  # b's place among the spells
+                    rows = _read_rows(records_file, RECORDS_HEADER) if os.path.isfile(records_file) else ()
+                    lines = [n for n, row in rows if row[0] == record.person_id and row[3]]
+                    raise OverlappingSpells(
+                        f"person {record.person_id!r} has overlapping spells "
+                        f"({a[0].isoformat()}..{a[1].isoformat()} and {b[0].isoformat()}..{b[1].isoformat()})",
+                        file=name,
+                        line=lines[index] if index < len(lines) else None,  # None for a pipe or a changed file
+                        person_id=record.person_id,
+                    )
+            record.spells = tuple(spells)
+    return records

@@ -15,7 +15,7 @@ def quickstart(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def unfreeze_gc():
-    """Put back under the collector what a test left frozen: `parse_programme_records` freezes the process's heap.
+    """Put back under the collector what a test left frozen: an in-process CLI command freezes the process's heap.
 
     Without this, a later test's `gc.collect()` would not reach garbage frozen by an earlier test.
     """

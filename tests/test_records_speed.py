@@ -1,17 +1,20 @@
-"""Deterministic guards for the speed and memory of `parse_programme_records`.
+"""Deterministic guards for the speed and memory of `parse_programme_records`, and for the collector policy
+of the commands that run it.
 
 The parse keeps caches local to the call, so each distinct date or hours
-string is converted once and each region id is stored once, and it pauses the
-cyclic garbage collector, whose collections would rescan the large, acyclic
-heap it builds. A parse that succeeds freezes that heap (`gc.freeze()`), so the
-first collections after it, in the stage that judges the records, do not walk
-it either. It builds each spell once, as the `Spell` its record keeps, and
+string is converted once and each region id is stored once. It leaves the
+cyclic garbage collector as it finds it; the CLI runs each command, this parse
+included, with the collector paused, since its collections would rescan the
+large, acyclic heap the command builds and free nothing. However a command
+ends, it freezes what it leaves alive (`gc.freeze()`) before it restores the
+caller's collector state, so the first collections after it do not walk that
+heap either. The parse builds each spell once, as the `Spell` its record keeps, and
 holds no line number per spell, so it never holds the whole file twice nor a
 second copy of any spell. Each spell is compared with the one before it in its
 run of rows, so a person whose spells come in one ascending run is never
 sorted. All of this is checked here by what it does, not by timing, on seeded
 files of a few thousand rows. `conftest.py` unfreezes after every test, so no
-test's `gc.collect()` misses what an earlier one froze.
+test's `gc.collect()` misses what an earlier command froze.
 """
 import csv
 import gc
@@ -23,10 +26,11 @@ import numpy as np
 import pytest
 
 from workforecast import ingest
+from workforecast.cli import cli
 from workforecast.errors import MalformedRow, OverlappingSpells
 from workforecast.ingest import RECORDS_HEADER, parse_programme_records
 
-from helpers import random_programme_record
+from helpers import QUICKSTART_OPTIONS, quickstart_args, random_programme_record
 
 PEOPLE = 2_000
 MORE_PEOPLE = 5_000  # enough spells that what is held per spell outweighs the fixed costs
@@ -92,58 +96,91 @@ def _bad_file(tmp_path, error):
     return path
 
 
-def test_no_collection_runs_during_the_parse(records_csv, gc_state):
+def _run(*args):
+    """Run one CLI command in this process, as the `workforecast` executable would, minus the process exit."""
+    cli.main([str(arg) for arg in args], standalone_mode=False)
+
+
+def _commands(records_csv, quickstart, tmp_path):
+    """`performance` on the seeded records file, then every quick-start command."""
+    yield ["performance", "--records", records_csv, "--out", tmp_path / "performance.csv"]
+    for command in QUICKSTART_OPTIONS:
+        yield quickstart_args(command, quickstart)
+
+
+def test_no_collection_runs_during_a_command(records_csv, quickstart, tmp_path, gc_state):
     phases = []
 
     def record_phase(phase, info):
         phases.append(phase)
 
     gc.enable()
-    gc.collect()  # start from empty generation counts, so no collection is due at the call
     gc.callbacks.append(record_phase)
     try:
-        records = parse_programme_records(records_csv)
-        during = len(phases)  # allocates nothing the collector tracks, so it cannot set off a collection
+        for args in _commands(records_csv, quickstart, tmp_path):
+            gc.collect()  # start from empty generation counts, so no collection is due at the call
+            phases.clear()
+            _run(*args)
+            assert "start" not in phases, args[0]
         gc.collect()  # positive control: the callback does see a collection
     finally:
         gc.callbacks.remove(record_phase)
-    assert len(records) == PEOPLE
-    assert "start" not in phases[:during]
-    assert "start" in phases[during:]
+    assert "start" in phases
 
 
-def test_a_successful_parse_freezes_its_records(records_csv, gc_state):
-    gc.enable()
-    before = gc.get_freeze_count()
-    records = parse_programme_records(records_csv)
-    assert len(records) == PEOPLE
-    assert gc.get_freeze_count() - before >= len(records)
-
-
-def test_the_parse_leaves_generation_0_nearly_empty(records_csv, gc_state):
-    """Unfrozen, the whole paused-parse heap would sit in generation 0 for the next collection to walk."""
+def test_a_command_freezes_what_it_leaves_alive(records_csv, tmp_path, monkeypatch, gc_state):
+    """Unfrozen, every object the paused command left alive would sit in generation 0 for the next collection."""
+    kept = []
+    parse = ingest.parse_programme_records
+    monkeypatch.setattr(ingest, "parse_programme_records", lambda path: kept.append(parse(path)) or kept[-1])
     gc.enable()
     gc.collect()
-    records = parse_programme_records(records_csv)
+    before = gc.get_freeze_count()
+    _run("performance", "--records", records_csv, "--out", tmp_path / "performance.csv")
     young = gc.get_count()[0]
+    [records] = kept
     assert len(records) == PEOPLE
+    assert gc.get_freeze_count() - before >= len(records)
     assert young < gc.get_threshold()[0] < len(records)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("error", ["ok", MalformedRow, OverlappingSpells], ids=["ok", "malformed", "overlap"])
 def test_the_callers_gc_state_is_restored(tmp_path, gc_state, enabled, error):
+    """The parse leaves the collector alone: a library call neither pauses it nor freezes anything."""
     path = _bad_file(tmp_path, error)
     if enabled:
         gc.enable()
     else:
         gc.disable()
+    before = gc.get_freeze_count()
     if error == "ok":
         assert len(parse_programme_records(path)) == 1
     else:
         with pytest.raises(error):
             parse_programme_records(path)
     assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("error", ["ok", MalformedRow, OverlappingSpells], ids=["ok", "malformed", "overlap"])
+def test_a_command_restores_the_callers_gc_state(tmp_path, gc_state, enabled, error):
+    path = _bad_file(tmp_path, error)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    args = ("performance", "--records", path, "--out", tmp_path / "performance.csv")
+    before = gc.get_freeze_count()
+    if error == "ok":
+        _run(*args)
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            _run(*args)
+        assert exit_info.value.code == 1
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() > before  # however the command ends, it freezes before it restores
 
 
 def test_each_distinct_string_is_parsed_once(records_csv, monkeypatch):
