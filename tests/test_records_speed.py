@@ -128,20 +128,37 @@ def test_no_collection_runs_during_a_command(records_csv, quickstart, tmp_path, 
     assert "start" in phases
 
 
-def test_a_command_freezes_what_it_leaves_alive(records_csv, tmp_path, monkeypatch, gc_state):
-    """Unfrozen, every object the paused command left alive would sit in generation 0 for the next collection."""
+def _performance_keeping_records(records_csv, tmp_path, monkeypatch):
+    """Run `performance` with the collector on: the records its parse returned, kept alive, and the collections run."""
     kept = []
     parse = ingest.parse_programme_records
     monkeypatch.setattr(ingest, "parse_programme_records", lambda path: kept.append(parse(path)) or kept[-1])
     gc.enable()
     gc.collect()
-    before = gc.get_freeze_count()
+    before = sum(stats["collections"] for stats in gc.get_stats())
     _run("performance", "--records", records_csv, "--out", tmp_path / "performance.csv")
-    young = gc.get_count()[0]
+    collections = sum(stats["collections"] for stats in gc.get_stats()) - before
     [records] = kept
     assert len(records) == PEOPLE
+    return records, collections
+
+
+def test_a_successful_parse_freezes_its_records(records_csv, tmp_path, monkeypatch, gc_state):
+    """The parse itself freezes nothing; the command that ran it freezes its records before it returns."""
+    before = gc.get_freeze_count()
+    records, _ = _performance_keeping_records(records_csv, tmp_path, monkeypatch)
     assert gc.get_freeze_count() - before >= len(records)
+    collected = {id(obj) for obj in gc.get_objects()}  # generations 0-2: frozen objects are not among them
+    assert id(records) not in collected
+    assert not any(id(record) in collected for record in records)
+
+
+def test_the_parse_leaves_generation_0_nearly_empty(records_csv, tmp_path, monkeypatch, gc_state):
+    """Unfrozen, every object the paused command left alive would sit in generation 0 for the next collection."""
+    records, collections = _performance_keeping_records(records_csv, tmp_path, monkeypatch)
+    young = gc.get_count()[0]
     assert young < gc.get_threshold()[0] < len(records)
+    assert collections == 0  # nor did one run over it as the command re-enabled the collector
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
