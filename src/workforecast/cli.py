@@ -15,22 +15,20 @@ fit, evaluate and figures read it from there. Each command executes only the
 layers it uses: `_layer` binds each module unexecuted, to run at its first attribute access.
 Each command runs with the cyclic collector paused and freezes what it leaves alive; the import leaves it alone.
 
-Exit codes: 0 success, 1 validation error (bad data), 2 usage error.
-Diagnostics go to stderr with a machine-parsable `ERROR <code>: <message>`
-prefix; data goes to files only. Set WF_NO_COLOR to disable styling. Every
-JSON output embeds a `run_config` stamp: `subcommand`, then every option under
-its parameter name in declaration order, then (fit and evaluate) the resolved
-`feature_config` read from features.csv, which is model.json's one record of it.
+`main` parses the command line with one argparse subparser per entry of `COMMANDS`. Exit codes: 0 success, 1
+validation error (bad data), 2 usage error. Diagnostics go to stderr with a machine-parsable `ERROR <code>: <message>`
+prefix, red on a terminal unless WF_NO_COLOR is set; data goes to files only. Every JSON output embeds a `run_config`
+stamp, the parsed command line: `subcommand`, then every option under its Python name in declaration order, then
+(fit and evaluate) the resolved `feature_config` read from features.csv, which is model.json's one record of it.
 """
 from __future__ import annotations
 
+import argparse
 import atexit
 import gc
 import importlib.util
 import os
 import sys
-
-import click
 
 import workforecast
 
@@ -60,113 +58,122 @@ atexit.register(gc.freeze)  # shutdown's collections then skip the heap, which r
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: threads would split, and change, fit's sums
 
 
-class _PipelineGroup(click.Group):
-    """Maps validation and I/O failures in any command to exit code 1 with a one-line diagnostic."""
-
-    def invoke(self, ctx: click.Context):
-        enabled = gc.isenabled()
-        gc.disable()  # the pipeline builds no reference cycles: a collection would walk its heap and free nothing
-        try:
-            return super().invoke(ctx)
-        except (errors_mod.DataError, OSError) as err:
-            line = f"ERROR {type(err).__name__}: {err}"
-            click.secho(line, err=True, fg="red", color=False if os.environ.get("WF_NO_COLOR") else None)
-            sys.exit(1)
-        finally:
-            gc.freeze()  # else re-enabling would start one collection over everything the command allocated
-            if enabled:
-                gc.enable()
+COMMANDS: dict[str, tuple] = {}  # name: (function, options as (flag, `add_argument` keywords) in declaration order)
 
 
-def _run_config(**resolved) -> dict:
-    """The current command's stamp: its name, every parameter in declaration order, then `resolved`."""
-    ctx = click.get_current_context()
-    return {"subcommand": ctx.info_name, **{p.name: ctx.params[p.name] for p in ctx.command.params}, **resolved}
+def _command(name: str, *options: tuple[str, dict]):
+    """Register the decorated function as command `name`; `main` calls it with its stamp, then each option by name."""
+    return lambda fn: COMMANDS.setdefault(name, (fn, options))[0]
 
 
-def _range_callback(ctx, param, value: str) -> tuple[int, int]:
-    """Parse an inclusive, non-negative LO:HI option value; errors name the option's flag."""
-    flag = param.opts[0]
-    try:
-        lo_s, hi_s = value.split(":")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise click.BadParameter(f"expected LO:HI, got {value!r}", param_hint=flag) from None
-    if lo < 0:
-        raise click.BadParameter(f"lower bound {lo} is negative", param_hint=flag)
+def _csv(*names: str) -> tuple:
+    return tuple((f"--{name}", dict(required=True, help=f"{name}.csv path.")) for name in names)
+
+
+def _at_least(least: int):
+    """The type of a whole-number option no smaller than `least`."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={least}")
+        return value
+    return integer
+
+
+def interval(text: str) -> tuple[int, int]:
+    """The type of an inclusive LO:HI option of whole numbers; argparse reports text it cannot split as invalid."""
+    lo, hi = map(_at_least(0), text.split(":"))
     if max(lo, hi) >= 10**ingest_mod._MAX_DIGITS:
-        raise click.BadParameter(f"a bound has more than {ingest_mod._MAX_DIGITS} digits", param_hint=flag)
+        raise argparse.ArgumentTypeError(f"a bound has more than {ingest_mod._MAX_DIGITS} digits")
     if lo > hi:
-        raise click.BadParameter(f"lower bound {lo} exceeds upper bound {hi}", param_hint=flag)
+        raise argparse.ArgumentTypeError(f"lower bound {lo} exceeds upper bound {hi}")
     return lo, hi
 
 
-def _csv_options(*names: str):
-    def add(fn):
-        for name in reversed(names):
-            fn = click.option(f"--{name}", required=True, help=f"{name}.csv path.")(fn)
-        return fn
-    return add
+def main(args: list[str] | None = None, prog_name: str = "workforecast", standalone_mode: bool = True) -> None:
+    """Run the command that `args` (by default `sys.argv[1:]`) names. `standalone_mode` does nothing: only
+    `perfbench/replay.py` passes it, as click's `main` took it, until a benchmark change drops it there."""
+    parser = argparse.ArgumentParser(prog_name, description=workforecast.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {workforecast.__version__}")
+    commands = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (fn, options) in COMMANDS.items():
+        command = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        for flag, keywords in options:
+            action = command.add_argument(flag, **keywords)
+            if action.default is not None and action.default is not False:  # None: required or unset; False: a flag
+                action.help += " (default: %(default)s)"
+    # `--flag value` as `--flag=value`, so that argparse reads a value that begins with `-` as one, not as an option
+    takes_value = {flag for _, options in COMMANDS.values() for flag, keywords in options if "action" not in keywords}
+    joined, rest = [], iter(sys.argv[1:] if args is None else args)
+    for arg in rest:
+        value = next(rest, None) if arg in takes_value else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    run_config = vars(parser.parse_args(joined))
+    options = {name: value for name, value in run_config.items() if name != "subcommand"}
+    enabled = gc.isenabled()
+    gc.disable()  # the pipeline builds no reference cycles: a collection would walk its heap and free nothing
+    try:
+        COMMANDS[run_config["subcommand"]][0](run_config, **options)
+    except (errors_mod.DataError, OSError) as err:
+        line = f"ERROR {type(err).__name__}: {err}"
+        print(f"\x1b[31m{line}\x1b[0m" if sys.stderr.isatty() and not os.environ.get("WF_NO_COLOR") else line,
+              file=sys.stderr)
+        sys.exit(1)
+    finally:
+        gc.freeze()  # else re-enabling would start one collection over everything the command allocated
+        if enabled:
+            gc.enable()
 
 
-@click.group(cls=_PipelineGroup, context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(workforecast.__version__)
-def cli() -> None:
-    """Forecast workforce-reintegration programme success rates."""
+cli = main.main = main  # the console-script entry point, and `cli.main(args=...)` as `perfbench/replay.py` calls it
 
 
-@cli.command("validate")
-@_csv_options("employment", "unemployment", "population")
-@click.option("--records", "records_file", default=None, help="records.csv path (optional).")
-def validate_cmd(employment, unemployment, population, records_file) -> None:
+@_command("validate", *_csv("employment", "unemployment", "population"),
+          ("--records", dict(dest="records_file", help="records.csv path (optional).")))
+def validate_cmd(run_config, employment, unemployment, population, records_file) -> None:
     """Run ingestion checks only; no outputs."""
     series = ingest_mod.parse_regional_series(employment, unemployment, population)
     for region in series:
         years = series[region].years
-        click.echo(f"OK {errors_mod.shown(region)}: years {years[0]}-{years[-1]} ({len(years)})", err=True)
+        print(f"OK {errors_mod.shown(region)}: years {years[0]}-{years[-1]} ({len(years)})", file=sys.stderr)
     if records_file is not None:
         records = ingest_mod.parse_programme_records(records_file)
-        click.echo(f"OK records: {len(records)} people", err=True)
+        print(f"OK records: {len(records)} people", file=sys.stderr)
 
 
-@cli.command("features")
-@_csv_options("employment", "unemployment", "population")
-@click.option("--normalize/--no-normalize", "normalize", default=True, show_default=True,
-              help="Divide demand by the working-age population.")
-@click.option("--lag", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Shift the proxies this many whole years behind the entry year.")
-@click.option("--working-age", "working_age", default="16:64", show_default=True,
-              callback=_range_callback, help="Working-age interval as LO:HI (inclusive).")
-@click.option("--out", required=True, help="Output features.csv path.")
-def features_cmd(employment, unemployment, population, normalize, lag, working_age, out) -> None:
+@_command("features", *_csv("employment", "unemployment", "population"),
+          ("--normalize", dict(action=argparse.BooleanOptionalAction, default=True,
+                               help="Divide demand by the working-age population.")),
+          ("--lag", dict(type=_at_least(0), default=0,
+                         help="Shift the proxies this many whole years behind the entry year.")),
+          ("--working-age", dict(type=interval, default="16:64", help="Working-age interval as LO:HI (inclusive).")),
+          ("--out", dict(required=True, help="Output features.csv path.")))
+def features_cmd(run_config, employment, unemployment, population, normalize, lag, working_age, out) -> None:
     """Build demand/supply feature rows from the statistical files."""
     config = features_mod.FeatureConfig(normalize=normalize, lag=lag, working_age=working_age)
     series = ingest_mod.parse_regional_series(employment, unemployment, population)
     rows = features_mod.build_features(series, config)
     features_mod.write_features_csv(rows, config, out)
-    click.echo(f"wrote {len(rows)} feature rows to {errors_mod.shown(out)}", err=True)
+    print(f"wrote {len(rows)} feature rows to {errors_mod.shown(out)}", file=sys.stderr)
 
 
-@cli.command("performance")
-@click.option("--records", "records_file", required=True, help="records.csv path.")
-@click.option("--min-hours", type=float, default=workforecast.DEFAULT_MIN_HOURS, show_default=True,
-              help="Minimum weekly hours for a spell to qualify.")
-@click.option("--window-months", type=click.IntRange(min=0), default=workforecast.DEFAULT_WINDOW_MONTHS,
-              show_default=True, help="Calendar months of continuous employment required.")
-@click.option("--out", required=True, help="Output performance.csv path.")
-def performance_cmd(records_file, min_hours, window_months, out) -> None:
+@_command("performance", ("--records", dict(dest="records_file", required=True, help="records.csv path.")),
+          ("--min-hours", dict(type=float, default=workforecast.DEFAULT_MIN_HOURS,
+                               help="Minimum weekly hours for a spell to qualify.")),
+          ("--window-months", dict(type=_at_least(0), default=workforecast.DEFAULT_WINDOW_MONTHS,
+                                   help="Calendar months of continuous employment required.")),
+          ("--out", dict(required=True, help="Output performance.csv path.")))
+def performance_cmd(run_config, records_file, min_hours, window_months, out) -> None:
     """Aggregate programme records into per-region-per-year success rates."""
     records = ingest_mod.parse_programme_records(records_file)
     rows = perf_mod.aggregate_performance(records, min_hours=min_hours, window_months=window_months)
     perf_mod.write_performance_csv(rows, out)
-    click.echo(f"wrote {len(rows)} performance rows to {errors_mod.shown(out)}", err=True)
+    print(f"wrote {len(rows)} performance rows to {errors_mod.shown(out)}", file=sys.stderr)
 
 
-@cli.command("fit")
-@_csv_options("features", "performance")
-@click.option("--per-region", is_flag=True, default=False, help="Fit one model per region.")
-@click.option("--model", required=True, help="Output model.json path.")
-def fit_cmd(features, performance, per_region, model) -> None:
+@_command("fit", *_csv("features", "performance"),
+          ("--per-region", dict(action="store_true", help="Fit one model per region.")),
+          ("--model", dict(required=True, help="Output model.json path.")))
+def fit_cmd(run_config, features, performance, per_region, model) -> None:
     """Fit the linear model on the joined feature/performance rows."""
     feature_rows, config = features_mod.read_features_csv(features)
     performance_rows = perf_mod.read_performance_csv(performance)
@@ -182,69 +189,61 @@ def fit_cmd(features, performance, per_region, model) -> None:
             f"demand={payload.coef_demand:.6g} supply={payload.coef_supply:.6g} "
             f"r_squared={payload.r_squared:.4f}"
         )
-    jsonio.save(model, payload, _run_config(feature_config=config))
-    click.echo(summary, err=True)
+    jsonio.save(model, payload, {**run_config, "feature_config": config})
+    print(summary, file=sys.stderr)
 
 
-@cli.command("evaluate")
-@_csv_options("features", "performance")
-@click.option("--benchmark", "benchmark_mode", type=click.Choice(workforecast.BENCHMARK_MODES),
-              default="trainfold-mean", show_default=True, help="Benchmark prediction mode.")
-@click.option("--per-region", is_flag=True, default=False, help="Cross-validate within each region.")
-@click.option("--out", required=True, help="Output report.json path.")
-def evaluate_cmd(features, performance, benchmark_mode, per_region, out) -> None:
+@_command("evaluate", *_csv("features", "performance"),
+          ("--benchmark", dict(dest="benchmark_mode", choices=workforecast.BENCHMARK_MODES, default="trainfold-mean",
+                               help="Benchmark prediction mode.")),
+          ("--per-region", dict(action="store_true", help="Cross-validate within each region.")),
+          ("--out", dict(required=True, help="Output report.json path.")))
+def evaluate_cmd(run_config, features, performance, benchmark_mode, per_region, out) -> None:
     """Leave-one-out cross-validation of the model against the benchmark."""
     feature_rows, config = features_mod.read_features_csv(features)
     performance_rows = perf_mod.read_performance_csv(performance)
     dataset = evaluate_mod.build_dataset(feature_rows, performance_rows)
     run = evaluate_mod.loocv_per_region if per_region else evaluate_mod.loocv
     result = run(dataset, config, benchmark_mode)
-    evaluate_mod.save_report_json(result, out, run_config=_run_config(feature_config=config))
+    evaluate_mod.save_report_json(result, out, run_config={**run_config, "feature_config": config})
     benchmark_text = "n/a" if result.mae_benchmark_pct is None else f"{result.mae_benchmark_pct:.4g}%"
-    click.echo(f"{len(result.folds)} folds: MAE model {result.mae_model_pct:.4g}% vs benchmark {benchmark_text}",
-               err=True)
+    print(f"{len(result.folds)} folds: MAE model {result.mae_model_pct:.4g}% vs benchmark {benchmark_text}",
+          file=sys.stderr)
 
 
-@cli.command("synth")
-@click.option("--out", required=True, help="Output directory for the generated files.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Generator seed.")
-@click.option("--regions", "n_regions", type=click.IntRange(min=1), default=2, show_default=True,
-              help="Number of regions to generate.")
-@click.option("--years", default="2011:2018", show_default=True, callback=_range_callback,
-              help="Inclusive year range as FIRST:LAST.")
-@click.option("--intercept", "true_intercept", type=float, default=0.5, show_default=True, help="True intercept.")
-@click.option("--coef-demand", "true_coef_demand", type=float, default=1.5, show_default=True, help="True demand coefficient.")
-@click.option("--coef-supply", "true_coef_supply", type=float, default=-2.0, show_default=True, help="True supply coefficient.")
-@click.option("--noise-sd", type=float, default=0.0, show_default=True,
-              help="Gaussian noise on the performance scale.")
-@click.option("--shock-year", type=int, default=None, help="First year of the step shock.")
-@click.option("--demand-shift", type=float, default=0.0, show_default=True,
-              help="Employment level shift as a fraction of working-age population.")
-@click.option("--supply-shift", type=float, default=0.0, show_default=True,
-              help="Unemployment level shift as a fraction of working-age population.")
-def synth_cmd(out, **params) -> None:
+@_command("synth", ("--out", dict(required=True, help="Output directory for the generated files.")),
+          ("--seed", dict(type=_at_least(0), default=0, help="Generator seed.")),
+          ("--regions", dict(dest="n_regions", type=_at_least(1), default=2, help="Number of regions to generate.")),
+          ("--years", dict(type=interval, default="2011:2018", help="Inclusive year range as FIRST:LAST.")),
+          ("--intercept", dict(dest="true_intercept", type=float, default=0.5, help="True intercept.")),
+          ("--coef-demand", dict(dest="true_coef_demand", type=float, default=1.5, help="True demand coefficient.")),
+          ("--coef-supply", dict(dest="true_coef_supply", type=float, default=-2.0, help="True supply coefficient.")),
+          ("--noise-sd", dict(type=float, default=0.0, help="Gaussian noise on the performance scale.")),
+          ("--shock-year", dict(type=int, help="First year of the step shock.")),
+          ("--demand-shift", dict(type=float, default=0.0,
+                                  help="Employment level shift as a fraction of working-age population.")),
+          ("--supply-shift", dict(type=float, default=0.0,
+                                  help="Unemployment level shift as a fraction of working-age population.")))
+def synth_cmd(run_config, out, **params) -> None:
     """Generate a synthetic panel with a known linear ground truth."""
     config = synth_mod.SynthConfig(**params)
     result = synth_mod.generate(config)
-    paths = synth_mod.write_outputs(result, config, out, run_config=_run_config())
-    click.echo(
-        f"generated {len(result.series_by_region)} regions, {len(result.performance)} "
-        f"performance rows ({result.n_clipped} clipped) in {errors_mod.shown(paths['truth'].parent)}",
-        err=True,
-    )
+    paths = synth_mod.write_outputs(result, config, out, run_config=run_config)
+    print(f"generated {len(result.series_by_region)} regions, {len(result.performance)} performance rows "
+          f"({result.n_clipped} clipped) in {errors_mod.shown(paths['truth'].parent)}", file=sys.stderr)
 
 
-@cli.command("figures")
-@_csv_options("employment", "unemployment", "population", "features", "performance")
-@click.option("--report", "report_file", required=True, help="report.json path from `evaluate`.")
-@click.option("--baseline-year", type=int, default=None,
-              help="Population baseline year (default: earliest year shared by all regions).")
-@click.option("--population-baseline", "population_mode", type=click.Choice(workforecast.BASELINE_MODES),
-              default="ratio", show_default=True, help="Baseline mode for population growth.")
-@click.option("--performance-baseline", "performance_mode", type=click.Choice(workforecast.BASELINE_MODES),
-              default="difference", show_default=True, help="Baseline mode for the evaluation chart.")
-@click.option("--out", required=True, help="Output directory for the plot-data CSVs.")
-def figures_cmd(employment, unemployment, population, features, performance, report_file, out, **baselines) -> None:
+@_command("figures", *_csv("employment", "unemployment", "population", "features", "performance"),
+          ("--report", dict(dest="report_file", required=True, help="report.json path from `evaluate`.")),
+          ("--baseline-year", dict(type=int,
+                                   help="Population baseline year (default: earliest year shared by all regions).")),
+          ("--population-baseline", dict(dest="population_mode", choices=workforecast.BASELINE_MODES,
+                                         default="ratio", help="Baseline mode for population growth.")),
+          ("--performance-baseline", dict(dest="performance_mode", choices=workforecast.BASELINE_MODES,
+                                          default="difference", help="Baseline mode for the evaluation chart.")),
+          ("--out", dict(required=True, help="Output directory for the plot-data CSVs.")))
+def figures_cmd(run_config, employment, unemployment, population, features, performance, report_file, out,
+                **baselines) -> None:
     """Emit the four plot-data CSV files."""
     series = ingest_mod.parse_regional_series(employment, unemployment, population)
     feature_rows, config = features_mod.read_features_csv(features)
@@ -256,7 +255,7 @@ def figures_cmd(employment, unemployment, population, features, performance, rep
             file=str(report_file),
         )
     paths = report_mod.emit_figure_data(series, feature_rows, performance_rows, eval_report, out, **baselines)
-    click.echo(f"wrote {len(paths)} figure files to {errors_mod.shown(out)}", err=True)
+    print(f"wrote {len(paths)} figure files to {errors_mod.shown(out)}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -19,20 +19,25 @@ under a new name, and `parse_natural_reference` is `ingest._parse_natural`
 before its plain-digit fast path: the regex rule alone. `unbaseline` is the
 inverse of `report._rebase`, computed from the base `report.baseline` returns.
 `reintegrated` is not an oracle: it asks `perf.aggregate_performance`, the
-rule's one caller, for its verdict on a single record.
+rule's one caller, for its verdict on a single record. `invoke` runs one CLI
+command in this process and captures what it writes.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 import re
 import statistics
 from collections.abc import Iterator
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from click.testing import CliRunner
 
 from workforecast.cli import cli
 from workforecast.errors import (
@@ -590,7 +595,7 @@ def write_quickstart(root: Path) -> None:
     """The inputs of every command in QUICKSTART_OPTIONS: `synth --seed 7`, its features and report, records.csv."""
 
     def run(args: list[str]) -> None:
-        result = CliRunner().invoke(cli, args, env={"WF_NO_COLOR": "1"}, catch_exceptions=False)
+        result = invoke(args, env={"WF_NO_COLOR": "1"}, catch_exceptions=False)
         assert result.exit_code == 0, result.output
 
     run(["synth", "--out", str(root), "--seed", "7"])
@@ -599,3 +604,62 @@ def write_quickstart(root: Path) -> None:
     run(quickstart_args("evaluate", root))
     (root / "out_report.json").rename(root / "report.json")
     (root / "records.csv").write_text(QUICKSTART_RECORDS, encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# one CLI command, in this process
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Result:
+    """What one command gave: its exit code, what it wrote, and the exception it ended in (a `SystemExit` for exit
+    codes other than 0), with the names of click's `testing.Result`."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, as a terminal shows them
+    exception: BaseException | None
+
+
+class _Stream(io.StringIO):
+    """A captured stream that copies what it is written into `output`; a terminal if `tty`."""
+
+    def __init__(self, output: io.StringIO, tty: bool = False) -> None:
+        super().__init__()
+        self._output, self._tty = output, tty
+
+    def write(self, text: str) -> int:
+        self._output.write(text)
+        return super().write(text)
+
+    def isatty(self) -> bool:
+        return self._tty
+
+
+def invoke(args: list[str], env: dict[str, str | None] | None = None, tty: bool = False,
+           catch_exceptions: bool = True) -> Result:
+    """Run `cli` on `args` as the `workforecast` executable would, but in this process.
+
+    `env` sets environment variables for the run (None unsets one), and `tty` makes stderr a terminal. An
+    exception other than `SystemExit` is returned as the result's, with exit code 1, if `catch_exceptions`.
+    """
+    output = io.StringIO()
+    stdout, stderr = _Stream(output), _Stream(output, tty)
+    exit_code, exception = 0, None
+    with mock.patch.dict(os.environ), redirect_stdout(stdout), redirect_stderr(stderr):
+        for name, value in (env or {}).items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        try:
+            cli(args)
+        except SystemExit as exit_:
+            exit_code = exit_.code or 0  # the CLI exits with 0, 1 or 2
+            exception = exit_ if exit_code else None
+        except Exception as err:
+            if not catch_exceptions:
+                raise
+            exit_code, exception = 1, err
+    return Result(exit_code, stdout.getvalue(), stderr.getvalue(), output.getvalue(), exception)

@@ -6,9 +6,7 @@ import statistics
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
-from workforecast.cli import cli
 from workforecast.evaluate import FoldResult, build_dataset, loocv, summarize
 from workforecast.features import FeatureConfig, FeatureRow, build_features
 from workforecast.model import design, fit
@@ -16,6 +14,7 @@ from workforecast.synth import LAW_FEATURE_CONFIG, SynthConfig, generate
 
 from helpers import (
     coordinate_descent,
+    invoke,
     per_age_supply_oracle,
     random_programme_record,
     random_regional_series,
@@ -181,7 +180,6 @@ def test_criterion_6_demand_shock_favours_the_model():
 
 
 def test_criterion_7_pipeline_closure_and_determinism(tmp_path):
-    runner = CliRunner()
     env = {"WF_NO_COLOR": "1"}
     data = tmp_path / "data"
 
@@ -210,7 +208,7 @@ def test_criterion_7_pipeline_closure_and_determinism(tmp_path):
              "--report", str(tmp_path / "report.json"),
              "--out", str(tmp_path / "figs")],
         ]
-        return [runner.invoke(cli, step, env=env).exit_code for step in steps]
+        return [invoke(step, env=env).exit_code for step in steps]
 
     first_codes = run_all()
     outputs = sorted(

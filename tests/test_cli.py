@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shutil
@@ -5,25 +6,29 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import workforecast
 from workforecast import __version__, evaluate, jsonio, perf, report
-from workforecast.cli import cli
+from workforecast.cli import COMMANDS
 from workforecast.errors import MalformedJson
 from workforecast.evaluate import build_dataset
 from workforecast.features import read_features_csv
 from workforecast.model import ModelFit, design, fit
 from workforecast.perf import read_performance_csv
 
-from helpers import quickstart_args, quickstart_inputs
+from helpers import invoke, quickstart_args, quickstart_inputs
 
 ENV = {"WF_NO_COLOR": "1"}
 
 
 def _invoke(args, **kwargs):
-    runner = CliRunner()
-    return runner.invoke(cli, args, env=ENV, catch_exceptions=False, **kwargs)
+    return invoke(args, env=ENV, catch_exceptions=False, **kwargs)
+
+
+def _declared(command: str) -> list[argparse.Action]:
+    """The options of `command`, in declaration order, as the `argparse` actions the CLI's own table makes."""
+    parser = argparse.ArgumentParser(add_help=False)
+    return [parser.add_argument(flag, **keywords) for flag, keywords in COMMANDS[command][1]]
 
 
 def _run_pipeline(root: Path, seed=7, extra_synth=(), extra_eval=()):
@@ -180,13 +185,11 @@ class TestExitCodes:
         assert result.stderr.startswith("ERROR FileNotFoundError:")
 
     def test_usage_error_exits_two(self):
-        runner = CliRunner()
-        assert runner.invoke(cli, ["features", "--bogus"], env=ENV).exit_code == 2
-        assert runner.invoke(cli, ["evaluate"], env=ENV).exit_code == 2
+        assert invoke(["features", "--bogus"], env=ENV).exit_code == 2
+        assert invoke(["evaluate"], env=ENV).exit_code == 2
 
     def test_bad_working_age_is_a_usage_error(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(cli, [
+        result = invoke([
             "features",
             "--employment", "e.csv", "--unemployment", "u.csv", "--population", "p.csv",
             "--working-age", "64-16",
@@ -201,16 +204,17 @@ class TestExitCodes:
     ])
     def test_negative_range_is_a_usage_error(self, tmp_path, args, flag):
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli, [*args, "--out", str(out)], env=ENV)
+        result = invoke([*args, "--out", str(out)], env=ENV)
         assert result.exit_code == 2
-        assert f"Invalid value for {flag}: lower bound" in result.stderr
+        lower = args[-1].split(":")[0]
+        assert f"error: argument {flag}: {lower} is not in the range x>=0" in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--demand-shift", "--supply-shift"])
     @pytest.mark.parametrize("shift", ["1e308", "-1e308"])
     def test_huge_shift_exits_one_naming_the_field(self, tmp_path, option, shift):
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli, ["synth", "--out", str(out), "--shock-year", "2012", option, shift], env=ENV)
+        result = invoke(["synth", "--out", str(out), "--shock-year", "2012", option, shift], env=ENV)
         assert result.exit_code == 1
         field = option[2:].replace("-", "_")
         assert _single_error_line(result, "InvalidConfig").startswith(f"ERROR InvalidConfig: {field} must be within")
@@ -247,16 +251,16 @@ class TestExitCodes:
     def test_a_range_bound_past_324_digits_is_a_usage_error(self, tmp_path, args, flag):
         """Such a --working-age used to exit 0 and write a features.csv that `fit` then rejected."""
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli, [*args, "--out", str(out)], env=ENV)
+        result = invoke([*args, "--out", str(out)], env=ENV)
         assert result.exit_code == 2
-        assert f"Invalid value for {flag}: a bound has more than 324 digits" in result.stderr
+        assert f"error: argument {flag}: a bound has more than 324 digits" in result.stderr
         assert not out.exists()
 
     def test_a_year_range_too_long_to_count_exits_one(self, tmp_path):
         """It used to end in an `OverflowError` traceback from `range`, before any year was generated."""
         out = tmp_path / "out"
         last = "9" * 30
-        result = CliRunner().invoke(cli, ["synth", "--out", str(out), "--years", f"2011:{last}"], env=ENV)
+        result = invoke(["synth", "--out", str(out), "--years", f"2011:{last}"], env=ENV)
         assert result.exit_code == 1
         assert _single_error_line(result, "InvalidConfig") == (
             f"ERROR InvalidConfig: 2 regions over 2011..{last} are more than 1,000,000 region-years"
@@ -271,7 +275,7 @@ class TestExitCodes:
     def test_a_panel_past_a_million_region_years_exits_one(self, tmp_path, args, text):
         """The first two used to run out of memory (or time) generating, the first after passing a sys.maxsize check."""
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli, ["synth", "--out", str(out), *args], env=ENV)
+        result = invoke(["synth", "--out", str(out), *args], env=ENV)
         assert result.exit_code == 1
         assert _single_error_line(result, "InvalidConfig") == (
             f"ERROR InvalidConfig: {text} are more than 1,000,000 region-years"
@@ -281,7 +285,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("option", ["--demand-shift", "--supply-shift"])
     def test_shift_without_shock_year_exits_one(self, tmp_path, option):
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli, ["synth", "--out", str(out), option, "-0.05"], env=ENV)
+        result = invoke(["synth", "--out", str(out), option, "-0.05"], env=ENV)
         assert result.exit_code == 1
         assert _single_error_line(result, "InvalidConfig") == (
             "ERROR InvalidConfig: demand_shift and supply_shift require a shock_year"
@@ -290,16 +294,16 @@ class TestExitCodes:
 
 
 class TestErrorMapping:
-    @pytest.mark.parametrize("command", sorted(cli.commands))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_command_maps_an_unusable_path_to_one_error_line(self, tmp_path, command):
         """Every required option names a file, and no path under a regular file can be read or written."""
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
         args = [command]
-        for param in cli.commands[command].params:
-            if param.required:
-                args += [param.opts[0], str(blocker / param.name)]
-        result = CliRunner().invoke(cli, args, env=ENV)
+        for action in _declared(command):
+            if action.required:
+                args += [action.option_strings[0], str(blocker / action.dest)]
+        result = invoke(args, env=ENV)
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert re.fullmatch(r"ERROR [A-Za-z]+: [^\n]*\n", result.stderr), result.stderr
@@ -311,10 +315,18 @@ class TestErrorMapping:
         """On a terminal that takes colour; `WF_NO_COLOR` keeps the line plain there too."""
         records = tmp_path / "missing.csv"
         args = ["performance", "--records", str(records), "--out", str(tmp_path / "performance.csv")]
-        result = CliRunner().invoke(cli, args, env=env, color=True)
+        result = invoke(args, env=env, tty=True)
         assert result.exit_code == 1
         line = f"ERROR FileNotFoundError: [Errno 2] No such file or directory: {str(records)!r}"
         assert result.stderr == (f"\x1b[31m{line}\x1b[0m\n" if styled else f"{line}\n")
+
+    def test_the_error_line_is_plain_off_a_terminal(self, tmp_path):
+        """A pipe or a file gets no escape codes, with `WF_NO_COLOR` unset too."""
+        records = tmp_path / "missing.csv"
+        args = ["performance", "--records", str(records), "--out", str(tmp_path / "performance.csv")]
+        result = invoke(args, env={"WF_NO_COLOR": None})
+        assert result.exit_code == 1
+        assert result.stderr == f"ERROR FileNotFoundError: [Errno 2] No such file or directory: {str(records)!r}\n"
 
 
 class TestValidate:
@@ -665,9 +677,9 @@ class TestFeatureConfigFromFile:
             "evaluate": _evaluate_args(tmp_path, tmp_path / "report_flag.json"),
             "figures": _figures_args(tmp_path, tmp_path / "report.json"),
         }[command]
-        result = CliRunner().invoke(cli, [*args, *flag], env=ENV)
+        result = invoke([*args, *flag], env=ENV)
         assert result.exit_code == 2
-        assert "No such option" in result.stderr
+        assert f"error: unrecognized arguments: {flag[0]}" in result.stderr
 
     def test_header_only_features_file_exits_one(self, tmp_path):
         assert _run_pipeline(tmp_path) == [0, 0, 0, 0, 0]
@@ -868,12 +880,57 @@ class TestVersion:
     def test_version_option_prints_the_package_version(self):
         result = _invoke(["--version"])
         assert result.exit_code == 0
-        assert result.output.endswith(", version 0.1.0\n")
+        assert result.output == "workforecast, version 0.1.0\n"
+
+    def test_no_command_is_a_usage_error(self):
+        result = _invoke([])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(": error: the following arguments are required: subcommand\n")
 
     def test_package_version_is_the_pyproject_version(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
         project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
         assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == __version__
+
+
+class TestOptionValues:
+    """An option that takes a value takes the next argument, whatever it is, and no option may be abbreviated."""
+
+    @pytest.mark.parametrize("args, code, key, value, stderr", [
+        (["--out", "data", "--coef-supply", "-2e-3"], 0, "true_coef_supply", -0.002,
+         "generated 2 regions, 14 performance rows (0 clipped) in data\n"),
+        (["--out", "data", "--shock-year", "2013", "--demand-shift", "-.5e-1"], 0, "demand_shift", -0.05,
+         "generated 2 regions, 14 performance rows (0 clipped) in data\n"),
+        (["--out", "data", "--intercept", "-inf"], 1, None, None,
+         "ERROR InvalidConfig: true_intercept must be finite\n"),
+        (["--out", "-odd"], 0, "out", "-odd", "generated 2 regions, 14 performance rows (0 clipped) in -odd\n"),
+    ], ids=["exponent", "leading-point", "minus-infinity", "dash-name"])
+    def test_a_value_may_begin_with_a_dash(self, tmp_path, monkeypatch, args, code, key, value, stderr):
+        """argparse alone reads each of these values as an unknown option, and exits 2."""
+        monkeypatch.chdir(tmp_path)
+        result = _invoke(["synth", *args])
+        assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr)
+        out = tmp_path / args[1]
+        if code:
+            assert not out.exists()
+        else:
+            assert json.loads((out / "truth.json").read_text(encoding="utf-8"))["run_config"][key] == value
+
+    @pytest.mark.parametrize("command, prefix", [
+        ("fit", ["--per"]), ("fit", ["--per-reg"]), ("evaluate", ["--bench", "prior-years-mean"]),
+        ("evaluate", ["--feat", "features.csv"]),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_a_prefix_of_an_option_is_a_usage_error(self, quickstart, tmp_path, command, prefix):
+        args = _copy_quickstart(quickstart, tmp_path, command)
+        result = _invoke([*args, *prefix])
+        assert result.exit_code == 2
+        assert f"error: unrecognized arguments: {' '.join(prefix)}" in result.stderr
+        assert not any(path.name.startswith("out_") for path in tmp_path.iterdir())
+
+    def test_a_prefix_of_the_version_option_is_a_usage_error(self):
+        result = _invoke(["--vers"])
+        assert (result.exit_code, result.stdout) == (2, "")
 
 
 class TestOptionVocabulary:
@@ -896,23 +953,36 @@ class TestOptionVocabulary:
         ("figures", "--performance-baseline", workforecast.BASELINE_MODES),
     ])
     def test_a_choice_lists_exactly_the_modes(self, command, option, modes):
-        assert re.search(rf"{option} \[([^]]*)\]", self._help(command)).group(1).split("|") == list(modes)
+        assert re.search(rf"{option} {{([^}}]*)}}", self._help(command)).group(1).split(",") == list(modes)
 
     @pytest.mark.parametrize("option, default", [
-        ("--min-hours FLOAT", workforecast.DEFAULT_MIN_HOURS),
-        ("--window-months INTEGER RANGE", workforecast.DEFAULT_WINDOW_MONTHS),
+        ("--min-hours MIN_HOURS", workforecast.DEFAULT_MIN_HOURS),
+        ("--window-months WINDOW_MONTHS", workforecast.DEFAULT_WINDOW_MONTHS),
     ])
     def test_performance_lists_the_defaults(self, option, default):
-        assert re.search(rf"{option} [^[]*\[default: ([^];]*)", self._help("performance")).group(1) == str(default)
+        """In the option list, not the usage line, which names the option without its help."""
+        options = self._help("performance").split(" options: ", 1)[1]
+        assert re.search(rf"{option} [^(]*\(default: ([^)]*)\)", options).group(1) == str(default)
 
-    @pytest.mark.parametrize("command, option, message", [
-        ("evaluate", "--benchmark", "'bogus' is not one of 'trainfold-mean', 'prior-years-mean'."),
-        ("figures", "--population-baseline", "'bogus' is not one of 'difference', 'ratio'."),
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_only_an_option_with_a_default_shows_one(self, command):
+        """A required option, a flag and an optional value without a default show none, not `None` or `False`."""
+        help_text = self._help(command)
+        shown = [action for action in _declared(command) if action.default is not None and action.default is not False]
+        assert help_text.count("(default: ") == len(shown) + (command == "figures")  # --baseline-year's own text
+        for action in shown:
+            assert f"(default: {action.default})" in help_text
+
+    @pytest.mark.parametrize("command, option, modes", [
+        ("evaluate", "--benchmark", workforecast.BENCHMARK_MODES),
+        ("figures", "--population-baseline", workforecast.BASELINE_MODES),
     ])
-    def test_an_unknown_mode_is_a_usage_error(self, quickstart, command, option, message):
+    def test_an_unknown_mode_is_a_usage_error(self, quickstart, command, option, modes):
         result = _invoke([*quickstart_args(command, quickstart), option, "bogus"])
         assert result.exit_code == 2
-        assert result.output.endswith(f"\nError: Invalid value for '{option}': {message}\n")
+        message = re.search(rf"\n\S+ {command}: error: argument {option}: invalid choice: (.*)\n$", result.output)
+        listed = re.fullmatch(r"'?bogus'? \(choose from (.*)\)", message.group(1)).group(1)
+        assert [mode.strip("'") for mode in listed.split(", ")] == list(modes)
 
 
 def _stamp_cases(quickstart: Path, out: Path) -> dict:
@@ -963,7 +1033,7 @@ class TestRunConfig:
         assert _invoke([command, *(arg for option in options for arg in option)]).exit_code == 0
         stamp = json.loads(stamped.read_text(encoding="utf-8"))["run_config"]
         assert list(stamp.items()) == list(expected.items())
-        declared = [param.name for param in cli.commands[command].params]
+        declared = [action.dest for action in _declared(command)]
         assert list(stamp)[:len(declared) + 1] == ["subcommand", *declared]
 
     @pytest.mark.parametrize("command", ["fit", "evaluate", "synth"])
@@ -1068,9 +1138,9 @@ class TestUntestedErrorPaths:
 
     def test_a_working_age_whose_bounds_are_reversed_is_a_usage_error(self, quickstart, tmp_path):
         args = _copy_quickstart(quickstart, tmp_path, "features")
-        result = CliRunner().invoke(cli, [*args, "--working-age", "5:3"], env=ENV)
+        result = invoke([*args, "--working-age", "5:3"], env=ENV)
         assert result.exit_code == 2
-        assert "Invalid value for --working-age: lower bound 5 exceeds upper bound 3" in result.stderr
+        assert "error: argument --working-age: lower bound 5 exceeds upper bound 3" in result.stderr
         assert not (tmp_path / "out_features.csv").exists()
 
     def test_validate_reads_good_records(self, quickstart, tmp_path):

@@ -11,13 +11,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workforecast.cli import cli
-
-from helpers import quickstart_args, quickstart_inputs
+from helpers import invoke, quickstart_args, quickstart_inputs
 
 ERROR_LINE = re.compile(r"ERROR [A-Za-z]+: ")
 # Bytes that delimit rows, fields and numbers in CSV and JSON, or are not UTF-8, come up
@@ -58,7 +55,7 @@ def test_mutated_input_exits_zero_or_with_one_error_line(quickstart, command, da
         (root / target).write_bytes(_mutate((quickstart / target).read_bytes(), changes))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = CliRunner().invoke(cli, quickstart_args(command, root), env={"WF_NO_COLOR": "1"})
+            result = invoke(quickstart_args(command, root), env={"WF_NO_COLOR": "1"})
 
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         pytest.fail("".join(traceback.format_exception(result.exception)))

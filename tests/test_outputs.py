@@ -11,16 +11,14 @@ import random
 import tracemalloc
 
 import pytest
-from click.testing import CliRunner
 
 from workforecast import jsonio
-from workforecast.cli import cli
 from workforecast.errors import MalformedJson
 from workforecast.evaluate import EvalReport, FoldResult, save_report_json
 from workforecast.features import FeatureConfig
 from workforecast.ingest import RegionalSeries, _write_rows, open_output, write_regional_series
 
-from helpers import quickstart_args
+from helpers import invoke, quickstart_args
 
 OLD = b"the previous output\n"
 
@@ -137,7 +135,7 @@ class TestErrorsNameTheOutput:
         args = quickstart_args("fit", quickstart)
         path = tmp_path / "missing" / "model.json"
         args[args.index("--model") + 1] = str(path)
-        result = CliRunner().invoke(cli, args, env={"WF_NO_COLOR": "1"})
+        result = invoke(args, env={"WF_NO_COLOR": "1"})
         assert result.exit_code == 1
         assert result.stderr == f"ERROR FileNotFoundError: [Errno 2] No such file or directory: {str(path)!r}\n"
 

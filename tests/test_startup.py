@@ -1,5 +1,6 @@
 """Start-up: importing the CLI executes no module of the package but its `__init__`, and each command
 executes only the layers it uses; importing the CLI loads none of numpy, calendar, json or statistics,
+nor click or the standard modules that click loaded (inspect, uuid, platform, locale),
 no quick-start command loads numpy (`fit` solves lists in pure Python, and so does `evaluate` up to
 `evaluate.NUMPY_ROWS` rows), no command loads `statistics`, only commands that read or write JSON load
 `json`, importing the CLI leaves the caller's collector state as it was and freezes nothing, the heap is
@@ -16,13 +17,11 @@ import types
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import workforecast.cli
 from workforecast import errors, evaluate, ingest
-from workforecast.cli import cli
 
-from helpers import quickstart_args
+from helpers import invoke, quickstart_args
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 RUN = "import sys, types\nfrom workforecast.cli import cli\ncli.main(sys.argv[1:], standalone_mode=False)\n"
@@ -50,8 +49,6 @@ def _python(*argv: str, blas_threads: str | None = None) -> str:
 def test_importing_the_package_and_the_cli_loads_no_numpy():
     """Nor calendar, which only the window rule needs, on first use, nor json, which only `jsonio` imports, nor
     statistics, which no command needs.
-
-    locale is loaded: click's `version_option` calls gettext when the CLI module is imported.
     """
     out = _python(
         "-c",
@@ -60,6 +57,20 @@ def test_importing_the_package_and_the_cli_loads_no_numpy():
         "print(*(name in sys.modules for name in ('numpy', 'calendar', 'json', 'statistics')))\n",
     )
     assert out == "False False False False"
+
+
+def test_importing_the_cli_loads_no_click_and_none_of_what_it_brought():
+    """click took about 23 ms of each process's start-up: `inspect`, `uuid` and `platform` were the largest parts.
+
+    Nor locale: argparse loads gettext, which imports it only at the first message a command's parser translates.
+    """
+    out = _python(
+        "-c",
+        "import sys\n"
+        "import workforecast.cli\n"
+        "print(*(name in sys.modules for name in ('click', 'inspect', 'uuid', 'platform', 'locale', 'argparse')))\n",
+    )
+    assert out == "False False False False False True"
 
 
 def test_importing_the_cli_executes_no_module_of_the_package_but_its_init():
@@ -117,7 +128,7 @@ def test_a_monkeypatched_layer_reaches_the_command(quickstart, monkeypatch):
         raise errors.InvalidConfig("patched")
 
     monkeypatch.setattr(ingest, "parse_regional_series", refuse)
-    result = CliRunner().invoke(cli, quickstart_args("features", quickstart), env={"WF_NO_COLOR": "1"})
+    result = invoke(quickstart_args("features", quickstart), env={"WF_NO_COLOR": "1"})
     assert (result.exit_code, result.output) == (1, "ERROR InvalidConfig: patched\n")
 
 
@@ -197,7 +208,7 @@ def panel(tmp_path_factory):
     stats = [arg for name in ("employment", "unemployment", "population") for arg in (f"--{name}", str(root / f"{name}.csv"))]
     for args in (["synth", "--out", str(root), "--regions", str(regions), "--years", "2001:2020", "--noise-sd", "0.02"],
                  ["features", *stats, "--out", str(root / "features.csv")]):
-        result = CliRunner().invoke(cli, args, env={"WF_NO_COLOR": "1"}, catch_exceptions=False)
+        result = invoke(args, env={"WF_NO_COLOR": "1"}, catch_exceptions=False)
         assert result.exit_code == 0, result.output
     return root
 

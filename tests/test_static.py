@@ -1,7 +1,8 @@
 """Static checks: every global name a function reads is bound at module level or is a builtin,
-only the least-squares modules import numpy, only the CLI imports gc, every error class is used,
-every public function and class is read by the program itself, only `ingest.open_output` writes
-a file, and the source tree does not grow.
+only the least-squares modules import numpy, only the CLI imports gc, nothing imports click, the
+third-party packages the source imports are exactly its declared dependencies, every error class
+is used, every public function and class is read by the program itself, only `ingest.open_output`
+writes a file, and the source tree does not grow.
 
 numpy is imported inside the functions that use it, so a missing local import
 would only fail, as a NameError, on the path that runs it. This check finds
@@ -9,16 +10,19 @@ such a name without running anything.
 """
 import ast
 import builtins
+import re
 import symtable
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "workforecast"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "workforecast"
 
 # The line count of src/workforecast/*.py is a tracked number: a change that
 # deletes code lowers this ceiling to the count it lands at.
-SRC_LINE_CEILING = 1828
+SRC_LINE_CEILING = 1827
 
 # The modules that run least squares, and import numpy for the arrays of a long
 # leave-one-out run only; tests/test_startup.py checks at run time that no
@@ -60,15 +64,20 @@ def test_a_missing_local_import_is_found(tmp_path):
     assert _unbound_globals(module) == ["f:1: np"]
 
 
-def _imports(path: Path, package: str) -> bool:
-    """Whether the module at `path` imports `package` or one of its submodules, at any depth of its code."""
+def _packages(path: Path) -> set[str]:
+    """The top-level package of every absolute import in the module at `path`, at any depth of its code."""
+    packages = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
         if isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module]
-        if any(name.split(".")[0] == package for name in names):
-            return True
-    return False
+        packages.update(name.split(".")[0] for name in names)
+    return packages
+
+
+def _imports(path: Path, package: str) -> bool:
+    """Whether the module at `path` imports `package` or one of its submodules, at any depth of its code."""
+    return package in _packages(path)
 
 
 def test_only_the_least_squares_modules_import_numpy():
@@ -99,6 +108,37 @@ def test_a_gc_import_inside_a_function_is_found(tmp_path):
     ]:
         module.write_text(source)
         assert _imports(module, "gc") == found, source
+
+
+def test_nothing_imports_click():
+    """The CLI parses its arguments with the standard library's argparse, and the tests run it with `helpers.invoke`."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    assert [path.name for path in paths if _imports(path, "click")] == []
+
+
+def _third_party(paths) -> set[str]:
+    """The top-level packages imported by the modules at `paths` that are neither the standard library's nor ours."""
+    return {package for path in paths for package in _packages(path)} - set(sys.stdlib_module_names) - {"workforecast"}
+
+
+def _declared_dependencies() -> set[str]:
+    """The distribution names in `[project].dependencies` of pyproject.toml, without their version specifiers."""
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project]\n", 1)[1].split("\n[", 1)[0]
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))
+
+
+def test_the_source_imports_exactly_its_declared_dependencies():
+    assert _third_party(SRC.glob("*.py")) == _declared_dependencies() == {"numpy"}
+
+
+def test_a_third_party_import_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import json\nimport os.path\nfrom workforecast import cli\nfrom . import click\n\n\n"
+        "def f():\n    import numpy.linalg\n    from yaml import safe_load\n"
+    )
+    assert _third_party([module]) == {"numpy", "yaml"}
 
 
 def _names_read(paths) -> set[str]:
@@ -138,15 +178,15 @@ def test_an_unused_error_class_is_found(tmp_path):
 
 
 def _is_command(node: ast.AST) -> bool:
-    """A function that a click `command` or `group` decorator registers: the CLI, not the program, calls it."""
-    return any(isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Attribute)
-               and decorator.func.attr in ("command", "group") for decorator in node.decorator_list)
+    """A function that the CLI's `_command` decorator registers: the CLI, not the program, calls it."""
+    return any(isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Name)
+               and decorator.func.id == "_command" for decorator in node.decorator_list)
 
 
 def _unread_public_names(package: Path) -> list[str]:
     """`module:name` of each top-level public function or class of `package` that none of its modules reads.
 
-    Public means no leading underscore; click commands are exempt.
+    Public means no leading underscore; CLI commands are exempt.
     """
     paths = list(package.glob("*.py"))
     read = _names_read(paths)
@@ -165,22 +205,25 @@ def test_every_public_name_is_read_by_the_program():
 
 
 def test_an_unread_public_name_is_found(tmp_path):
-    """Only a read counts, in the same module or another; an import alone does not."""
+    """Only a read counts, in the same module or another; an import alone does not. Only `_command` registers."""
     (tmp_path / "stage.py").write_text(
-        "import click\n\n\n"
+        "COMMANDS = {}\n\n\n"
+        "def _command(name):\n    return lambda fn: COMMANDS.setdefault(name, fn)\n\n\n"
         "class Row:\n    pass\n\n\n"
         "def used():\n    return Row()\n\n\n"
         "def called_elsewhere():\n    pass\n\n\n"
         "def imported_only():\n    pass\n\n\n"
         "def dead():\n    pass\n\n\n"
         "def _private():\n    pass\n\n\n"
-        "@click.group()\ndef cli():\n    pass\n\n\n"
-        "@cli.command('run')\ndef run_cmd():\n    used()\n"
+        "def main():\n    COMMANDS['run']()\n\n\n"
+        "cli = main\n\n\n"
+        "@_command('run')\ndef run_cmd():\n    used()\n\n\n"
+        "@registry.command('gone')\ndef gone_cmd():\n    pass\n"
     )
     (tmp_path / "other.py").write_text(
         "import stage\nfrom stage import imported_only\n\n\ndef _f():\n    stage.called_elsewhere()\n"
     )
-    assert _unread_public_names(tmp_path) == ["stage:dead", "stage:imported_only"]
+    assert _unread_public_names(tmp_path) == ["stage:dead", "stage:gone_cmd", "stage:imported_only"]
 
 
 def _file_writers(path: Path) -> list[str]:

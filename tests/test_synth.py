@@ -7,9 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from workforecast.cli import cli
 from workforecast.errors import InvalidConfig
 from workforecast.evaluate import build_dataset, loocv
 from workforecast.features import build_features
@@ -19,6 +17,8 @@ from workforecast.perf import read_performance_csv
 from workforecast.synth import (
     LAW_FEATURE_CONFIG, SynthConfig, SynthResult, _validate, generate, write_outputs,
 )
+
+from helpers import invoke
 
 
 def _recover(result: SynthResult):
@@ -242,7 +242,7 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("args", list(PINNED_DIGESTS), ids=["quickstart", "shocked-panel"])
 def test_generated_csvs_match_their_pinned_digests(tmp_path, args):
-    result = CliRunner().invoke(cli, ["synth", "--out", str(tmp_path), *args], env={"WF_NO_COLOR": "1"})
+    result = invoke(["synth", "--out", str(tmp_path), *args], env={"WF_NO_COLOR": "1"})
     assert result.exit_code == 0, result.output
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_DIGESTS[args]}
     assert digests == PINNED_DIGESTS[args]
