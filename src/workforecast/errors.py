@@ -55,7 +55,7 @@ class EmptyIntersection(DataError):
 # --- features ----------------------------------------------------------------
 
 class ZeroWorkingAgePopulation(DataError):
-    pass
+    """No one in a region-year falls inside the working-age interval, so its proxies are undefined."""
 
 
 class SupplyExceedsOne(DataError):
@@ -65,7 +65,7 @@ class SupplyExceedsOne(DataError):
 # --- model -------------------------------------------------------------------
 
 class TooFewObservations(DataError):
-    pass
+    """Too few joined rows to fit the model (3) or to run leave-one-out on it (4)."""
 
 
 class RankDeficientDesign(DataError):
@@ -85,7 +85,7 @@ class RankDeficientFold(DataError):
 # --- reporting / synthesis ---------------------------------------------------
 
 class MissingBaselineYear(DataError):
-    pass
+    """A figure has no value to baseline against: a region lacks the baseline year, or no year is common to all."""
 
 
 class ZeroBaseline(DataError):
@@ -93,7 +93,7 @@ class ZeroBaseline(DataError):
 
 
 class InvalidConfig(DataError):
-    pass
+    """A configuration value, or a combination of values, that the pipeline cannot run with."""
 
 
 class MalformedJson(DataError):

@@ -124,8 +124,7 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
     repeat it. A file without data rows carries no configuration and is rejected.
     """
     name = str(path)
-    rows = []
-    seen: set[tuple[str, int]] = set()
+    table: dict[tuple[str, int], FeatureRow] = {}
     config = first_stamp = first_line = None
     for lineno, (region, year_s, demand_s, supply_s, *stamp) in _read_rows(path, FEATURES_HEADER):
         year = _parse_natural(year_s, "year", name, lineno)
@@ -148,9 +147,7 @@ def read_features_csv(path: str | Path) -> tuple[list[FeatureRow], FeatureConfig
             )
         demand = _parse_number(demand_s, "demand", name, lineno)
         supply = _parse_number(supply_s, "supply", name, lineno)
-        _claim_entry(seen, region, year, name, lineno)
-        rows.append(FeatureRow(region_id=region, year=year, demand=demand, supply=supply))
+        _claim_entry(table, region, year, FeatureRow(region, year, demand, supply), name, lineno)
     if config is None:
         raise MalformedRow("no data rows, so no feature configuration", file=name)
-    rows.sort()  # by (region, year), unique by `_claim_entry`
-    return rows, config
+    return sorted(table.values()), config  # by (region, year), unique by `_claim_entry`

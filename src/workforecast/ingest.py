@@ -215,24 +215,22 @@ def _parse_number(text: str, column: str, file: str, line: int, non_negative: bo
 # statistical files
 # ---------------------------------------------------------------------------
 
-def _claim_entry(seen: set[tuple[str, int]], region: str, year: int, file: str, line: int) -> None:
-    """Add (region, year) to `seen`; a second row for the same pair is a `MalformedRow`."""
-    if (region, year) in seen:
+def _claim_entry(table: dict, region: str, year: int, value: object, file: str, line: int) -> None:
+    """File `value` in `table` under the key (region, year); a second row for the same pair is a `MalformedRow`."""
+    if (region, year) in table:
         raise MalformedRow(f"duplicate entry for region {region!r}, year {year}", file=file, line=line)
-    seen.add((region, year))
+    table[region, year] = value
 
 
-def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[str, dict[int, int]]:
-    """Collect region -> year -> count for employment.csv / unemployment.csv."""
+def _collect_year_counts(path: str | Path, header: tuple[str, ...]) -> dict[tuple[str, int], int]:
+    """Collect (region, year) -> count for employment.csv / unemployment.csv."""
     name = str(path)
-    out: dict[str, dict[int, int]] = {}
-    seen: set[tuple[str, int]] = set()
+    counts: dict[tuple[str, int], int] = {}
     for lineno, (region, year_s, count_s) in _read_rows(path, header):
         year = _parse_natural(year_s, "year", name, lineno)
         count = _parse_natural(count_s, header[2], name, lineno, count=True)
-        _claim_entry(seen, region, year, name, lineno)
-        out.setdefault(region, {})[year] = count
-    return out
+        _claim_entry(counts, region, year, count, name, lineno)
+    return counts
 
 
 def parse_regional_series(
@@ -257,7 +255,7 @@ def parse_regional_series(
             raise MalformedRow(f"age band [{lo}, {hi}] has age_lo > age_hi", file=name, line=lineno)
         persons = _parse_natural(persons_s, "persons", name, lineno, count=True)
         band_rows.setdefault((region, year), []).append((lo, hi, lineno, persons))
-    population: dict[str, dict[int, dict[AgeBand, int]]] = {}
+    population: dict[tuple[str, int], dict[AgeBand, int]] = {}
     for region, year in sorted(band_rows):  # after the last row, so a row error wins; every year, not only common ones
         bands = sorted(band_rows[region, year])  # a repeated band sorts by line, so the later row comes second
         for (a_lo, a_hi, _, _), (b_lo, b_hi, line, _) in zip(bands, bands[1:]):
@@ -266,12 +264,13 @@ def parse_regional_series(
                     f"region {region!r} year {year}: band [{b_lo}, {b_hi}] overlaps band [{a_lo}, {a_hi}]",
                     file=name, line=line, region=region, year=year,
                 )
-        population.setdefault(region, {})[year] = {(lo, hi): persons for lo, hi, _, persons in bands}
+        population[region, year] = {(lo, hi): persons for lo, hi, _, persons in bands}
 
+    coverage = {region: [] for region in sorted({region for region, _ in chain(employment, unemployed, population)})}
+    for region, year in sorted(employment.keys() & unemployed.keys() & population.keys()):
+        coverage[region].append(year)  # each region's years covered by all three files, ascending
     out: dict[str, RegionalSeries] = {}
-    for region in sorted(set(employment) | set(unemployed) | set(population)):
-        covered = [set(counts.get(region, ())) for counts in (employment, unemployed, population)]
-        common = sorted(set.intersection(*covered))
+    for region, common in coverage.items():
         if not common:
             raise EmptyIntersection(
                 f"region {region!r}: no year is covered by all three statistical files",
@@ -287,9 +286,9 @@ def parse_regional_series(
         out[region] = RegionalSeries(
             region_id=region,
             years=tuple(common),
-            employment={year: employment[region][year] for year in common},
-            unemployed_6m={year: unemployed[region][year] for year in common},
-            population={year: population[region][year] for year in common},
+            employment={year: employment[region, year] for year in common},
+            unemployed_6m={year: unemployed[region, year] for year in common},
+            population={year: population[region, year] for year in common},
         )
     return out
 

@@ -105,8 +105,7 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
     gets. This keeps rates bit-identical across a write/read cycle.
     """
     name = str(path)
-    rows = []
-    seen: set[tuple[str, int]] = set()
+    table: dict[tuple[str, int], PerformanceRow] = {}
     for lineno, (region, year_s, entrants_s, success_s, printed_s) in _read_rows(path, PERFORMANCE_HEADER):
         year = _parse_natural(year_s, "entry_year", name, lineno)
         # Unbounded: synth writes exact ratios whose denominators pass 2**53.
@@ -123,7 +122,5 @@ def read_performance_csv(path: str | Path) -> list[PerformanceRow]:
                 f"performance column ({printed_s}) disagrees with n_success/n_entrants ({performance:.6f})",
                 file=name, line=lineno,
             )
-        _claim_entry(seen, region, year, name, lineno)
-        rows.append(PerformanceRow(region, year, entrants, successes, performance))
-    rows.sort()  # by (region, entry year), unique by `_claim_entry`
-    return rows
+        _claim_entry(table, region, year, PerformanceRow(region, year, entrants, successes, performance), name, lineno)
+    return sorted(table.values())  # by (region, entry year), unique by `_claim_entry`

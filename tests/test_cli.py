@@ -1,8 +1,9 @@
 import argparse
+import inspect
 import json
 import re
 import shutil
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,10 @@ from workforecast import __version__, evaluate, jsonio, perf, report
 from workforecast.cli import COMMANDS
 from workforecast.errors import MalformedJson
 from workforecast.evaluate import build_dataset
-from workforecast.features import read_features_csv
+from workforecast.features import FeatureConfig, read_features_csv
 from workforecast.model import ModelFit, design, fit
 from workforecast.perf import read_performance_csv
+from workforecast.synth import SynthConfig
 
 from helpers import invoke, quickstart_args, quickstart_inputs
 
@@ -29,6 +31,31 @@ def _declared(command: str) -> list[argparse.Action]:
     """The options of `command`, in declaration order, as the `argparse` actions the CLI's own table makes."""
     parser = argparse.ArgumentParser(add_help=False)
     return [parser.add_argument(flag, **keywords) for flag, keywords in COMMANDS[command][1]]
+
+
+def _default(action: argparse.Action) -> object:
+    """The value an omitted option takes: argparse passes a string default through the option's `type`."""
+    return action.type(action.default) if isinstance(action.default, str) and action.type else action.default
+
+
+# Per command, the dataclasses and functions whose defaults its options restate; each must be an option's default.
+LIBRARY_DEFAULTS = {
+    "validate": (),
+    "features": (FeatureConfig,),
+    "performance": (perf.aggregate_performance,),
+    "fit": (),
+    "evaluate": (evaluate.loocv, evaluate.loocv_per_region),
+    "synth": (SynthConfig,),
+    "figures": (report.emit_figure_data,),
+}
+
+
+def _library_defaults(source) -> dict[str, object]:
+    """A dataclass's field defaults, or a function's parameter defaults, by name."""
+    if is_dataclass(source):
+        return {field.name: field.default for field in fields(source)}
+    return {name: parameter.default for name, parameter in inspect.signature(source).parameters.items()
+            if parameter.default is not parameter.empty}
 
 
 def _run_pipeline(root: Path, seed=7, extra_synth=(), extra_eval=()):
@@ -963,6 +990,18 @@ class TestOptionVocabulary:
         """In the option list, not the usage line, which names the option without its help."""
         options = self._help("performance").split(" options: ", 1)[1]
         assert re.search(rf"{option} [^(]*\(default: ([^)]*)\)", options).group(1) == str(default)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_default_is_the_library_default(self, command):
+        """The CLI restates its defaults as literals, so that building the parser executes no pipeline module."""
+        declared = {action.dest: _default(action) for action in _declared(command) if not action.required}
+        restated = set()
+        for source in LIBRARY_DEFAULTS[command]:
+            library = _library_defaults(source)
+            assert {dest: declared.get(dest, "no such option") for dest in library} == library
+            restated |= library.keys()
+        others = declared.keys() - restated  # `validate --records` and `--per-region` choose a path, not a value
+        assert all(declared[dest] is None or declared[dest] is False for dest in others), others
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_only_an_option_with_a_default_shows_one(self, command):

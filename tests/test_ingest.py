@@ -41,6 +41,9 @@ def _stat_files(tmp_path, employment, unemployment, population):
     )
 
 
+_COUNT_COLUMNS = {"employment.csv": "employed", "unemployment.csv": "unemployed_6m"}
+
+
 def _full_period_files(tmp_path, years=range(2000, 2021), region="R1"):
     employment = "region,year,employed\n" + "".join(f"{region},{y},{100000 + 100 * y}\n" for y in years)
     unemployment = "region,year,unemployed_6m\n" + "".join(f"{region},{y},{5000 + y}\n" for y in years)
@@ -113,11 +116,15 @@ class TestParseRegionalSeries:
         assert excinfo.value.line == 2
 
     def test_duplicate_cell_rejected(self, tmp_path):
-        employment = "region,year,employed\nR1,2000,100\nR1,2000,101\n"
-        unemployment = "region,year,unemployed_6m\nR1,2000,5\n"
+        """In either count file, the later row of a repeated (region, year) is named by its line."""
         population = "region,year,age_lo,age_hi,persons\nR1,2000,16,64,90\n"
-        with pytest.raises(MalformedRow, match="duplicate"):
-            parse_regional_series(*_stat_files(tmp_path, employment, unemployment, population))
+        for repeated in _COUNT_COLUMNS:
+            texts = {name: f"region,year,{column}\nR1,2000,5\n" + ("R1,2000,6\n" if name == repeated else "")
+                     for name, column in _COUNT_COLUMNS.items()}
+            files = _stat_files(tmp_path, texts["employment.csv"], texts["unemployment.csv"], population)
+            with pytest.raises(MalformedRow) as info:
+                parse_regional_series(*files)
+            assert str(info.value) == f"{tmp_path / repeated}:3: duplicate entry for region 'R1', year 2000"
 
     @pytest.mark.parametrize("file, column, row", [
         ("employment.csv", "year", "R1,{},100"),
@@ -509,3 +516,55 @@ class TestReadersSortForTheWriters:
         assert len(keys) > 4 and keys == sorted(keys)
         write_performance_csv(read, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "performance.csv").read_bytes()
+
+
+# Per keyed file: its header, a row for (R1, 2000), and a row for (R1, 2001) whose cell `column` is malformed.
+_KEYED_FILES = {
+    "employment.csv": ("region,year,employed", "R1,2000,100", "R1,2001,x", "employed"),
+    "unemployment.csv": ("region,year,unemployed_6m", "R1,2000,5", "R1,2001,x", "unemployed_6m"),
+    "features.csv": ("region,year,demand,supply,normalized,lag,age_lo,age_hi", "R1,2000,0.01,0.05,1,0,16,64",
+                     "R1,2001,x,0.05,1,0,16,64", "demand"),
+    "performance.csv": ("region,entry_year,n_entrants,n_success,performance", "R1,2000,4,1,0.250000",
+                        "R1,2001,4,1,x", "performance"),
+}
+
+
+def _read_keyed(tmp_path, name, rows):
+    """Read `name` with these data rows through the reader that the pipeline reads it with."""
+    text = "\n".join([_KEYED_FILES[name][0], *rows]) + "\n"
+    if name in _COUNT_COLUMNS:
+        counts = {other: "\n".join(_KEYED_FILES[other][:2]) + "\n" for other in _COUNT_COLUMNS}
+        counts[name] = text
+        population = "region,year,age_lo,age_hi,persons\nR1,2000,16,64,90\nR1,2001,16,64,90\n"
+        return parse_regional_series(*_stat_files(tmp_path, counts["employment.csv"], counts["unemployment.csv"],
+                                                  population))
+    path = _write(tmp_path / name, text)
+    return read_features_csv(path) if name == "features.csv" else read_performance_csv(path)
+
+
+@pytest.mark.parametrize("name", list(_KEYED_FILES))
+class TestKeyedReadersReportTheFirstFault:
+    """Each (region, year)-keyed reader checks a row's key after its cells, and stops at the first faulty row."""
+
+    def _malformed(self, tmp_path, name, line):
+        column = _KEYED_FILES[name][3]
+        kind = "an integer head-count" if name in _COUNT_COLUMNS else "a finite number"
+        return f"{tmp_path / name}:{line}: column {column!r} must be {kind}, got 'x'"
+
+    def test_a_duplicate_before_a_malformed_row_is_reported(self, tmp_path, name):
+        _, row, malformed, _ = _KEYED_FILES[name]
+        with pytest.raises(MalformedRow) as info:
+            _read_keyed(tmp_path, name, [row, row, malformed])
+        assert str(info.value) == f"{tmp_path / name}:3: duplicate entry for region 'R1', year 2000"
+
+    def test_a_malformed_row_before_a_duplicate_is_reported(self, tmp_path, name):
+        _, row, malformed, _ = _KEYED_FILES[name]
+        with pytest.raises(MalformedRow) as info:
+            _read_keyed(tmp_path, name, [row, malformed, row])
+        assert str(info.value) == self._malformed(tmp_path, name, 3)
+
+    def test_a_duplicate_row_with_a_malformed_cell_reports_the_cell(self, tmp_path, name):
+        _, row, malformed, _ = _KEYED_FILES[name]
+        with pytest.raises(MalformedRow) as info:
+            _read_keyed(tmp_path, name, [row, malformed.replace("2001", "2000")])
+        assert str(info.value) == self._malformed(tmp_path, name, 3)

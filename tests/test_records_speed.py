@@ -97,8 +97,8 @@ def _bad_file(tmp_path, error):
 
 
 def _run(*args):
-    """Run one CLI command in this process, as the `workforecast` executable would, minus the process exit."""
-    cli.main([str(arg) for arg in args], standalone_mode=False)
+    """Run one CLI command in this process, as the `workforecast` executable would."""
+    cli.main([str(arg) for arg in args])
 
 
 def _commands(records_csv, quickstart, tmp_path):

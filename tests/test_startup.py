@@ -24,7 +24,7 @@ from workforecast import errors, evaluate, ingest
 from helpers import invoke, quickstart_args
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-RUN = "import sys, types\nfrom workforecast.cli import cli\ncli.main(sys.argv[1:], standalone_mode=False)\n"
+RUN = "import sys, types\nfrom workforecast.cli import cli\ncli.main(sys.argv[1:])\n"
 RUN_COMMAND = RUN + "print('numpy' in sys.modules, 'statistics' in sys.modules)\n"
 RUN_JSON = RUN + "print('json' in sys.modules)\n"
 # The package modules a process has executed, by short name and without `cli`: a module bound by the CLI
@@ -137,7 +137,7 @@ def test_an_assignment_to_an_unexecuted_layer_survives_its_execution(quickstart)
         "import sys\n"
         "from workforecast.cli import cli, perf_mod\n"
         "perf_mod.write_performance_csv = lambda rows, out: print('patched', type(rows).__name__)\n"
-        "cli.main(sys.argv[1:], standalone_mode=False)\n"
+        "cli.main(sys.argv[1:])\n"
     )
     assert _python("-c", code, *quickstart_args("performance", quickstart)) == "patched list"
 
